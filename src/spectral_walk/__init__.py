@@ -11,15 +11,12 @@ from .errors import (ConfigurationError, DomainError, NumericError,
 from .jacobi_core import (BirthDeathRates, GeneratorMatrix, JacobiOperator,
                           PiCoefficients, generator, pi_coefficients, rates_of,
                           symmetrize)
-from .spectral import (PolynomialEvaluator, SpectralMeasure, chi_table,
-                       eigendecompose, evaluate_Q, evaluate_chi,
-                       evaluate_chi_scaled)
-from .dynamics import (AmplitudeSeries, ProbabilitySeries, bessel_j1,
-                       classical_transition, modified_bessel_i, oracle_expm,
-                       quantum_amplitude, series_csv, series_filename)
-from .return_analysis import (CharacteristicFunction, ReturnVerdict,
-                              almost_periodic_series, characteristic,
-                              classify_return, detect_lattice, modified_measure,
+from .spectral import SpectralMeasure, chi_table, eigendecompose, evaluate_Q
+from .bessel import bessel_j1
+from .dynamics import (AmplitudeSeries, ProbabilitySeries, classical_transition,
+                       oracle_expm, quantum_amplitude, series_csv, series_filename)
+from .return_analysis import (ReturnVerdict, characteristic, classify_return,
+                              detect_lattice, modified_measure,
                               return_probability_scan)
 from .chain_families import (EllipticContext, FamilyBuild, MeixnerFamily,
                              StieltjesCarlitzFamily, build_from_spec,
@@ -34,14 +31,13 @@ __all__ = [
     "ConfigurationError",
     "BirthDeathRates", "GeneratorMatrix", "JacobiOperator", "PiCoefficients",
     "symmetrize", "pi_coefficients", "generator", "rates_of",
-    "SpectralMeasure", "PolynomialEvaluator", "eigendecompose",
-    "evaluate_chi", "evaluate_chi_scaled", "chi_table", "evaluate_Q",
+    "SpectralMeasure", "eigendecompose", "chi_table", "evaluate_Q",
     "ProbabilitySeries", "AmplitudeSeries", "classical_transition",
-    "quantum_amplitude", "oracle_expm", "bessel_j1", "modified_bessel_i",
+    "quantum_amplitude", "oracle_expm", "bessel_j1",
     "series_csv", "series_filename",
-    "ReturnVerdict", "CharacteristicFunction", "characteristic",
+    "ReturnVerdict", "characteristic",
     "modified_measure", "detect_lattice", "classify_return",
-    "almost_periodic_series", "return_probability_scan",
+    "return_probability_scan",
     "MeixnerFamily", "StieltjesCarlitzFamily", "EllipticContext", "FamilyBuild",
     "meixner_chain", "stieltjes_carlitz_chain", "uniform_chain",
     "pst_demo_chain", "elliptic_context", "jacobi_cn_dn", "fitted_omega",

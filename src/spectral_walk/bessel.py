@@ -1,29 +1,23 @@
-"""Bessel J_1 and modified Bessel I_k, evaluated in-repo.
+"""Bessel J_1, evaluated in-repo.
 
-Closed-form amplitudes on the uniform chain need J_1, and the
-doubly-infinite constant-rate check needs I_k; keeping these local lets
-the test suite use scipy.special as an untouched oracle.  Small
-arguments use the defining series (alternating for J, positive-term for
-I); larger ones use Miller's downward recurrence with the standard
-normalizations
+The closed-form return amplitude on the uniform chain, f_00(t) =
+2 J_1(t)/t, needs J_1; keeping it local lets the test suite use
+scipy.special as an untouched oracle.  Small arguments use the defining
+alternating series; larger ones use Miller's downward recurrence with
+the normalization
 
-    J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1,
-    e^x = I_0(x) + 2 sum_{k>=1} I_k(x).
+    J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1.
 
-Relative error stays below 1e-10 over the supported ranges (|x| <= 50
-for J_1; I_k for the orders and arguments the package produces).
+Relative error stays below 1e-10 for |x| <= 50.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["bessel_j1", "modified_bessel_i"]
+__all__ = ["bessel_j1"]
 
 _SERIES_CUTOFF_J = 1.0
-_SERIES_CUTOFF_I = 30.0
 _RESCALE = 1e250
 
 
@@ -64,40 +58,6 @@ def _j1_miller(x: float) -> float:
     return -val if x < 0 else val
 
 
-def _i_series(k: int, x: float) -> float:
-    q = 0.25 * x * x
-    term = (0.5 * x) ** k / math.factorial(k)
-    total = term
-    for m in range(1, 400):
-        term *= q / (m * (m + k))
-        total += term
-        if term < 1e-18 * total:
-            break
-    return total
-
-
-def _i_miller(k: int, x: float) -> float:
-    start = 2 * (int(max(k, x) * 0.75 + 25) + 1)
-    nxt = 0.0
-    cur = 1e-30
-    norm = 0.0
-    target = 0.0
-    for m in range(start, 0, -1):
-        prev = (2.0 * m / x) * cur + nxt
-        nxt, cur = cur, prev
-        if m - 1 == k:
-            target = cur
-        if m - 1 > 0:
-            norm += cur
-        if abs(cur) > _RESCALE:
-            cur /= _RESCALE
-            nxt /= _RESCALE
-            norm /= _RESCALE
-            target /= _RESCALE
-    norm = 2.0 * norm + cur
-    return target * (math.exp(x) / norm)
-
-
 def bessel_j1(t):
     """Bessel function of the first kind, order 1 (scalar or array)."""
     x = np.asarray(t, dtype=float)
@@ -108,26 +68,4 @@ def bessel_j1(t):
             out[idx] = _j1_series(v)
         else:
             out[idx] = _j1_miller(v)
-    return float(out[0]) if x.shape == () else out.reshape(x.shape)
-
-
-def modified_bessel_i(k: int, t):
-    """Modified Bessel function I_k of integer order (scalar or array).
-
-    Negative orders fold to positive ones (I_{-k} = I_k); negative
-    arguments use I_k(-x) = (-1)^k I_k(x).
-    """
-    k = abs(int(k))
-    x = np.asarray(t, dtype=float)
-    flat = np.atleast_1d(x).ravel()
-    out = np.empty_like(flat)
-    for idx, v in enumerate(flat):
-        sign = -1.0 if (v < 0 and k % 2 == 1) else 1.0
-        av = abs(v)
-        if av == 0.0:
-            out[idx] = 1.0 if k == 0 else 0.0
-        elif av <= _SERIES_CUTOFF_I:
-            out[idx] = sign * _i_series(k, av)
-        else:
-            out[idx] = sign * _i_miller(k, av)
     return float(out[0]) if x.shape == () else out.reshape(x.shape)

@@ -332,7 +332,6 @@ def uniform_chain(n: int | None = None, quad_order: int = 256
     nodes = np.cos(idx * math.pi / (m + 1))[::-1].copy()
     weights = (2.0 / (m + 1)) * np.sin(idx * math.pi / (m + 1))[::-1] ** 2
     measure = SpectralMeasure.continuous(
-        weight=lambda x: (2.0 / math.pi) * np.sqrt(np.clip(1.0 - x * x, 0.0, None)),
         interval=(-1.0, 1.0),
         quad_points=nodes,
         quad_weights=weights,

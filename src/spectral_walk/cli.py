@@ -9,9 +9,8 @@ Subcommands:
 Exit codes: 0 success, 2 invalid spec or arguments (message names the
 offending field), 3 oracle mismatch above tolerance.
 
-Every run is deterministic: serial evaluation order is fixed, and the
-optional thread pool (SPECTRAL_WALK_THREADS) chunks the time grid with
-an ordered reduction, so output files are bitwise reproducible.
+Every run is deterministic: each time point is an ordered reduction over
+the spectral nodes, so the same inputs give byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ class RunConfig:
     output: str = "."
     verify_tol: float = _VERIFY_TOL
     lattice_tol: float = 1e-9
-    threads: int = 1
     extra: dict = field(default_factory=dict)
 
     def time_grid(self) -> np.ndarray:
@@ -67,19 +65,6 @@ class RunConfig:
         if self.steps < 2:
             raise UsageError(f"field 'steps' is {self.steps}, need >= 2 for a grid")
         return np.linspace(self.t_min, self.t_max, self.steps)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("SPECTRAL_WALK_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"SPECTRAL_WALK_THREADS = {raw!r} is not an integer")
-    if n < 1:
-        raise UsageError(f"SPECTRAL_WALK_THREADS = {n} must be >= 1")
-    return n
 
 
 def _load_spec(arg_spec: str | None, arg_family: str | None, params: dict) -> dict:
@@ -157,11 +142,9 @@ def cmd_simulate(config: RunConfig) -> int:
     written = []
     for jj in config.js:
         if classical:
-            series = classical_transition(build.measure, build.rates,
-                                          config.i, jj, times, threads=config.threads)
+            series = classical_transition(build.measure, build.rates, config.i, jj, times)
         else:
-            series = quantum_amplitude(build.measure, config.i, jj, times,
-                                       threads=config.threads)
+            series = quantum_amplitude(build.measure, config.i, jj, times)
         name = series_filename(series)
         with open(os.path.join(config.output, name), "w") as fh:
             fh.write(series_csv(series))
@@ -174,7 +157,6 @@ def cmd_simulate(config: RunConfig) -> int:
         "sites": {"i": config.i, "j": list(config.js)},
         "truncation": build.info,
         "tolerances": {"verify": config.verify_tol},
-        "threads": config.threads,
         "files": written,
     }
     code = EXIT_OK
@@ -208,8 +190,7 @@ def cmd_return(config: RunConfig) -> int:
         payload["evidence"] = dict(payload["evidence"]) | {"family_info": build.info}
     if config.extra.get("scan", False):
         times = config.time_grid()
-        series = quantum_amplitude(build.measure, site, site, times,
-                                   threads=config.threads)
+        series = quantum_amplitude(build.measure, site, site, times)
         os.makedirs(config.output, exist_ok=True)
         name = series_filename(series)
         with open(os.path.join(config.output, name), "w") as fh:
@@ -328,7 +309,6 @@ def _config_from_args(args) -> RunConfig:
         output=args.output,
         verify_tol=getattr(args, "verify_tol", _VERIFY_TOL),
         lattice_tol=getattr(args, "tol", 1e-9),
-        threads=_threads_from_env(),
     )
 
 

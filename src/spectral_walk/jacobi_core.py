@@ -21,7 +21,7 @@ all functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -227,24 +227,17 @@ class PiCoefficients:
     """Potential coefficients pi_i, stored in log space.
 
     ``step_ratios[i]`` holds lambda_i / mu_{i+1} exactly as computed from
-    the rates, so consecutive ratios never go through a large product.
-    ``values`` is the linear-space cumulative product and may overflow to
-    inf around i ~ 150 for growing chains; use :meth:`ratio` or
-    ``log_values`` there.
+    the rates, so consecutive ratios never go through a large product;
+    ``log_values[i]`` is log pi_i.  Use :meth:`ratio` or
+    :meth:`sqrt_ratio` rather than forming pi_i, which overflows around
+    i ~ 150 for growing chains.
     """
 
     step_ratios: np.ndarray
     log_values: np.ndarray
-    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        vals = np.empty(len(self.log_values))
-        vals[0] = 1.0
-        if len(vals) > 1:
-            with np.errstate(over="ignore"):
-                vals[1:] = np.cumprod(self.step_ratios)
-        object.__setattr__(self, "values", vals)
-        for a in (self.step_ratios, self.log_values, self.values):
+        for a in (self.step_ratios, self.log_values):
             a.setflags(write=False)
 
     def __len__(self) -> int:

@@ -24,18 +24,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from .dynamics import _spectral_sum
 from .errors import UsageError
 from .jacobi_core import JacobiOperator
-from .spectral import SpectralMeasure, chi_table_scaled, evaluate_chi
+from .spectral import SpectralMeasure, chi_table_scaled
 
 __all__ = [
     "ReturnVerdict",
-    "CharacteristicFunction",
     "characteristic",
     "modified_measure",
     "detect_lattice",
     "classify_return",
-    "almost_periodic_series",
     "return_probability_scan",
 ]
 
@@ -76,35 +75,20 @@ class ReturnVerdict:
         return out
 
 
-def characteristic(measure: SpectralMeasure, t, kernel_sign: int = +1):
+def characteristic(measure: SpectralMeasure, t):
     """Characteristic function F(t) = integral of e^{i x t} dmu(x).
 
     F(0) = 1 exactly: the sum is divided by the total mass, which also
     means a measure that is not normalized to begin with is refused
-    (UsageError) rather than silently rescaled beyond roundoff.
-    ``kernel_sign=-1`` evaluates with the e^{-ixt} kernel instead; the
+    (UsageError) rather than silently rescaled beyond roundoff.  The
     return amplitude is f_00(t) = F(-t).
     """
     x, w = measure.nodes_and_weights()
     total = w.sum()
     if abs(total - 1.0) > 1e-9:
         raise UsageError(f"measure has total mass {total}, expected a probability measure")
-    if kernel_sign not in (+1, -1):
-        raise UsageError(f"kernel_sign must be +1 or -1, got {kernel_sign}")
-    t_arr = np.asarray(t, dtype=float)
-    vals = np.exp((1j * kernel_sign) * np.outer(np.atleast_1d(t_arr).ravel(), x)) @ w
-    vals = vals / total
-    return complex(vals[0]) if t_arr.shape == () else vals.reshape(t_arr.shape)
-
-
-@dataclass(frozen=True)
-class CharacteristicFunction:
-    """F(t) of a fixed measure, as a callable."""
-
-    measure: SpectralMeasure
-
-    def __call__(self, t, kernel_sign: int = +1):
-        return characteristic(self.measure, t, kernel_sign)
+    vals = _spectral_sum(x, w, t, 1j) / total
+    return complex(vals) if vals.ndim == 0 else vals
 
 
 def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> SpectralMeasure:
@@ -128,18 +112,15 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
     chi2 = np.ldexp(mant[i] ** 2, (2 * expo[i]).astype(np.int32, copy=False))
     n_atoms = len(measure.points)
     new_masses = measure.masses * chi2[:n_atoms]
-    if measure.weight is None:
+    if measure.quad_points is None:
         return SpectralMeasure(jacobi=j_op, points=measure.points, masses=new_masses)
-    w_old = measure.weight
-    new_qw = measure.quad_weights * chi2[n_atoms:]
     return SpectralMeasure(
         jacobi=j_op,
         points=measure.points,
         masses=new_masses,
-        weight=lambda y: w_old(y) * evaluate_chi(j_op, i, y) ** 2,
         interval=measure.interval,
         quad_points=measure.quad_points,
-        quad_weights=new_qw,
+        quad_weights=measure.quad_weights * chi2[n_atoms:],
     )
 
 
@@ -250,28 +231,6 @@ def classify_return(measure: SpectralMeasure, tol: float = 1e-9) -> ReturnVerdic
             "ignored_mass": 0.0,
         })
     return detect_lattice(measure.points, tol, masses=measure.masses)
-
-
-def almost_periodic_series(points, masses, t):
-    """Almost-periodic return amplitude sum_s M_s e^{-i t tau_s}.
-
-    Accepts partial sums: for a truncated atom list the deficit
-    1 - sum(masses) bounds the absolute truncation error, since every
-    omitted term has modulus M_s.  Masses must be nonnegative and sum to
-    at most 1 (beyond roundoff is a usage error).
-    """
-    points = np.asarray(points, dtype=float).ravel()
-    masses = np.asarray(masses, dtype=float).ravel()
-    if points.shape != masses.shape:
-        raise UsageError("points and masses differ in length")
-    if masses.size and masses.min() < -1e-15:
-        raise UsageError(f"negative mass {masses.min()}")
-    total = masses.sum()
-    if total > 1 + 1e-9:
-        raise UsageError(f"masses sum to {total} > 1")
-    t_arr = np.asarray(t, dtype=float)
-    vals = np.exp(-1j * np.outer(np.atleast_1d(t_arr).ravel(), points)) @ masses
-    return complex(vals[0]) if t_arr.shape == () else vals.reshape(t_arr.shape)
 
 
 def return_probability_scan(series) -> list[tuple[float, float]]:

@@ -9,16 +9,16 @@ recurrence polynomials chi_i(x),
 and a probability measure under which they are orthonormal.  For a
 finite operator that measure is discrete: the points are the eigenvalues
 and the mass at each point is the squared first component of the
-normalized eigenvector (the Golub-Welsch construction).  Continuous
-measures are represented by their density together with a Gauss
-quadrature rule so that every downstream consumer can treat "nodes and
-weights" uniformly.
+normalized eigenvector (the Golub-Welsch construction).  A continuous
+part is represented by its support interval and a Gauss quadrature rule
+whose weights already include the density, so every downstream consumer
+can treat "nodes and weights" uniformly.  The polynomials themselves are
+evaluated as whole tables chi_0..chi_n at a set of nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -28,10 +28,7 @@ from .errors import NumericError, UsageError
 
 __all__ = [
     "SpectralMeasure",
-    "PolynomialEvaluator",
     "eigendecompose",
-    "evaluate_chi",
-    "evaluate_chi_scaled",
     "chi_table",
     "evaluate_Q",
 ]
@@ -39,7 +36,6 @@ __all__ = [
 # |chi| above this triggers a power-of-two renormalization of the
 # recurrence pair; far below overflow, far above any orthonormal value.
 _RESCALE_LIMIT = 2.0**500
-_CLUSTER_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,14 +49,12 @@ class SpectralMeasure:
         orthonormalizes; also the evaluator used for chi_i(x).
     points, masses : ndarray
         Discrete atoms (strictly increasing points, nonnegative masses).
-    weight : callable or None
-        Density of the continuous part on ``interval`` (normalized so the
-        total measure has mass 1), or None if purely discrete.
     interval : (float, float) or None
-    quad_points, quad_weights : ndarray
-        Quadrature rule representing the continuous part; the weights
-        already include the density, so sums against them approximate
-        integrals against the continuous part.
+        Support of the continuous part.
+    quad_points, quad_weights : ndarray or None
+        Quadrature rule representing the continuous part, given together
+        or not at all; the weights already include the density, so sums
+        against them approximate integrals against the continuous part.
     weighted_chi : ndarray or None
         Table W[i, s] = sqrt(M_s) chi_i(x_s), present when the atoms are
         the operator's own eigenvalues (it is then the sign-fixed
@@ -73,7 +67,6 @@ class SpectralMeasure:
     jacobi: JacobiOperator
     points: np.ndarray
     masses: np.ndarray
-    weight: Callable[[np.ndarray], np.ndarray] | None = None
     interval: tuple[float, float] | None = None
     quad_points: np.ndarray | None = None
     quad_weights: np.ndarray | None = None
@@ -90,11 +83,14 @@ class SpectralMeasure:
             raise UsageError("discrete points must be strictly increasing")
         if len(ms) and ms.min() < -1e-15:
             raise UsageError(f"negative mass {ms.min()} in discrete part")
-        if (self.weight is None) != (self.quad_points is None):
-            raise UsageError("continuous part needs both a weight and a quadrature rule")
+        if (self.quad_points is None) != (self.quad_weights is None):
+            raise UsageError("continuous part needs both quadrature points and weights")
         if self.quad_points is not None:
             qp = np.asarray(self.quad_points, dtype=float)
             qw = np.asarray(self.quad_weights, dtype=float)
+            if qp.shape != qw.shape:
+                raise UsageError(
+                    f"{qp.size} quadrature points but {qw.size} quadrature weights")
             object.__setattr__(self, "quad_points", qp)
             object.__setattr__(self, "quad_weights", qw)
             qp.setflags(write=False)
@@ -118,16 +114,16 @@ class SpectralMeasure:
                    masses=np.asarray(masses, dtype=float)[order])
 
     @classmethod
-    def continuous(cls, weight, interval, quad_points, quad_weights,
+    def continuous(cls, interval, quad_points, quad_weights,
                    jacobi: JacobiOperator) -> "SpectralMeasure":
         return cls(jacobi=jacobi,
                    points=np.empty(0), masses=np.empty(0),
-                   weight=weight, interval=(float(interval[0]), float(interval[1])),
+                   interval=(float(interval[0]), float(interval[1])),
                    quad_points=quad_points, quad_weights=quad_weights)
 
     @property
     def kind(self) -> str:
-        if self.weight is None:
+        if self.quad_points is None:
             return "discrete"
         return "continuous" if len(self.points) == 0 else "mixed"
 
@@ -177,15 +173,13 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
 
     Eigenvalues of the symmetric tridiagonal matrix are the points; the
     mass at each point is the squared first component of the normalized
-    eigenvector, renormalized so the masses sum to 1 exactly.  Points
-    closer than 1e-12 of the spectral spread are merged (positive
-    couplings give a simple spectrum in exact arithmetic, so clustering
-    is purely numerical).
+    eigenvector, renormalized so the masses sum to 1 exactly.
 
     The eigenvector matrix itself is kept on the measure (sign-fixed so
-    row 0 is nonnegative) as ``weighted_chi``; a merge invalidates the
-    column-to-atom mapping, so merged measures drop the table and fall
-    back to recurrence evaluation.
+    row 0 is nonnegative) as ``weighted_chi``.  Nearby eigenvalues are
+    kept as separate atoms: the tridiagonal eigenvectors are orthonormal
+    to working precision however close the eigenvalues are (Dhillon &
+    Parlett, Linear Algebra Appl. 387, 2004), so the table stays valid.
     """
     b = np.asarray(j_op.b, dtype=float)
     e = np.asarray(j_op.j, dtype=float)
@@ -200,39 +194,18 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     table = vecs * sign
     masses = table[0, :] ** 2
     masses = masses / masses.sum()
-    points, masses = _merge_clustered(vals, masses)
-    if len(points) != table.shape[1]:
-        return SpectralMeasure.discrete(points, masses, j_op)
-    return SpectralMeasure(jacobi=j_op, points=points, masses=masses,
+    return SpectralMeasure(jacobi=j_op, points=vals, masses=masses,
                            weighted_chi=table)
 
 
-def _merge_clustered(points: np.ndarray, masses: np.ndarray):
-    spread = float(points[-1] - points[0])
-    if spread == 0.0:
-        return np.array([points[0]]), np.array([masses.sum()])
-    tol = _CLUSTER_REL_TOL * spread
-    gaps = np.diff(points)
-    if (gaps >= tol).all():
-        return points, masses
-    out_p, out_m = [], []
-    start = 0
-    for k in range(1, len(points) + 1):
-        if k == len(points) or points[k] - points[k - 1] >= tol:
-            m = masses[start:k].sum()
-            p = (points[start:k] * masses[start:k]).sum() / m if m > 0 else points[start:k].mean()
-            out_p.append(p)
-            out_m.append(m)
-            start = k
-    return np.array(out_p), np.array(out_m)
+def chi_table_scaled(j_op: JacobiOperator, n: int, x):
+    """All chi_0..chi_n at the nodes x as (mantissas, exponents), each of
+    shape (n+1, len(x)), with chi_i(x) = mant[i] * 2**expo[i].
 
-
-def _chi_recurrence(j_op: JacobiOperator, n: int, x: np.ndarray):
-    """Scaled three-term recurrence: chi_i(x) = mant[i] * 2**expo[i].
-
-    The pair (chi_i, chi_{i-1}) is renormalized by a power of two
-    whenever it grows past 2**500, so arbitrarily high degrees never
-    overflow; products chi_i * chi_j recombine exactly via ldexp.
+    The scaled three-term recurrence renormalizes the pair
+    (chi_i, chi_{i-1}) by a power of two whenever it grows past 2**500,
+    so arbitrarily high degrees never overflow; products chi_i * chi_j
+    recombine exactly via ldexp.
     """
     if n < 0:
         raise UsageError(f"polynomial index {n} is negative")
@@ -241,8 +214,7 @@ def _chi_recurrence(j_op: JacobiOperator, n: int, x: np.ndarray):
             f"polynomial index {n} needs {n + 1} recurrence rows, "
             f"operator has {j_op.size}"
         )
-    x = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x).ravel()
+    flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     s = flat.shape[0]
     mant = np.empty((n + 1, s))
     expo = np.zeros((n + 1, s), dtype=np.int64)
@@ -267,73 +239,18 @@ def _chi_recurrence(j_op: JacobiOperator, n: int, x: np.ndarray):
             m_prev, m_curr = m_curr, m_next
             mant[i + 1] = m_curr
             expo[i + 1] = e
-    return mant, expo, x.shape
-
-
-def evaluate_chi_scaled(j_op: JacobiOperator, i: int, x):
-    """chi_i at x as (mantissa, exponent) with chi = mantissa * 2**exponent.
-
-    Overflow-proof form for high degrees; exponents of products cancel in
-    sums like sum_s M_s chi_i chi_j.
-    """
-    mant, expo, shape = _chi_recurrence(j_op, i, x)
-    m, e = mant[i], expo[i]
-    if shape == ():
-        return float(m[0]), int(e[0])
-    return m.reshape(shape), e.reshape(shape)
-
-
-def evaluate_chi(j_op: JacobiOperator, i: int, x):
-    """Orthonormal recurrence polynomial chi_i at x (scalar or array).
-
-    chi_0 = 1 identically.  Values are produced from the scaled
-    recurrence, so degrees whose raw values exceed the double range
-    come back as inf only at the final recombination, never corrupting
-    lower-degree results.
-    """
-    mant, expo, shape = _chi_recurrence(j_op, i, x)
-    with np.errstate(over="ignore"):
-        vals = np.ldexp(mant[i], expo[i].astype(np.int32, copy=False))
-    return float(vals[0]) if shape == () else vals.reshape(shape)
-
-
-def chi_table(j_op: JacobiOperator, n: int, x):
-    """All chi_0..chi_n at the nodes x, shape (n+1, len(x))."""
-    mant, expo, _ = _chi_recurrence(j_op, n, np.atleast_1d(x))
-    with np.errstate(over="ignore"):
-        return np.ldexp(mant, expo.astype(np.int32, copy=False))
-
-
-def chi_table_scaled(j_op: JacobiOperator, n: int, x):
-    """Scaled variant of :func:`chi_table`: (mantissas, exponents)."""
-    mant, expo, _ = _chi_recurrence(j_op, n, np.atleast_1d(x))
     return mant, expo
 
 
-@dataclass(frozen=True)
-class PolynomialEvaluator:
-    """Bound evaluator for the recurrence polynomials of one operator."""
+def chi_table(j_op: JacobiOperator, n: int, x):
+    """All chi_0..chi_n at the nodes x, shape (n+1, len(x)).
 
-    jacobi: JacobiOperator
-    n_max: int | None = None
-
-    def __post_init__(self):
-        cap = self.jacobi.size - 1 if self.n_max is None else self.n_max
-        if cap > self.jacobi.size - 1:
-            raise UsageError(
-                f"n_max {cap} exceeds operator capacity {self.jacobi.size - 1}")
-        object.__setattr__(self, "n_max", cap)
-
-    def chi(self, i: int, x):
-        if i > self.n_max:
-            raise UsageError(f"index {i} above evaluator cap {self.n_max}")
-        return evaluate_chi(self.jacobi, i, x)
-
-    def table(self, x, n: int | None = None):
-        n = self.n_max if n is None else n
-        if n > self.n_max:
-            raise UsageError(f"index {n} above evaluator cap {self.n_max}")
-        return chi_table(self.jacobi, n, x)
+    Degrees whose values exceed the double range come back as inf, without
+    corrupting lower degrees.
+    """
+    mant, expo = chi_table_scaled(j_op, n, x)
+    with np.errstate(over="ignore"):
+        return np.ldexp(mant, expo.astype(np.int32, copy=False))
 
 
 def evaluate_Q(rates: BirthDeathRates, i: int, x):

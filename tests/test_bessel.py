@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from spectral_walk import bessel_j1, modified_bessel_i
+from spectral_walk import bessel_j1
 
 
 def test_j1_matches_scipy_to_1e10_relative():
@@ -32,29 +32,3 @@ def test_j1_scalar_and_shape():
     assert np.ndim(bessel_j1(2.5)) == 0
     out = bessel_j1(np.ones((3, 2)))
     assert out.shape == (3, 2)
-
-
-def test_i_matches_scipy_orders_0_to_8():
-    t = np.linspace(-50.0, 50.0, 801)
-    for k in range(9):
-        ref = scipy.special.iv(k, t)
-        ours = modified_bessel_i(k, t)
-        scale = np.maximum(np.abs(ref), 1e-300)
-        assert np.max(np.abs(ours - ref) / scale) < 1e-10
-
-
-def test_i_negative_order_symmetry():
-    t = np.linspace(0.0, 20.0, 101)
-    assert modified_bessel_i(-3, t) == pytest.approx(list(modified_bessel_i(3, t)))
-
-
-def test_i_argument_parity():
-    t = np.linspace(0.1, 25.0, 64)
-    for k in (0, 1, 2, 5):
-        expect = (-1.0) ** k * modified_bessel_i(k, t)
-        assert modified_bessel_i(k, -t) == pytest.approx(list(expect))
-
-
-def test_i_at_zero():
-    assert modified_bessel_i(0, 0.0) == 1.0
-    assert modified_bessel_i(4, 0.0) == 0.0

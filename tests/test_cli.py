@@ -199,23 +199,3 @@ def test_verify_subcommand_skips_classical_without_rates(capsys):
     assert code == 0
     assert "skipped" in out
 
-
-def test_threads_env_var_is_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRAL_WALK_THREADS", "zero")
-    code, _, err = run(capsys, "simulate", "--spec", TWO_STATE,
-                       "--output", str(tmp_path))
-    assert code == 2
-    assert "SPECTRAL_WALK_THREADS" in err
-
-
-def test_threads_env_var_reproducible_output(tmp_path, capsys, monkeypatch):
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "threaded"
-    code, _, _ = run(capsys, "simulate", "--family", "pst-demo", "--n", "8",
-                     "--tmax", "30", "--steps", "3001", "--output", str(out_a))
-    assert code == 0
-    monkeypatch.setenv("SPECTRAL_WALK_THREADS", "4")
-    code, _, _ = run(capsys, "simulate", "--family", "pst-demo", "--n", "8",
-                     "--tmax", "30", "--steps", "3001", "--output", str(out_b))
-    assert code == 0
-    assert (out_a / "f_0_0.csv").read_bytes() == (out_b / "f_0_0.csv").read_bytes()

@@ -154,17 +154,40 @@ def test_probability_guard_catches_sign_corruption():
         ProbabilitySeries(i=0, j=0, times=np.array([1.0]), values=np.array([1.2]))
 
 
-def test_threaded_evaluation_is_bitwise_serial(rng):
+def test_value_at_each_time_is_independent_of_grid(rng):
+    # bitwise: a time point evaluated alone or inside any grid gives the
+    # same double, which is what makes output files reproducible
     rates = random_rates(rng, sites=9)
     measure = eigendecompose(symmetrize(rates))
     t = np.linspace(0.0, 20.0, 1003)
-    serial = quantum_amplitude(measure, 0, 4, t, threads=1)
-    for threads in (2, 3, 8):
-        parallel = quantum_amplitude(measure, 0, 4, t, threads=threads)
-        assert np.array_equal(serial.values, parallel.values)
-    pc_serial = classical_transition(measure, rates, 2, 2, t)
-    pc_par = classical_transition(measure, rates, 2, 2, t, threads=5)
-    assert np.array_equal(pc_serial.values, pc_par.values)
+    f = quantum_amplitude(measure, 0, 4, t).values
+    p = classical_transition(measure, rates, 2, 2, t).values
+    for part in (slice(0, 1), slice(500, 503), slice(1, None, 7)):
+        assert np.array_equal(quantum_amplitude(measure, 0, 4, t[part]).values, f[part])
+        assert np.array_equal(classical_transition(measure, rates, 2, 2, t[part]).values,
+                              p[part])
+
+
+def test_near_degenerate_spectrum_keeps_eigenvector_table():
+    # two mirror-image 3-site blocks joined by a 1e-13 coupling: their
+    # eigenvalues pair up 1e-13 apart, and each pair needs its own atom
+    # and eigenvector column
+    eps = 1e-13
+    rates = BirthDeathRates.from_arrays([1.0, 1.0, eps, 1.0, 1.0],
+                                        [0.0, 1.0, 1.0, eps, 1.0, 1.0])
+    j_op = symmetrize(rates)
+    measure = eigendecompose(j_op)
+    assert measure.weighted_chi is not None
+    assert len(measure.points) == 6
+    for t in (0.5, 2.0):
+        unitary = oracle_expm(j_op, t)
+        stochastic = oracle_expm(generator(rates), t)
+        for i in range(6):
+            for j in range(6):
+                f = quantum_amplitude(measure, i, j, t).values
+                p = classical_transition(measure, rates, i, j, t).values
+                assert abs(f - unitary[i, j]) < 1e-10, (t, i, j)
+                assert abs(p - stochastic[i, j]) < 1e-10, (t, i, j)
 
 
 def test_scalar_time_shape(two_state):

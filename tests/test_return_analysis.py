@@ -8,11 +8,9 @@ import numpy as np
 import pytest
 
 from spectral_walk import (
-    CharacteristicFunction,
     JacobiOperator,
     ReturnVerdict,
     UsageError,
-    almost_periodic_series,
     characteristic,
     classify_return,
     detect_lattice,
@@ -54,22 +52,14 @@ def test_F_two_atom_closed_form():
     t = np.linspace(0.0, 5.0, 21)
     expect = (2 + np.exp(3j * t)) / 3
     assert characteristic(m, t) == pytest.approx(list(expect), abs=1e-15)
-    # kernel_sign=-1 conjugates: F with e^{-ixt} kernel
-    assert characteristic(m, t, kernel_sign=-1) == pytest.approx(
-        list(np.conj(expect)), abs=1e-15)
+    # F(-t), the e^{-ixt} kernel, conjugates
+    assert characteristic(m, -t) == pytest.approx(list(np.conj(expect)), abs=1e-15)
 
 
 def test_F_rejects_unnormalized_measure():
     m = _atoms([0.0, 1.0], [0.4, 0.4], size=2)
     with pytest.raises(UsageError, match="mass"):
         characteristic(m, 1.0)
-
-
-def test_callable_wrapper(rng):
-    measure = eigendecompose(symmetrize(random_rates(rng, sites=5)))
-    F = CharacteristicFunction(measure)
-    t = np.linspace(0, 3, 7)
-    assert F(t) == pytest.approx(list(characteristic(measure, t)))
 
 
 def test_return_amplitude_is_F_of_minus_t(rng):
@@ -204,20 +194,7 @@ def test_classify_generic_random_chain(rng):
     assert verdict.kind == "AlmostPerfect"
 
 
-# -- almost-periodic series and scans ------------------------------------------------
-
-def test_almost_periodic_matches_characteristic(rng):
-    measure = eigendecompose(symmetrize(random_rates(rng, sites=7)))
-    t = np.linspace(0.0, 10.0, 41)
-    series = almost_periodic_series(measure.points, measure.masses, t)
-    assert series == pytest.approx(list(characteristic(measure, -t)), abs=1e-13)
-
-
-def test_almost_periodic_rejects_excess_mass():
-    with pytest.raises(UsageError):
-        almost_periodic_series(np.array([0.0, 1.0]), np.array([0.7, 0.5]),
-                               np.array([1.0]))
-
+# -- return-probability scans --------------------------------------------------
 
 def test_scan_finds_cosine_maxima():
     # |cos| on a plain grid: maxima at multiples of pi

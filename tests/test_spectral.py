@@ -7,13 +7,10 @@ import pytest
 
 from spectral_walk import (
     JacobiOperator,
-    PolynomialEvaluator,
     SpectralMeasure,
     UsageError,
     eigendecompose,
     evaluate_Q,
-    evaluate_chi,
-    evaluate_chi_scaled,
     chi_table,
     pi_coefficients,
     symmetrize,
@@ -110,7 +107,6 @@ class TestSpectralMeasure:
         j_op = JacobiOperator(b=np.zeros(3), j=np.array([1.0, 1.0]))
         m = SpectralMeasure(jacobi=j_op,
                             points=np.array([0.5]), masses=np.array([0.5]),
-                            weight=lambda x: np.ones_like(x),
                             interval=(0.0, 1.0),
                             quad_points=np.array([0.25, 0.75]),
                             quad_weights=np.array([0.25, 0.25]))
@@ -119,6 +115,17 @@ class TestSpectralMeasure:
         assert m.kind == "mixed"
         assert m.discrete_mass == 0.5
         assert m.continuous_mass == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("points, weights, message", [
+        (np.array([0.25, 0.5, 0.75]), np.array([1.0]), "3 quadrature points but 1"),
+        (np.array([0.25, 0.75]), None, "both quadrature points and weights"),
+        (None, np.array([0.5, 0.5]), "both quadrature points and weights"),
+    ], ids=["lengths-differ", "weights-missing", "points-missing"])
+    def test_rejects_unmatched_quadrature_rule(self, points, weights, message):
+        j_op = JacobiOperator(b=np.zeros(3), j=np.array([1.0, 1.0]))
+        with pytest.raises(UsageError, match=message):
+            SpectralMeasure(jacobi=j_op, points=np.empty(0), masses=np.empty(0),
+                            interval=(0.0, 1.0), quad_points=points, quad_weights=weights)
 
     def test_json_dict_discrete(self, rng):
         measure = eigendecompose(_random_jacobi(rng, 4))
@@ -144,15 +151,15 @@ def test_chi_matches_eigenvector_components(rng):
 def test_chi_seeds():
     j_op = JacobiOperator(b=np.array([0.3, -0.2]), j=np.array([0.9]))
     x = np.array([-1.0, 0.0, 2.0])
-    assert np.all(evaluate_chi(j_op, 0, x) == 1.0)
+    table = chi_table(j_op, 1, x)
+    assert np.all(table[0] == 1.0)
     # chi_1 = (x - b_0)/j_1 directly from the recurrence seed
-    assert evaluate_chi(j_op, 1, x) == pytest.approx((x - 0.3) / 0.9)
+    assert table[1] == pytest.approx((x - 0.3) / 0.9)
 
 
 def test_chi_scalar_input(rng):
     j_op = _random_jacobi(rng, 5)
-    val = evaluate_chi(j_op, 3, 0.25)
-    assert np.ndim(val) == 0
+    assert chi_table(j_op, 3, 0.25).shape == (4, 1)
 
 
 def test_chi_scaled_survives_growth():
@@ -160,28 +167,32 @@ def test_chi_scaled_survives_growth():
     # Chebyshev branch and overflows float64 near i ~ 700.  The scaled
     # pair must stay finite and recombine to inf only in linear space.
     j_op = JacobiOperator(b=np.zeros(1200), j=np.full(1199, 0.5))
-    mant, expo = evaluate_chi_scaled(j_op, 1100, np.array([3.0]))
+    mant, expo = chi_table_scaled(j_op, 1100, np.array([3.0]))
     assert np.isfinite(mant).all()
     x = 3.0
     growth = np.log2(x + np.sqrt(x * x - 1.0)) * 1100
-    total = np.log2(np.abs(mant[0])) + expo[0]
+    total = np.log2(np.abs(mant[1100, 0])) + expo[1100, 0]
     assert total == pytest.approx(growth, rel=1e-3)
-    assert evaluate_chi(j_op, 1100, np.array([3.0]))[0] == np.inf
+    assert chi_table(j_op, 1100, np.array([3.0]))[1100, 0] == np.inf
 
 
 def test_chi_scaled_agrees_with_plain(rng):
     j_op = _random_jacobi(rng, 9)
     x = rng.uniform(-2.0, 2.0, size=7)
-    mant, expo = evaluate_chi_scaled(j_op, 8, x)
-    assert np.ldexp(mant, expo) == pytest.approx(list(evaluate_chi(j_op, 8, x)))
+    mant, expo = chi_table_scaled(j_op, 8, x)
+    assert np.array_equal(np.ldexp(mant, expo), chi_table(j_op, 8, x))
 
 
 def test_chi_table_rows_match_single_evaluations(rng):
+    # reference: the plain three-term recurrence, one degree at a time
     j_op = _random_jacobi(rng, 7)
     x = rng.uniform(-2.0, 2.0, size=5)
     table = chi_table(j_op, 6, x)
+    prev, curr = np.zeros_like(x), np.ones_like(x)
     for i in range(7):
-        assert table[i] == pytest.approx(list(evaluate_chi(j_op, i, x)))
+        assert table[i] == pytest.approx(list(curr))
+        if i < 6:
+            prev, curr = curr, ((x - j_op.b[i]) * curr - j_op.coupling(i) * prev) / j_op.j[i]
 
 
 def test_chi_table_scaled_shapes(rng):
@@ -191,12 +202,11 @@ def test_chi_table_scaled_shapes(rng):
     assert expo.shape == (6, 4)
 
 
-def test_polynomial_evaluator_caps_degree(rng):
+def test_chi_table_caps_degree(rng):
     j_op = _random_jacobi(rng, 5)
-    ev = PolynomialEvaluator(jacobi=j_op, n_max=3)
-    ev.chi(3, 0.0)
-    with pytest.raises(UsageError):
-        ev.chi(4, 0.0)
+    chi_table(j_op, 4, 0.0)
+    with pytest.raises(UsageError, match="recurrence rows"):
+        chi_table(j_op, 5, 0.0)
 
 
 def test_Q_relation_to_chi(rng):
@@ -206,7 +216,7 @@ def test_Q_relation_to_chi(rng):
     pi = pi_coefficients(rates, 7)
     x = rng.uniform(0.0, 4.0, size=6)
     for i in range(7):
-        expected = (-1.0) ** i * evaluate_chi(j_op, i, x) / np.sqrt(pi.value(i))
+        expected = (-1.0) ** i * chi_table(j_op, i, x)[i] / np.sqrt(pi.value(i))
         assert evaluate_Q(rates, i, x) == pytest.approx(list(expected), abs=1e-11)
 
 
