@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -25,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain_families import FAMILY_NAMES, build_from_spec, family_schemas
-from .dynamics import (AmplitudeSeries, classical_transition, oracle_expm,
-                       quantum_amplitude, series_csv, series_filename)
+from .dynamics import (classical_transition, oracle_expm, quantum_amplitude, series_csv,
+                       series_filename)
 from .errors import SpectralWalkError, UsageError
 from .jacobi_core import generator
 from .return_analysis import classify_return, modified_measure, return_probability_scan

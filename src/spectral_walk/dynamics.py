@@ -19,16 +19,25 @@ table c_s = w_s chi_i(x_s) chi_j(x_s) is computed once per (i, j); each
 time point is then an O(S) reduction.  By Cauchy-Schwarz |c_s| <= 1 for
 a normalized measure, so the scaled polynomial recurrence can recombine
 products without overflow.
+
+The measure and the potential coefficients pi belong to the chain, not
+to the entry (i, j): :func:`classical_transition` checks that a measure
+was built from its rates, and computes pi over all of the measure's
+sites, once per (measure, rates) pair.  Only the last pair is
+remembered, by identity and through weak references, so neither object
+is kept alive.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .jacobi_core import BirthDeathRates, GeneratorMatrix, JacobiOperator, pi_coefficients, symmetrize
+from .jacobi_core import (BirthDeathRates, GeneratorMatrix, JacobiOperator, PiCoefficients,
+                          pi_coefficients, symmetrize)
 from .errors import DomainError, NumericError, UsageError
 from .spectral import SpectralMeasure, chi_table_scaled
 
@@ -44,6 +53,11 @@ __all__ = [
 
 _ORACLE_SIZE_CAP = 512
 _ORACLE_TIME_CAP = 1e3
+
+# (weakref to measure, weakref to rates, pi) of the last pair _bind checked;
+# one tuple, read and replaced whole, so concurrent callers never pair one
+# chain's objects with another chain's pi
+_last_bound = None
 
 
 @dataclass(frozen=True)
@@ -157,6 +171,28 @@ def _check_provenance(measure: SpectralMeasure, rates: BirthDeathRates) -> None:
     )
 
 
+def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> PiCoefficients:
+    """pi_0..pi_n of the rates over the measure's n + 1 sites, after
+    checking once per (measure, rates) pair that the measure came from
+    the rates.
+
+    A repeated pair is recognized by identity (both objects are frozen),
+    through weak references: a strong one would keep a big measure and
+    its N x N eigenvector table alive.  The prefixes of pi do not depend
+    on n (log_values is a cumsum), so any entry equals the one a shorter
+    pi_coefficients call gives.
+    """
+    global _last_bound
+    if _last_bound is not None:
+        measure_ref, rates_ref, pi = _last_bound
+        if measure_ref() is measure and rates_ref() is rates:
+            return pi
+    _check_provenance(measure, rates)
+    pi = pi_coefficients(rates, measure.jacobi.size - 1)
+    _last_bound = (weakref.ref(measure), weakref.ref(rates), pi)
+    return pi
+
+
 def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
                          i: int, j: int, times) -> ProbabilitySeries:
     """P_ij(t) over a time grid via the spectral representation.
@@ -165,7 +201,9 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
     ----------
     measure : SpectralMeasure
         Orthogonality measure of ``symmetrize(rates)``; provenance is
-        checked and a mismatch raises UsageError.
+        checked once per (measure, rates) pair and a mismatch raises
+        UsageError.  The pair is remembered through weak references, so
+        neither object is kept alive.
     rates : BirthDeathRates
         Supplies the potential coefficients pi for the prefactor.
     i, j : int
@@ -176,9 +214,8 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
     times_arr = np.asarray(times, dtype=float)
     if np.any(times_arr < 0):
         raise UsageError("classical evolution needs t >= 0")
-    _check_provenance(measure, rates)
+    pi = _bind(measure, rates)
     x, coeff = _chi_product_coefficients(measure, i, j)
-    pi = pi_coefficients(rates, max(i, j))
     prefactor = ((-1.0) ** ((i + j) % 2)) * pi.sqrt_ratio(j, i)
     vals = _spectral_sum(x, coeff, times_arr, -1.0)
     return ProbabilitySeries(i=i, j=j, times=times_arr, values=prefactor * vals)

@@ -20,7 +20,6 @@ all functions are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 

@@ -48,7 +48,10 @@ class SpectralMeasure:
         The operator whose recurrence polynomials this measure
         orthonormalizes; also the evaluator used for chi_i(x).
     points, masses : ndarray
-        Discrete atoms (strictly increasing points, nonnegative masses).
+        Discrete atoms (points in increasing order, nonnegative masses).
+        Equal consecutive points are allowed: an operator can have
+        eigenvalues that coincide in floating point, each with its own
+        eigenvector column.
     interval : (float, float) or None
         Support of the continuous part.
     quad_points, quad_weights : ndarray or None
@@ -79,8 +82,8 @@ class SpectralMeasure:
         object.__setattr__(self, "masses", ms)
         if pts.shape != ms.shape:
             raise UsageError("points and masses differ in length")
-        if len(pts) > 1 and not (np.diff(pts) > 0).all():
-            raise UsageError("discrete points must be strictly increasing")
+        if len(pts) > 1 and not (np.diff(pts) >= 0).all():
+            raise UsageError("discrete points must be in increasing order")
         if len(ms) and ms.min() < -1e-15:
             raise UsageError(f"negative mass {ms.min()} in discrete part")
         if (self.quad_points is None) != (self.quad_weights is None):
@@ -176,10 +179,11 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     eigenvector, renormalized so the masses sum to 1 exactly.
 
     The eigenvector matrix itself is kept on the measure (sign-fixed so
-    row 0 is nonnegative) as ``weighted_chi``.  Nearby eigenvalues are
-    kept as separate atoms: the tridiagonal eigenvectors are orthonormal
-    to working precision however close the eigenvalues are (Dhillon &
-    Parlett, Linear Algebra Appl. 387, 2004), so the table stays valid.
+    row 0 is nonnegative) as ``weighted_chi``.  Nearby and even equal
+    eigenvalues are kept as separate atoms: the tridiagonal eigenvectors
+    are orthonormal to working precision however close the eigenvalues
+    are (Dhillon & Parlett, Linear Algebra Appl. 387, 2004), so the
+    table stays valid.
     """
     b = np.asarray(j_op.b, dtype=float)
     e = np.asarray(j_op.j, dtype=float)

@@ -7,7 +7,6 @@ the offending field), 3 oracle mismatch above tolerance.
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest

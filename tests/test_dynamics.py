@@ -10,18 +10,24 @@ from diagonalizing A = [[-1, 1], [2, -2]] directly.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.special
 
+import spectral_walk.dynamics
 from spectral_walk import (
     BirthDeathRates,
     JacobiOperator,
     NumericError,
     UsageError,
     classical_transition,
+    classify_return,
     eigendecompose,
     generator,
+    modified_measure,
     oracle_expm,
     quantum_amplitude,
     series_csv,
@@ -188,6 +194,82 @@ def test_near_degenerate_spectrum_keeps_eigenvector_table():
                 p = classical_transition(measure, rates, i, j, t).values
                 assert abs(f - unitary[i, j]) < 1e-10, (t, i, j)
                 assert abs(p - stochastic[i, j]) < 1e-10, (t, i, j)
+
+
+def test_exactly_coincident_eigenvalues_keep_separate_atoms():
+    # two identical 3-site blocks joined by a coupling far below roundoff:
+    # their eigenvalues coincide in floating point, the atoms tie, and the
+    # eigenvector table is still orthonormal
+    j_op = JacobiOperator(b=np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0]),
+                          j=np.array([1.0, 1.0, 1e-300, 1.0, 1.0]))
+    measure = eigendecompose(j_op)
+    assert len(measure.points) == 6
+    assert (np.diff(measure.points) == 0).any()
+    for t in (0.5, 2.0):
+        unitary = oracle_expm(j_op, t)
+        for i in range(6):
+            for j in range(6):
+                f = quantum_amplitude(measure, i, j, t).values
+                assert abs(f - unitary[i, j]) < 1e-10, (t, i, j)
+    modified_measure(measure, j_op, 3)
+    classify_return(measure)
+
+
+# -- one provenance check per (measure, rates) pair ---------------------------------
+
+def test_bound_pair_still_rejects_other_rates_or_measure(rng, two_state):
+    rates, _, measure = two_state
+    other = random_rates(rng, sites=2)
+    other_measure = eigendecompose(symmetrize(other))
+    classical_transition(measure, rates, 0, 1, np.array([1.0]))
+    with pytest.raises(UsageError, match="provenance"):
+        classical_transition(measure, other, 0, 1, np.array([1.0]))
+    classical_transition(measure, rates, 0, 1, np.array([1.0]))
+    with pytest.raises(UsageError, match="provenance"):
+        classical_transition(other_measure, rates, 0, 1, np.array([1.0]))
+
+
+def test_full_sweep_checks_provenance_once(rng, monkeypatch):
+    calls = []
+    original = spectral_walk.dynamics.symmetrize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_walk.dynamics, "symmetrize", counting)
+    rates = random_rates(rng, sites=8)
+    measure = eigendecompose(symmetrize(rates))
+    for i in range(8):
+        for j in range(8):
+            classical_transition(measure, rates, i, j, np.array([0.5, 2.0]))
+    # one operator per boundary convention, for the single check
+    assert len(calls) == 2
+
+
+def test_binding_keeps_neither_object_alive(rng):
+    rates = random_rates(rng, sites=6)
+    measure = eigendecompose(symmetrize(rates))
+    classical_transition(measure, rates, 1, 4, np.array([1.0]))
+    measure_ref, rates_ref = weakref.ref(measure), weakref.ref(rates)
+    del measure, rates
+    gc.collect()
+    assert measure_ref() is None
+    assert rates_ref() is None
+
+
+def test_warm_calls_equal_cold_calls_bitwise(rng):
+    rates = random_rates(rng, sites=9)
+    j_op = symmetrize(rates)
+    measure = eigendecompose(j_op)
+    t = np.array([0.0, 0.01, 0.5, 3.0])
+    # one measure for the whole sweep: every call after the first is warm
+    warm = [[classical_transition(measure, rates, i, j, t).values for j in range(9)]
+            for i in range(9)]
+    for i in range(9):
+        for j in range(9):
+            cold = classical_transition(eigendecompose(j_op), rates, i, j, t).values
+            assert np.array_equal(warm[i][j], cold), (i, j)
 
 
 def test_scalar_time_shape(two_state):
