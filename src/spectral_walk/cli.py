@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain_families import FAMILY_NAMES, build_from_spec, family_schemas
-from .dynamics import (classical_transition, oracle_expm, quantum_amplitude, series_csv,
-                       series_filename)
+from .dynamics import (AmplitudeSeries, _amplitudes, classical_transition, oracle_expm,
+                       quantum_amplitude, series_csv, series_filename)
 from .errors import SpectralWalkError, UsageError
 from .jacobi_core import generator
 from .return_analysis import classify_return, modified_measure, return_probability_scan
@@ -101,7 +101,11 @@ def _check_site(name: str, value: int, size: int) -> None:
 
 def _verify_build(build, config: RunConfig, classical: bool):
     """Oracle cross-check on the truncated operator: the spectral-sum
-    path against dense exp(tA) / exp(-iJt).  Returns max abs deviation."""
+    path against dense exp(tA) / exp(-iJt).  Returns max abs deviation.
+
+    Each target is evaluated over all check times in one call; a value
+    does not depend on the rest of the grid, so it is the one a call per
+    time point gives."""
     j_op = build.jacobi
     check_measure = eigendecompose(j_op)
     worst = 0.0
@@ -109,20 +113,17 @@ def _verify_build(build, config: RunConfig, classical: bool):
     if classical:
         if build.rates is None:
             raise UsageError(f"family '{build.family}' has no classical rates to verify")
-        gen = generator(build.rates, j_op.size - 1,
-                        boundary="reflecting" if build.family == "custom" else "absorbing-tail")
-        for t in times:
-            dense = oracle_expm(gen, t)
-            for jj in config.js:
-                series = classical_transition(check_measure, build.rates,
-                                              config.i, jj, np.array([t]))
-                worst = max(worst, abs(float(series.values[0]) - dense[config.i, jj]))
+        operator = generator(build.rates, j_op.size - 1,
+                             boundary="reflecting" if build.family == "custom" else "absorbing-tail")
+        rows = [classical_transition(check_measure, build.rates, config.i, jj,
+                                     np.array(times)).values for jj in config.js]
     else:
-        for t in times:
-            dense = oracle_expm(j_op, t)
-            for jj in config.js:
-                series = quantum_amplitude(check_measure, config.i, jj, np.array([t]))
-                worst = max(worst, abs(complex(series.values[0]) - dense[config.i, jj]))
+        operator = j_op
+        rows = _amplitudes(check_measure, config.i, list(config.js), np.array(times))
+    for k, t in enumerate(times):
+        dense = oracle_expm(operator, t)
+        for row, jj in zip(rows, config.js):
+            worst = max(worst, abs(row[k] - dense[config.i, jj]))
     return worst, times
 
 
@@ -138,12 +139,16 @@ def cmd_simulate(config: RunConfig) -> int:
             f"family '{build.family}' defines no birth-death rates; classical "
             "dynamics is undefined (use --quantum)")
     os.makedirs(config.output, exist_ok=True)
+    if classical:
+        all_series = [classical_transition(build.measure, build.rates, config.i, jj, times)
+                      for jj in config.js]
+    else:
+        # all targets in one pass over the grid
+        rows = _amplitudes(build.measure, config.i, list(config.js), times)
+        all_series = [AmplitudeSeries(i=config.i, j=jj, times=times, values=row)
+                      for jj, row in zip(config.js, rows)]
     written = []
-    for jj in config.js:
-        if classical:
-            series = classical_transition(build.measure, build.rates, config.i, jj, times)
-        else:
-            series = quantum_amplitude(build.measure, config.i, jj, times)
+    for series in all_series:
         name = series_filename(series)
         with open(os.path.join(config.output, name), "w") as fh:
             fh.write(series_csv(series))

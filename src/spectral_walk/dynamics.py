@@ -15,10 +15,11 @@ factor is required for P >= 0, and the oracle cross-check below pins it.
 Both, and the characteristic function of return_analysis, are one sum
 sum_s c_s e^{z x_s t} with a different coefficient table c_s and
 exponent factor z; :func:`_spectral_sum` is that sum.  The coefficient
-table c_s = w_s chi_i(x_s) chi_j(x_s) is computed once per (i, j); each
-time point is then an O(S) reduction.  By Cauchy-Schwarz |c_s| <= 1 for
-a normalized measure, so the scaled polynomial recurrence can recombine
-products without overflow.
+table c_s = w_s chi_i(x_s) chi_j(x_s) is computed once per (i, j), or
+once per source i for a list of targets j; each time point is then an
+O(S) reduction, taken in fixed blocks of times that all targets share.
+By Cauchy-Schwarz |c_s| <= 1 for a normalized measure, so the scaled
+polynomial recurrence can recombine products without overflow.
 
 The measure and the potential coefficients pi belong to the chain, not
 to the entry (i, j): :func:`classical_transition` checks that a measure
@@ -53,6 +54,10 @@ __all__ = [
 
 _ORACLE_SIZE_CAP = 512
 _ORACLE_TIME_CAP = 1e3
+# _spectral_sum: terms per block of the time x node grid, and the block
+# size from which phases are formed by cos/sin rather than complex exp
+_BLOCK_TERMS = 2 ** 14
+_TRIG_MIN_TERMS = 2 ** 11
 
 # (weakref to measure, weakref to rates, pi) of the last pair _bind checked;
 # one tuple, read and replaced whole, so concurrent callers never pair one
@@ -79,7 +84,11 @@ class ProbabilitySeries:
         # catches sign/prefactor bugs (order-1 excursions), while leaving
         # room for tail leakage of truncated exact measures, which enters
         # as tail mass amplified by chi_i chi_j at the dropped atoms
-        if v.size and (v.min() < -1e-6 or v.max() > 1 + 1e-6):
+        # min/max over a list cost less than two numpy reductions on short
+        # series; like those reductions, a series holding a NaN passes
+        listed = v.ravel().tolist()
+        if (listed and (min(listed) < -1e-6 or max(listed) > 1 + 1e-6)
+                and not np.isnan(v).any()):
             raise NumericError(
                 f"probability outside [0,1] beyond truncation leakage: range "
                 f"[{v.min()}, {v.max()}] for P_{self.i}{self.j}"
@@ -104,48 +113,86 @@ class AmplitudeSeries:
             raise UsageError("times and values differ in shape")
 
 
-def _chi_product_coefficients(measure: SpectralMeasure, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s).
+def _chi_product_coefficients(measure: SpectralMeasure, i: int, js) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s): shape
+    (S,) for one target j, (len(js), S) for a list of targets, each row
+    the same double either way.
 
     Eigendecomposed measures carry the orthonormal table W, and there
     c_s = W[i, s] W[j, s]; this keeps the sum-rule identities (rows of
     P, unitarity) at eigensolver accuracy even for chains whose chi
     recurrence is unstable at edge nodes.
     """
-    if i < 0 or j < 0:
-        raise UsageError(f"site indices ({i}, {j}) must be nonnegative")
+    targets = js if isinstance(js, list) else [js]
+    if i < 0 or min(targets) < 0:
+        raise UsageError(f"site indices ({i}, {min(targets)}) must be nonnegative")
+    top = max(i, *targets)
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
-        if not (i < table.shape[0] and j < table.shape[0]):
+        if top >= table.shape[0]:
             raise UsageError(
-                f"site indices ({i}, {j}) beyond operator size {table.shape[0]}")
-        return measure.points, table[i] * table[j]
+                f"site indices ({i}, {max(targets)}) beyond operator size {table.shape[0]}")
+        return measure.points, table[i] * table[js]
     x, w = measure.nodes_and_weights()
-    mant, expo = chi_table_scaled(measure.jacobi, max(i, j), x)
-    coeff = np.ldexp(w * mant[i] * mant[j],
-                     (expo[i] + expo[j]).astype(np.int32, copy=False))
+    mant, expo = chi_table_scaled(measure.jacobi, top, x)
+    coeff = np.ldexp(w * mant[i] * mant[js],
+                     (expo[i] + expo[js]).astype(np.int32, copy=False))
     return x, coeff
 
 
 def _spectral_sum(x, coeff, times, z):
-    """values[k] = sum_s coeff[s] * exp(z * x[s] * times[k]), shaped like times.
+    """values[..., k] = sum_s coeff[..., s] * exp(z * x[s] * times[k]),
+    shaped coeff.shape[:-1] + times.shape: coeff is one row of S
+    coefficients or a stack of rows.  z is -1 (classical) or +-1j.
 
-    Each time point is reduced by numpy's pairwise sum over the fixed
-    spectral axis, never a shape-dependent matmul, so the value at a
-    given t does not depend on the rest of the grid and output is
-    bitwise reproducible.
+    The time grid is walked in blocks of _BLOCK_TERMS // S times, a
+    height set by S alone, so each temporary holds at most one block of
+    2**14 terms (256 KB complex) per coefficient row, however long the
+    grid: one row over 2001 times and 1024 nodes peaks below 1 MB, where
+    a whole (T, S) table needs 33 MB per temporary.  A block's phases
+    are computed once and reduced against every row.
 
-    The output is allocated before the (T, S) temporaries: a result
-    allocated after them can land above them on the heap and keep the
-    allocator from returning their memory (measured: +3 MB peak RSS on
-    the long-grid benchmark).
+    Each row of a block is reduced by numpy's pairwise sum over the
+    contiguous node axis, never a shape-dependent matmul, so the value
+    at a given t depends neither on the rest of the grid, nor on the
+    block it falls in, nor on the other rows: output is bitwise
+    reproducible.
+
+    For z = +-1j, blocks of at least _TRIG_MIN_TERMS terms write the
+    phase as cos(theta) + i sin(theta) straight into a complex block,
+    which costs less per term than np.exp of a complex argument.  The
+    complex product (z x) t has a zero real part, for which complex exp
+    returns (cos, sin) of its imaginary part from the same libm, and
+    theta = Im(z x) t is that imaginary part up to the sign of a zero;
+    a zero theta can flip only the sign of a zero term, which no sum
+    shows, as numpy's reduction starts from +0.  So both forms give the
+    same doubles (pinned by tests/test_dynamics.py), and smaller blocks
+    keep np.exp, which needs fewer numpy calls.
     """
     times = np.asarray(times, dtype=float)
-    flat = np.atleast_1d(times).ravel()
-    out = np.empty(flat.shape, dtype=np.result_type(coeff, z))
-    terms = coeff * np.exp(z * x[None, :] * flat[:, None])
-    np.add.reduce(terms, axis=1, out=out)
-    return out.reshape(times.shape)
+    flat = times.reshape(-1)
+    trig = isinstance(z, complex)
+    out = np.empty(coeff.shape[:-1] + flat.shape, dtype=complex if trig else float)
+    step = max(1, _BLOCK_TERMS // max(x.shape[0], 1))
+    zx = z * x
+    for start in range(0, flat.size, step):
+        t = flat[start:start + step, None]
+        if trig and t.size * x.shape[0] >= _TRIG_MIN_TERMS:
+            theta = np.multiply(zx.imag, t)
+            phase = np.empty(theta.shape, dtype=complex)
+            np.cos(theta, out=phase.real)
+            np.sin(theta, out=phase.imag)
+        else:
+            phase = np.exp(zx * t)
+        np.add.reduce(coeff[..., None, :] * phase, axis=-1, out=out[..., start:start + step])
+    return out.reshape(coeff.shape[:-1] + times.shape)
+
+
+def _amplitudes(measure: SpectralMeasure, i: int, js, times) -> np.ndarray:
+    """f_ij over times for one target j (shaped like times) or a list of
+    targets (one row each, all sharing each block of phases)."""
+    x, coeff = _chi_product_coefficients(measure, i, js)
+    return _spectral_sum(x, coeff, times, -1j)
 
 
 def _check_provenance(measure: SpectralMeasure, rates: BirthDeathRates) -> None:
@@ -212,7 +259,7 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
         Nonnegative time grid.
     """
     times_arr = np.asarray(times, dtype=float)
-    if np.any(times_arr < 0):
+    if (times_arr < 0).any():
         raise UsageError("classical evolution needs t >= 0")
     pi = _bind(measure, rates)
     x, coeff = _chi_product_coefficients(measure, i, j)
@@ -227,8 +274,7 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
     The sign convention is f(t) = exp(-iJt), so the spectral kernel is
     e^{-i x t} and f_ij(-t) = conj(f_ij(t)).
     """
-    x, coeff = _chi_product_coefficients(measure, i, j)
-    return AmplitudeSeries(i=i, j=j, times=times, values=_spectral_sum(x, coeff, times, -1j))
+    return AmplitudeSeries(i=i, j=j, times=times, values=_amplitudes(measure, i, j, times))
 
 
 def oracle_expm(operator, t: float, kind: str | None = None) -> np.ndarray:
@@ -273,14 +319,18 @@ def series_filename(series) -> str:
 
 def series_csv(series) -> str:
     """CSV text for one series: `t,p` or `t,re,im,abs`, 17 significant
-    digits (round-trip exact for doubles), header always present."""
-    lines = []
+    digits (round-trip exact for doubles), header always present.
+
+    The whole table is formatted by one % operation.  |f| is
+    np.hypot(re, im), which gives the double Python's abs() of each
+    complex value gives; np.abs of a complex array can differ from it
+    in the last place."""
+    times = np.atleast_1d(series.times).ravel()
+    values = np.atleast_1d(series.values).ravel()
     if isinstance(series, AmplitudeSeries):
-        lines.append("t,re,im,abs")
-        for t, v in zip(np.atleast_1d(series.times), np.atleast_1d(series.values)):
-            lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}")
+        header, line = "t,re,im,abs\n", "%.17g,%.17g,%.17g,%.17g\n"
+        columns = (times, values.real, values.imag, np.hypot(values.real, values.imag))
     else:
-        lines.append("t,p")
-        for t, v in zip(np.atleast_1d(series.times), np.atleast_1d(series.values)):
-            lines.append(f"{t:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+        header, line = "t,p\n", "%.17g,%.17g\n"
+        columns = (times, values)
+    return header + (line * times.size) % tuple(np.column_stack(columns).ravel().tolist())

@@ -56,6 +56,26 @@ def test_simulate_writes_series_and_manifest(tmp_path, capsys):
     assert p == pytest.approx((2 + np.exp(-6)) / 3, abs=1e-12)
 
 
+def test_simulate_many_targets_writes_the_files_of_single_runs(tmp_path, capsys):
+    # all --j targets share one pass over a grid of many blocks; each file
+    # must be the one a run for that target alone writes
+    grid = ["--family", "uniform", "--quad-order", "256", "--tmax", "50", "--steps", "2001",
+            "--verify"]
+    code, _, _ = run(capsys, "simulate", *grid, "--j", "0", "--j", "3", "--j", "7",
+                     "--output", str(tmp_path / "all"))
+    assert code == 0
+    worst = []
+    for j in ("0", "3", "7"):
+        code, _, _ = run(capsys, "simulate", *grid, "--j", j, "--output", str(tmp_path / j))
+        assert code == 0
+        name = f"f_0_{j}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / j / name).read_bytes()
+        worst.append(json.loads((tmp_path / j / "manifest.json").read_text())["verify"])
+    combined = json.loads((tmp_path / "all" / "manifest.json").read_text())["verify"]
+    assert combined["max_abs_diff"] == max(w["max_abs_diff"] for w in worst)
+    assert combined["times"] == worst[0]["times"]
+
+
 def test_simulate_verify_passes(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", "--spec", TWO_STATE,
                        "--classical", "--verify", "--j", "0", "--j", "1",

@@ -11,6 +11,8 @@ from diagonalizing A = [[-1, 1], [2, -2]] directly.
 from __future__ import annotations
 
 import gc
+import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -19,10 +21,12 @@ import scipy.special
 
 import spectral_walk.dynamics
 from spectral_walk import (
+    AmplitudeSeries,
     BirthDeathRates,
     JacobiOperator,
     NumericError,
     UsageError,
+    characteristic,
     classical_transition,
     classify_return,
     eigendecompose,
@@ -33,6 +37,7 @@ from spectral_walk import (
     series_csv,
     series_filename,
     symmetrize,
+    uniform_chain,
 )
 
 from conftest import random_rates
@@ -172,6 +177,84 @@ def test_value_at_each_time_is_independent_of_grid(rng):
         assert np.array_equal(quantum_amplitude(measure, 0, 4, t[part]).values, f[part])
         assert np.array_equal(classical_transition(measure, rates, 2, 2, t[part]).values,
                               p[part])
+
+
+# -- the blocked spectral sum ------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    """Equal as stored doubles: NaN positions and the sign of zero count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# each slice crosses block boundaries, lies inside one block, or strides
+# over many blocks, for blocks of 16 rows (1024 nodes) and 54 rows (300)
+BLOCK_SLICES = (slice(0, 1), slice(10, 40), slice(15, 17), slice(16, 32), slice(1990, 2001),
+                slice(3, None, 37), slice(None, None, -5))
+
+
+def test_long_grid_values_are_independent_of_blocking():
+    _, measure = uniform_chain(quad_order=1024)
+    t = np.linspace(0.0, 50.0, 2001)
+    f = quantum_amplitude(measure, 0, 3, t).values
+    char = characteristic(measure, t)
+    for part in BLOCK_SLICES:
+        assert same_bits(quantum_amplitude(measure, 0, 3, t[part]).values, f[part]), part
+        assert same_bits(characteristic(measure, t[part]), char[part]), part
+    assert same_bits(quantum_amplitude(measure, 0, 3, t[1234]).values, f[1234])
+    assert same_bits(characteristic(measure, t[1234]), char[1234])
+
+
+def test_big_chain_probabilities_are_independent_of_blocking(rng):
+    rates = random_rates(rng, sites=300)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.linspace(0.0, 5.0, 2001)
+    p = classical_transition(measure, rates, 150, 151, t).values
+    for part in BLOCK_SLICES:
+        got = classical_transition(measure, rates, 150, 151, t[part]).values
+        assert same_bits(got, p[part]), part
+
+
+def whole_grid_sum(x, coeff, t, z):
+    # the kernel before blocking: one (T, S) table of complex exponentials
+    return np.add.reduce(coeff * np.exp(z * x[None, :] * t[:, None]), axis=1)
+
+
+@pytest.mark.parametrize("z", [-1.0, -1j, 1j])
+@pytest.mark.parametrize("nodes, steps", [(7, 5), (300, 40), (300, 2001), (1024, 50)])
+def test_spectral_sum_equals_whole_grid_form_bitwise(z, nodes, steps):
+    # covers one small block (complex exp), cos/sin blocks and block tails;
+    # zero and negative-zero nodes, coefficients and times give zero phases
+    # and zero terms of either sign
+    gen = np.random.default_rng(nodes * steps)
+    x = np.sort(gen.uniform(-3.0, 3.0, nodes))
+    x[:3] = [-0.0, 0.0, 5e-324]
+    coeff = gen.uniform(-1.0, 1.0, nodes)
+    coeff[:4] = [-0.0, 0.0, -0.0, 1e-310]
+    t = np.linspace(0.0, 40.0, steps)
+    if z != -1.0:
+        t = np.concatenate([[-0.0], -t[1:3], t])
+    want = whole_grid_sum(x, coeff, t, z)
+    assert same_bits(spectral_walk.dynamics._spectral_sum(x, coeff, t, z), want)
+    rows = np.stack([coeff, -coeff, np.full(nodes, -0.0)])
+    stacked = spectral_walk.dynamics._spectral_sum(x, rows, t, z)
+    for row, got in zip(rows, stacked):
+        assert same_bits(got, whole_grid_sum(x, row, t, z))
+
+
+def test_one_amplitude_call_stays_within_one_block_of_memory():
+    _, measure = uniform_chain(quad_order=1024)
+    t = np.linspace(0.0, 50.0, 2001)
+    quantum_amplitude(measure, 0, 0, t)  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        quantum_amplitude(measure, 0, 0, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole (T, S) table of complex terms is 2001 * 1024 * 16 B = 33 MB
+    assert peak < 2e6, peak
 
 
 def test_near_degenerate_spectrum_keeps_eigenvector_table():
@@ -339,3 +422,50 @@ def test_series_csv_round_trip(two_state):
     row = flines[3].split(",")
     assert float(row[1]) == f.values[2].real
     assert float(row[2]) == f.values[2].imag
+
+
+def per_line_csv(series) -> str:
+    # the writer series_csv replaced: one f-string per row, abs() per value
+    lines = []
+    if isinstance(series, AmplitudeSeries):
+        lines.append("t,re,im,abs")
+        for t, v in zip(np.atleast_1d(series.times), np.atleast_1d(series.values)):
+            lines.append(f"{t:.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}")
+    else:
+        lines.append("t,p")
+        for t, v in zip(np.atleast_1d(series.times), np.atleast_1d(series.values)):
+            lines.append(f"{t:.17g},{v:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.nan, np.inf, -np.inf,
+                    1.0 / 3.0, 0.1, 1e-5, 123456789.125])
+
+
+def complex_from(re, im):
+    out = np.asarray(re, dtype=float).astype(complex)
+    out.imag = im
+    return out
+
+
+def test_series_csv_bytes_match_per_line_writer():
+    gen = np.random.default_rng(5)
+    t = np.linspace(0.0, 50.0, 2001)
+    _, measure = uniform_chain(quad_order=256)
+    cases = [quantum_amplitude(measure, 0, 2, t),
+             AmplitudeSeries(i=0, j=0, times=t[:3 * SPECIAL.size:3],
+                             values=complex_from(SPECIAL, gen.permutation(SPECIAL))),
+             AmplitudeSeries(i=0, j=1, times=np.tile(SPECIAL, 2),
+                             values=complex_from(np.tile(SPECIAL, 2), np.repeat(SPECIAL, 2))),
+             AmplitudeSeries(i=1, j=1, times=2.0, values=complex(-0.0, 5e-324)),
+             AmplitudeSeries(i=1, j=1, times=np.array([0.5]), values=[complex(np.nan, -0.0)]),
+             AmplitudeSeries(i=1, j=1, times=np.empty(0), values=np.empty(0))]
+    # probability series with values outside [0, 1] bypass the band check
+    cases += [types.SimpleNamespace(i=0, j=0, times=SPECIAL, values=gen.permutation(SPECIAL)),
+              types.SimpleNamespace(i=0, j=0, times=np.array(1.5), values=np.array(-0.0)),
+              types.SimpleNamespace(i=0, j=0, times=np.empty(0), values=np.empty(0))]
+    rates = random_rates(gen, sites=5)
+    cases.append(classical_transition(eigendecompose(symmetrize(rates)), rates, 0, 4, t))
+    with np.errstate(over="ignore"):
+        for series in cases:
+            assert series_csv(series) == per_line_csv(series)
