@@ -119,7 +119,7 @@ def _verify_build(build, config: RunConfig, classical: bool):
                                      np.array(times)).values for jj in config.js]
     else:
         operator = j_op
-        rows = _amplitudes(check_measure, config.i, list(config.js), np.array(times))
+        rows = _amplitudes(check_measure, config.i, config.js, np.array(times))
     for k, t in enumerate(times):
         dense = oracle_expm(operator, t)
         for row, jj in zip(rows, config.js):
@@ -144,7 +144,7 @@ def cmd_simulate(config: RunConfig) -> int:
                       for jj in config.js]
     else:
         # all targets in one pass over the grid
-        rows = _amplitudes(build.measure, config.i, list(config.js), times)
+        rows = _amplitudes(build.measure, config.i, config.js, times)
         all_series = [AmplitudeSeries(i=config.i, j=jj, times=times, values=row)
                       for jj, row in zip(config.js, rows)]
     written = []

@@ -54,10 +54,8 @@ __all__ = [
 
 _ORACLE_SIZE_CAP = 512
 _ORACLE_TIME_CAP = 1e3
-# _spectral_sum: terms per block of the time x node grid, and the block
-# size from which phases are formed by cos/sin rather than complex exp
+# _spectral_sum: terms per block of the time x node grid
 _BLOCK_TERMS = 2 ** 14
-_TRIG_MIN_TERMS = 2 ** 11
 
 # (weakref to measure, weakref to rates, pi) of the last pair _bind checked;
 # one tuple, read and replaced whole, so concurrent callers never pair one
@@ -85,7 +83,10 @@ class ProbabilitySeries:
         # room for tail leakage of truncated exact measures, which enters
         # as tail mass amplified by chi_i chi_j at the dropped atoms
         # min/max over a list cost less than two numpy reductions on short
-        # series; like those reductions, a series holding a NaN passes
+        # series (corpus benchmark wall time -10 %).  What they return for
+        # a list holding a NaN depends on where it sits, so a crossing is
+        # only reported for a NaN-free series: as with the reductions, a
+        # series holding a NaN passes
         listed = v.ravel().tolist()
         if (listed and (min(listed) < -1e-6 or max(listed) > 1 + 1e-6)
                 and not np.isnan(v).any()):
@@ -115,23 +116,28 @@ class AmplitudeSeries:
 
 def _chi_product_coefficients(measure: SpectralMeasure, i: int, js) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s): shape
-    (S,) for one target j, (len(js), S) for a list of targets, each row
-    the same double either way.
+    (S,) for one target j, (len(js), S) for a sequence of targets, each
+    row the same double either way.
 
     Eigendecomposed measures carry the orthonormal table W, and there
     c_s = W[i, s] W[j, s]; this keeps the sum-rule identities (rows of
     P, unitarity) at eigensolver accuracy even for chains whose chi
     recurrence is unstable at edge nodes.
     """
-    targets = js if isinstance(js, list) else [js]
-    if i < 0 or min(targets) < 0:
-        raise UsageError(f"site indices ({i}, {min(targets)}) must be nonnegative")
-    top = max(i, *targets)
+    if isinstance(js, (int, np.integer)):
+        low = high = js
+    else:
+        # a list indexes rows, where a tuple would index axes
+        js = [int(j) for j in js]
+        low, high = min(js), max(js)
+    if i < 0 or low < 0:
+        raise UsageError(f"site indices ({i}, {low}) must be nonnegative")
+    top = max(i, high)
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
         if top >= table.shape[0]:
             raise UsageError(
-                f"site indices ({i}, {max(targets)}) beyond operator size {table.shape[0]}")
+                f"site indices ({i}, {high}) beyond operator size {table.shape[0]}")
         return measure.points, table[i] * table[js]
     x, w = measure.nodes_and_weights()
     mant, expo = chi_table_scaled(measure.jacobi, top, x)
@@ -158,39 +164,25 @@ def _spectral_sum(x, coeff, times, z):
     block it falls in, nor on the other rows: output is bitwise
     reproducible.
 
-    For z = +-1j, blocks of at least _TRIG_MIN_TERMS terms write the
-    phase as cos(theta) + i sin(theta) straight into a complex block,
-    which costs less per term than np.exp of a complex argument.  The
-    complex product (z x) t has a zero real part, for which complex exp
-    returns (cos, sin) of its imaginary part from the same libm, and
-    theta = Im(z x) t is that imaginary part up to the sign of a zero;
-    a zero theta can flip only the sign of a zero term, which no sum
-    shows, as numpy's reduction starts from +0.  So both forms give the
-    same doubles (pinned by tests/test_dynamics.py), and smaller blocks
-    keep np.exp, which needs fewer numpy calls.
+    Phases are complex exp for every z.  Forming e^{-ixt} from real
+    cos/sin gives the same doubles at a lower cost per term, but showed
+    no end-to-end gain on the long-grid benchmark, so one form is kept.
     """
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
-    trig = isinstance(z, complex)
-    out = np.empty(coeff.shape[:-1] + flat.shape, dtype=complex if trig else float)
+    dtype = complex if isinstance(z, complex) else float
+    out = np.empty(coeff.shape[:-1] + flat.shape, dtype=dtype)
     step = max(1, _BLOCK_TERMS // max(x.shape[0], 1))
     zx = z * x
     for start in range(0, flat.size, step):
-        t = flat[start:start + step, None]
-        if trig and t.size * x.shape[0] >= _TRIG_MIN_TERMS:
-            theta = np.multiply(zx.imag, t)
-            phase = np.empty(theta.shape, dtype=complex)
-            np.cos(theta, out=phase.real)
-            np.sin(theta, out=phase.imag)
-        else:
-            phase = np.exp(zx * t)
+        phase = np.exp(zx * flat[start:start + step, None])
         np.add.reduce(coeff[..., None, :] * phase, axis=-1, out=out[..., start:start + step])
     return out.reshape(coeff.shape[:-1] + times.shape)
 
 
 def _amplitudes(measure: SpectralMeasure, i: int, js, times) -> np.ndarray:
-    """f_ij over times for one target j (shaped like times) or a list of
-    targets (one row each, all sharing each block of phases)."""
+    """f_ij over times for one target j (shaped like times) or a sequence
+    of targets (one row each, all sharing each block of phases)."""
     x, coeff = _chi_product_coefficients(measure, i, js)
     return _spectral_sum(x, coeff, times, -1j)
 

@@ -223,7 +223,7 @@ def whole_grid_sum(x, coeff, t, z):
 @pytest.mark.parametrize("z", [-1.0, -1j, 1j])
 @pytest.mark.parametrize("nodes, steps", [(7, 5), (300, 40), (300, 2001), (1024, 50)])
 def test_spectral_sum_equals_whole_grid_form_bitwise(z, nodes, steps):
-    # covers one small block (complex exp), cos/sin blocks and block tails;
+    # covers one block, many blocks and block tails, single and stacked rows;
     # zero and negative-zero nodes, coefficients and times give zero phases
     # and zero terms of either sign
     gen = np.random.default_rng(nodes * steps)
@@ -255,6 +255,28 @@ def test_one_amplitude_call_stays_within_one_block_of_memory():
         tracemalloc.stop()
     # a whole (T, S) table of complex terms is 2001 * 1024 * 16 B = 33 MB
     assert peak < 2e6, peak
+
+
+@pytest.mark.parametrize("kind", ["quadrature", "eigenvectors"])
+def test_any_sequence_of_targets_gives_the_single_target_rows(kind, rng):
+    if kind == "quadrature":
+        _, measure = uniform_chain(quad_order=64)
+    else:
+        measure = eigendecompose(symmetrize(random_rates(rng, sites=9)))
+    t = np.linspace(0.0, 30.0, 301)
+    amplitudes = spectral_walk.dynamics._amplitudes
+    single = [amplitudes(measure, 2, j, t) for j in (0, 3, 7)]
+    for js in ([0, 3, 7], (0, 3, 7), np.array([0, 3, 7])):
+        rows = amplitudes(measure, 2, js, t)
+        assert rows.shape == (len(js), t.size)
+        for row, want in zip(rows, single):
+            assert same_bits(row, want), js
+    assert same_bits(amplitudes(measure, 2, np.int64(3), t), single[1])
+    with pytest.raises(UsageError, match="nonnegative"):
+        amplitudes(measure, 2, (0, -1), t)
+    if kind == "eigenvectors":
+        with pytest.raises(UsageError, match="beyond"):
+            amplitudes(measure, 2, np.array([0, 9]), t)
 
 
 def test_near_degenerate_spectrum_keeps_eigenvector_table():
