@@ -9,9 +9,8 @@ return classification.
 from .errors import (ConfigurationError, DomainError, NumericError,
                      SpectralWalkError, UsageError)
 from .jacobi_core import (BirthDeathRates, GeneratorMatrix, JacobiOperator,
-                          PiCoefficients, generator, pi_coefficients, rates_of,
-                          symmetrize)
-from .spectral import SpectralMeasure, chi_table, eigendecompose, evaluate_Q
+                          PiCoefficients, generator, pi_coefficients, symmetrize)
+from .spectral import SpectralMeasure, chi_table, eigendecompose
 from .bessel import bessel_j1
 from .dynamics import (AmplitudeSeries, ProbabilitySeries, classical_transition,
                        oracle_expm, quantum_amplitude, series_csv, series_filename)
@@ -30,8 +29,8 @@ __all__ = [
     "SpectralWalkError", "DomainError", "UsageError", "NumericError",
     "ConfigurationError",
     "BirthDeathRates", "GeneratorMatrix", "JacobiOperator", "PiCoefficients",
-    "symmetrize", "pi_coefficients", "generator", "rates_of",
-    "SpectralMeasure", "eigendecompose", "chi_table", "evaluate_Q",
+    "symmetrize", "pi_coefficients", "generator",
+    "SpectralMeasure", "eigendecompose", "chi_table",
     "ProbabilitySeries", "AmplitudeSeries", "classical_transition",
     "quantum_amplitude", "oracle_expm", "bessel_j1",
     "series_csv", "series_filename",

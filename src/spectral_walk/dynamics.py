@@ -15,11 +15,22 @@ factor is required for P >= 0, and the oracle cross-check below pins it.
 Both, and the characteristic function of return_analysis, are one sum
 sum_s c_s e^{z x_s t} with a different coefficient table c_s and
 exponent factor z; :func:`_spectral_sum` is that sum.  The coefficient
-table c_s = w_s chi_i(x_s) chi_j(x_s) is computed once per (i, j), or
-once per source i for a list of targets j; each time point is then an
-O(S) reduction, taken in fixed blocks of times that all targets share.
-By Cauchy-Schwarz |c_s| <= 1 for a normalized measure, so the scaled
+table c_s = w_s chi_i(x_s) chi_j(x_s) is computed for a source i and a
+stack of targets j at once; each time point is then an O(S) reduction,
+taken in fixed blocks of times that all targets share.  By
+Cauchy-Schwarz |c_s| <= 1 for a normalized measure, so the scaled
 polynomial recurrence can recombine products without overflow.
+
+Per-entry calls are evaluated in chunks of targets.
+:func:`classical_transition` and :func:`quantum_amplitude` compute the
+aligned chunk of targets holding j, as many as fit one kernel block of
+2**14 terms over S nodes and T times (the whole row when n S T <= 2**14,
+one target once S T > 2**13), and remember the last chunk of several
+targets of each kind (classical, quantum) through a weak reference to
+the measure, so a sweep over j costs one kernel pass per chunk and no
+measure is kept alive.  A value depends neither on the rest of the
+grid, nor on the other targets of its chunk, nor on the order of calls:
+it is the double a call for that entry alone gives.
 
 The measure and the potential coefficients pi belong to the chain, not
 to the entry (i, j): :func:`classical_transition` checks that a measure
@@ -61,6 +72,10 @@ _BLOCK_TERMS = 2 ** 14
 # one tuple, read and replaced whole, so concurrent callers never pair one
 # chain's objects with another chain's pi
 _last_bound = None
+# z -> (weakref to measure, (i, j0, times.shape, times.tobytes()), rows) of
+# the last chunk of several targets _entry evaluated for that kind; each
+# value is read and replaced whole, as _last_bound is
+_last_chunk = {}
 
 
 @dataclass(frozen=True)
@@ -81,15 +96,17 @@ class ProbabilitySeries:
             raise UsageError("times and values differ in shape")
         # catches sign/prefactor bugs (order-1 excursions), while leaving
         # room for tail leakage of truncated exact measures, which enters
-        # as tail mass amplified by chi_i chi_j at the dropped atoms
-        # min/max over a list cost less than two numpy reductions on short
-        # series (corpus benchmark wall time -10 %).  What they return for
-        # a list holding a NaN depends on where it sits, so a crossing is
-        # only reported for a NaN-free series: as with the reductions, a
-        # series holding a NaN passes
+        # as tail mass amplified by chi_i chi_j at the dropped atoms.
+        # Python's min/max/sum over a list cost less than numpy reductions
+        # on short series (corpus benchmark wall time -10 %).  min/max skip
+        # a NaN that is not first in the list, so NaN is found by the sum,
+        # which is NaN for a NaN value (or for +inf and -inf together,
+        # which the band check rejects anyway)
         listed = v.ravel().tolist()
-        if (listed and (min(listed) < -1e-6 or max(listed) > 1 + 1e-6)
-                and not np.isnan(v).any()):
+        total = sum(listed)
+        if total != total and np.isnan(v).any():
+            raise NumericError(f"probability series P_{self.i}{self.j} holds NaN")
+        if listed and (min(listed) < -1e-6 or max(listed) > 1 + 1e-6):
             raise NumericError(
                 f"probability outside [0,1] beyond truncation leakage: range "
                 f"[{v.min()}, {v.max()}] for P_{self.i}{self.j}"
@@ -114,6 +131,15 @@ class AmplitudeSeries:
             raise UsageError("times and values differ in shape")
 
 
+def _check_sites(measure: SpectralMeasure, i: int, low: int, high: int) -> None:
+    """Source i and targets low..high must be sites of the measure's operator."""
+    if i < 0 or low < 0:
+        raise UsageError(f"site indices ({i}, {low}) must be nonnegative")
+    size = measure.jacobi.size
+    if i >= size or high >= size:
+        raise UsageError(f"site indices ({i}, {high}) beyond operator size {size}")
+
+
 def _chi_product_coefficients(measure: SpectralMeasure, i: int, js) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s): shape
     (S,) for one target j, (len(js), S) for a sequence of targets, each
@@ -130,17 +156,12 @@ def _chi_product_coefficients(measure: SpectralMeasure, i: int, js) -> tuple[np.
         # a list indexes rows, where a tuple would index axes
         js = [int(j) for j in js]
         low, high = min(js), max(js)
-    if i < 0 or low < 0:
-        raise UsageError(f"site indices ({i}, {low}) must be nonnegative")
-    top = max(i, high)
+    _check_sites(measure, i, low, high)
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
-        if top >= table.shape[0]:
-            raise UsageError(
-                f"site indices ({i}, {high}) beyond operator size {table.shape[0]}")
         return measure.points, table[i] * table[js]
     x, w = measure.nodes_and_weights()
-    mant, expo = chi_table_scaled(measure.jacobi, top, x)
+    mant, expo = chi_table_scaled(measure.jacobi, max(i, high), x)
     coeff = np.ldexp(w * mant[i] * mant[js],
                      (expo[i] + expo[js]).astype(np.int32, copy=False))
     return x, coeff
@@ -150,6 +171,10 @@ def _spectral_sum(x, coeff, times, z):
     """values[..., k] = sum_s coeff[..., s] * exp(z * x[s] * times[k]),
     shaped coeff.shape[:-1] + times.shape: coeff is one row of S
     coefficients or a stack of rows.  z is -1 (classical) or +-1j.
+    coeff is made C-contiguous first: numpy reduces a node axis that is
+    not contiguous in another order, so an F-ordered stack (rows of the
+    eigenvector table, say) would give rows that differ from the
+    single-row sums in the last place.
 
     The time grid is walked in blocks of _BLOCK_TERMS // S times, a
     height set by S alone, so each temporary holds at most one block of
@@ -168,6 +193,7 @@ def _spectral_sum(x, coeff, times, z):
     cos/sin gives the same doubles at a lower cost per term, but showed
     no end-to-end gain on the long-grid benchmark, so one form is kept.
     """
+    coeff = np.ascontiguousarray(coeff)
     times = np.asarray(times, dtype=float)
     flat = times.reshape(-1)
     dtype = complex if isinstance(z, complex) else float
@@ -185,6 +211,41 @@ def _amplitudes(measure: SpectralMeasure, i: int, js, times) -> np.ndarray:
     of targets (one row each, all sharing each block of phases)."""
     x, coeff = _chi_product_coefficients(measure, i, js)
     return _spectral_sum(x, coeff, times, -1j)
+
+
+def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray, z) -> np.ndarray:
+    """sum_s c_s e^{z x_s t} for the entry (i, j) over times (a float
+    array), evaluated with the aligned chunk of targets that holds j.
+
+    The chunk is [j0, j0 + k) cut at the operator size, with
+    k = _BLOCK_TERMS // (S T) for S nodes and T times and
+    j0 = j - j mod k: one kernel block's worth of terms, so the whole
+    row on small chains.  A chunk of several targets (at most
+    _BLOCK_TERMS values) is kept as the last chunk of its z, keyed by a
+    weak reference to the measure and by (i, j0, times), so the next
+    target of a sweep over j is read off it.  Once S T > _BLOCK_TERMS / 2
+    the entry is evaluated alone and nothing is kept.  Rows of a stack
+    are the doubles single targets give, so the value does not depend
+    on the chunk, nor on the order of calls; the caller gets an array
+    of its own.
+    """
+    _check_sites(measure, i, j, j)
+    nodes = measure.points.size
+    if measure.quad_points is not None:
+        nodes += measure.quad_points.size
+    width = _BLOCK_TERMS // max(1, nodes * times.size)
+    if width <= 1:
+        x, coeff = _chi_product_coefficients(measure, i, j)
+        return _spectral_sum(x, coeff, times, z)
+    j0 = j - j % width
+    key = (i, j0, times.shape, times.tobytes())
+    last = _last_chunk.get(z)
+    if last is None or last[0]() is not measure or last[1] != key:
+        x, coeff = _chi_product_coefficients(
+            measure, i, range(j0, min(j0 + width, measure.jacobi.size)))
+        last = (weakref.ref(measure), key, _spectral_sum(x, coeff, times, z))
+        _last_chunk[z] = last
+    return last[2][j - j0, ...].copy()
 
 
 def _check_provenance(measure: SpectralMeasure, rates: BirthDeathRates) -> None:
@@ -254,9 +315,8 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
     if (times_arr < 0).any():
         raise UsageError("classical evolution needs t >= 0")
     pi = _bind(measure, rates)
-    x, coeff = _chi_product_coefficients(measure, i, j)
+    vals = _entry(measure, i, j, times_arr, -1.0)
     prefactor = ((-1.0) ** ((i + j) % 2)) * pi.sqrt_ratio(j, i)
-    vals = _spectral_sum(x, coeff, times_arr, -1.0)
     return ProbabilitySeries(i=i, j=j, times=times_arr, values=prefactor * vals)
 
 
@@ -266,7 +326,9 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
     The sign convention is f(t) = exp(-iJt), so the spectral kernel is
     e^{-i x t} and f_ij(-t) = conj(f_ij(t)).
     """
-    return AmplitudeSeries(i=i, j=j, times=times, values=_amplitudes(measure, i, j, times))
+    times_arr = np.asarray(times, dtype=float)
+    return AmplitudeSeries(i=i, j=j, times=times_arr,
+                           values=_entry(measure, i, j, times_arr, -1j))
 
 
 def oracle_expm(operator, t: float, kind: str | None = None) -> np.ndarray:

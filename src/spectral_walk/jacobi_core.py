@@ -35,7 +35,6 @@ __all__ = [
     "symmetrize",
     "pi_coefficients",
     "generator",
-    "rates_of",
 ]
 
 BOUNDARIES = ("reflecting", "absorbing-tail")
@@ -172,12 +171,6 @@ class GeneratorMatrix:
         a += np.diag(self.sub, -1)
         return a
 
-    def row_sums(self) -> np.ndarray:
-        s = self.diag.copy()
-        s[:-1] += self.sup
-        s[1:] += self.sub
-        return s
-
 
 @dataclass(frozen=True)
 class JacobiOperator:
@@ -225,19 +218,14 @@ class JacobiOperator:
 class PiCoefficients:
     """Potential coefficients pi_i, stored in log space.
 
-    ``step_ratios[i]`` holds lambda_i / mu_{i+1} exactly as computed from
-    the rates, so consecutive ratios never go through a large product;
-    ``log_values[i]`` is log pi_i.  Use :meth:`ratio` or
-    :meth:`sqrt_ratio` rather than forming pi_i, which overflows around
-    i ~ 150 for growing chains.
+    ``log_values[i]`` is log pi_i.  Use :meth:`sqrt_ratio` rather than
+    forming pi_i, which overflows around i ~ 150 for growing chains.
     """
 
-    step_ratios: np.ndarray
     log_values: np.ndarray
 
     def __post_init__(self):
-        for a in (self.step_ratios, self.log_values):
-            a.setflags(write=False)
+        self.log_values.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.log_values)
@@ -245,13 +233,6 @@ class PiCoefficients:
     def value(self, i: int) -> float:
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_values[i]))
-
-    def ratio(self, i: int, k: int) -> float:
-        """pi_i / pi_k without forming either product."""
-        if abs(i - k) == 1:
-            r = self.step_ratios[min(i, k)]
-            return float(r) if i > k else float(1.0 / r)
-        return float(np.exp(self.log_values[i] - self.log_values[k]))
 
     def sqrt_ratio(self, i: int, k: int) -> float:
         """sqrt(pi_i / pi_k)."""
@@ -309,9 +290,9 @@ def symmetrize(rates: BirthDeathRates, n: int | None = None,
 def pi_coefficients(rates: BirthDeathRates, n: int | None = None) -> PiCoefficients:
     """Potential coefficients pi_0..pi_n of a rate sequence.
 
-    pi_0 = 1 and pi_{i+1} = pi_i * lambda_i / mu_{i+1}; the ratios are
-    kept verbatim and the values accumulated in log space so the object
-    stays usable far beyond the range where the raw products overflow.
+    pi_0 = 1 and pi_{i+1} = pi_i * lambda_i / mu_{i+1}; the values are
+    accumulated in log space so the object stays usable far beyond the
+    range where the raw products overflow.
     """
     n = rates.truncation_order(n)
     rates.validate(n)
@@ -325,7 +306,7 @@ def pi_coefficients(rates: BirthDeathRates, n: int | None = None) -> PiCoefficie
     log_vals = np.zeros(n + 1)
     if n:
         log_vals[1:] = np.cumsum(np.log(ratios))
-    return PiCoefficients(step_ratios=ratios, log_values=log_vals)
+    return PiCoefficients(log_values=log_vals)
 
 
 def generator(rates: BirthDeathRates, n: int | None = None,
@@ -344,49 +325,3 @@ def generator(rates: BirthDeathRates, n: int | None = None,
         sub=mu[1:].copy(),
         boundary=boundary,
     )
-
-
-def rates_of(j_op: JacobiOperator, mu0: float = 0.0, tol: float = 1e-12) -> BirthDeathRates:
-    """Invert the symmetrization: recover birth-death rates from (B, J).
-
-    Solves lambda_i + mu_i = B_i, lambda_i * mu_{i+1} = J_{i+1}^2
-    forward from mu_0.  Not every Jacobi operator admits such rates; a
-    recovered lambda_i <= 0 or mu_i <= 0 raises DomainError (e.g. any
-    operator with zero diagonal, for which quantum dynamics is still
-    perfectly well defined).
-
-    A consistent finite chain ends with lambda_N = 0; a recovered
-    lambda_N within ``tol`` (relative to the entry scale) is clamped to
-    exactly 0, anything larger means `j_op` is the absorbing-tail window
-    of a longer chain and is rejected.
-    """
-    if mu0 < 0:
-        raise DomainError(f"mu[0] = {mu0} is negative")
-    n = j_op.size
-    scale = max(float(np.max(np.abs(j_op.b))), float(np.max(j_op.j)) if n > 1 else 0.0, 1.0)
-    lambdas = np.empty(n)
-    mus = np.empty(n)
-    mus[0] = mu0
-    for i in range(n):
-        lam_i = float(j_op.b[i]) - mus[i]
-        last = i == n - 1
-        if last:
-            if abs(lam_i) <= tol * scale:
-                lam_i = 0.0
-            elif lam_i > 0.0:
-                raise DomainError(
-                    f"recovered lambda[{i}] = {lam_i} at the last site: the operator "
-                    "is an absorbing-tail window of a longer chain, not a finite one"
-                )
-        if lam_i <= 0.0 and not (last and lam_i == 0.0):
-            raise DomainError(
-                f"recovered lambda[{i}] = {lam_i} is not positive: "
-                "this operator has no birth-death counterpart"
-            )
-        lambdas[i] = lam_i
-        if not last:
-            mu_next = float(j_op.j[i]) ** 2 / lam_i
-            if mu_next <= 0.0:
-                raise DomainError(f"recovered mu[{i + 1}] = {mu_next} is not positive")
-            mus[i + 1] = mu_next
-    return BirthDeathRates.from_arrays(lambdas, mus)

@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .jacobi_core import BirthDeathRates, JacobiOperator
+from .jacobi_core import JacobiOperator
 from .errors import NumericError, UsageError
 
 __all__ = [
     "SpectralMeasure",
     "eigendecompose",
     "chi_table",
-    "evaluate_Q",
 ]
 
 # |chi| above this triggers a power-of-two renormalization of the
@@ -152,24 +151,6 @@ class SpectralMeasure:
         return (np.concatenate([self.points, self.quad_points]),
                 np.concatenate([self.masses, self.quad_weights]))
 
-    def moment(self, k: int) -> float:
-        x, w = self.nodes_and_weights()
-        return float(np.sum(w * x**k))
-
-    def to_json_dict(self) -> dict:
-        if self.kind == "discrete":
-            return {"points": self.points.tolist(), "masses": self.masses.tolist()}
-        out = {
-            "kind": self.kind,
-            "interval": list(self.interval),
-            "quad_points": self.quad_points.tolist(),
-            "quad_weights": self.quad_weights.tolist(),
-        }
-        if len(self.points):
-            out["points"] = self.points.tolist()
-            out["masses"] = self.masses.tolist()
-        return out
-
 
 def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     """Discrete orthogonality measure of a finite Jacobi operator.
@@ -255,30 +236,3 @@ def chi_table(j_op: JacobiOperator, n: int, x):
     mant, expo = chi_table_scaled(j_op, n, x)
     with np.errstate(over="ignore"):
         return np.ldexp(mant, expo.astype(np.int32, copy=False))
-
-
-def evaluate_Q(rates: BirthDeathRates, i: int, x):
-    """Karlin-McGregor polynomial Q_i at x (scalar or array).
-
-    Q_{-1} = 0, Q_0 = 1 and
-
-        lambda_j Q_{j+1}(x) = (lambda_j + mu_j - x) Q_j(x) - mu_j Q_{j-1}(x),
-
-    which is the row-by-row statement of -x Q = A Q for the generator A.
-    Q_i relates to the orthonormal family by
-    chi_i = (-1)^i pi_i^{1/2} Q_i, and satisfies
-    integral Q_i Q_j dmu = delta_ij / pi_i.
-    """
-    if i < 0:
-        raise UsageError(f"polynomial index {i} is negative")
-    rates.validate(i)
-    x = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(x).ravel()
-    q_prev = np.zeros_like(flat)
-    q_curr = np.ones_like(flat)
-    for k in range(i):
-        lam_k = rates.lambda_at(k)
-        mu_k = rates.mu_at(k)
-        q_next = ((lam_k + mu_k - flat) * q_curr - mu_k * q_prev) / lam_k
-        q_prev, q_curr = q_curr, q_next
-    return float(q_curr[0]) if x.shape == () else q_curr.reshape(x.shape)

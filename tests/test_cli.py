@@ -7,10 +7,12 @@ the offending field), 3 oracle mismatch above tolerance.
 from __future__ import annotations
 
 import json
+import types
 
 import numpy as np
 import pytest
 
+import spectral_walk.cli
 from spectral_walk.cli import main
 
 TWO_STATE = '{"family": "custom", "lambdas": [1.0], "mus": [0.0, 2.0]}'
@@ -94,6 +96,29 @@ def test_simulate_verify_exit_3_when_tolerance_unmeetable(tmp_path, capsys):
                        "--output", str(tmp_path))
     assert code == 3
     assert "FAILED" in err
+
+
+def nan_amplitudes(measure, i, js, times):
+    return np.full(np.shape(js) + np.shape(times), np.nan + 0j)
+
+
+def nan_transition(measure, rates, i, j, times):
+    return types.SimpleNamespace(values=np.full(np.shape(times), np.nan))
+
+
+@pytest.mark.parametrize("patched, stub, argv", [
+    ("_amplitudes", nan_amplitudes, ["simulate", "--family", "pst-demo", "--n", "8",
+                                     "--verify", "--j", "0", "--j", "3"]),
+    ("_amplitudes", nan_amplitudes, ["verify", "--spec", TWO_STATE, "--j", "1"]),
+    ("classical_transition", nan_transition, ["verify", "--spec", TWO_STATE, "--j", "1"]),
+], ids=["simulate-quantum", "verify-quantum", "verify-classical"])
+def test_nan_values_fail_verification(tmp_path, capsys, monkeypatch, patched, stub, argv):
+    # NaN compares false with the tolerance and max() drops it; either way
+    # it must count as a mismatch, not as a deviation of 0
+    monkeypatch.setattr(spectral_walk.cli, patched, stub)
+    code, _, err = run(capsys, *argv, "--output", str(tmp_path))
+    assert code == 3
+    assert "FAILED: nan" in err
 
 
 def test_simulate_spec_from_file(tmp_path, capsys):

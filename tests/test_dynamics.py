@@ -18,6 +18,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_walk.dynamics
 from spectral_walk import (
@@ -25,6 +27,7 @@ from spectral_walk import (
     BirthDeathRates,
     JacobiOperator,
     NumericError,
+    SpectralMeasure,
     UsageError,
     characteristic,
     classical_transition,
@@ -33,6 +36,7 @@ from spectral_walk import (
     generator,
     modified_measure,
     oracle_expm,
+    pi_coefficients,
     quantum_amplitude,
     series_csv,
     series_filename,
@@ -163,6 +167,17 @@ def test_probability_guard_catches_sign_corruption():
         ProbabilitySeries(i=0, j=0, times=np.array([1.0]), values=np.array([-0.2]))
     with pytest.raises(NumericError):
         ProbabilitySeries(i=0, j=0, times=np.array([1.0]), values=np.array([1.2]))
+
+
+@pytest.mark.parametrize("values", [[np.nan, -5.0], [0.5, np.nan], [np.nan], [0.2, np.nan, 0.3],
+                                    [np.nan, 0.5, 2.0]])
+def test_probability_guard_rejects_nan(values):
+    # min/max over the values skip a NaN that is not first, and a NaN
+    # compares false with either bound; a NaN is never a probability
+    from spectral_walk.dynamics import ProbabilitySeries
+    with pytest.raises(NumericError, match="NaN"):
+        ProbabilitySeries(i=0, j=0, times=np.arange(len(values), dtype=float),
+                          values=np.array(values))
 
 
 def test_value_at_each_time_is_independent_of_grid(rng):
@@ -375,6 +390,161 @@ def test_warm_calls_equal_cold_calls_bitwise(rng):
         for j in range(9):
             cold = classical_transition(eigendecompose(j_op), rates, i, j, t).values
             assert np.array_equal(warm[i][j], cold), (i, j)
+
+
+# -- per-entry calls evaluated in chunks of targets -----------------------------------
+
+def test_stacked_rows_of_an_f_ordered_table_equal_single_rows(rng):
+    # the eigenvector table is Fortran-ordered; numpy reduces a node axis
+    # that is not contiguous in another order, which shows in the last
+    # place on a one-time grid
+    measure = eigendecompose(symmetrize(random_rates(rng, sites=9)))
+    table = measure.weighted_chi
+    assert table.flags.f_contiguous
+    spectral_sum = spectral_walk.dynamics._spectral_sum
+    for t in (np.array([0.5]), np.linspace(0.0, 5.0, 7)):
+        for z in (-1.0, -1j):
+            stacked = spectral_sum(measure.points, table[0] * table, t, z)
+            for j, row in enumerate(stacked):
+                assert same_bits(row, spectral_sum(measure.points, table[0] * table[j], t, z)), \
+                    (t.size, z, j)
+
+
+def direct_entry(rates, measure, i, j, t, z):
+    """The entry evaluated for its target alone, as before chunking."""
+    dynamics = spectral_walk.dynamics
+    x, coeff = dynamics._chi_product_coefficients(measure, i, j)
+    values = dynamics._spectral_sum(x, coeff, np.asarray(t, dtype=float), z)
+    if z == -1.0:
+        pi = pi_coefficients(rates, measure.jacobi.size - 1)
+        values = ((-1.0) ** ((i + j) % 2) * pi.sqrt_ratio(j, i)) * values
+    return values
+
+
+def entry(rates, measure, i, j, t, z):
+    if z == -1.0:
+        return classical_transition(measure, rates, i, j, t).values
+    return quantum_amplitude(measure, i, j, t).values
+
+
+def entry_is_direct(rates, measure, i, j, t, z) -> bool:
+    return same_bits(entry(rates, measure, i, j, t, z), direct_entry(rates, measure, i, j, t, z))
+
+
+def memo_chains():
+    """Chains whose chunks hold the whole row (12 sites, 5 times), three
+    targets with a one-target tail (151 sites, 30 times), one target
+    (300 sites, 30 times), and six targets of a quadrature rule with a
+    four-target tail (64 nodes, 40 times)."""
+    gen = np.random.default_rng(7)
+    chains = []
+    for sites, steps in ((12, 5), (151, 30), (300, 30)):
+        rates = random_rates(gen, sites=sites)
+        chains.append((rates, eigendecompose(symmetrize(rates)), np.linspace(0.0, 3.0, steps)))
+    chains.append((None, uniform_chain(quad_order=64)[1], np.linspace(0.0, 30.0, 40)))
+    return chains
+
+
+MEMO_CHAINS = memo_chains()
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 299),
+                                st.integers(0, 299), st.booleans()),
+                      min_size=1, max_size=30))
+def test_entries_equal_direct_evaluation_in_any_call_order(calls):
+    # random (i, j) order, classical and quantum calls interleaved, four
+    # measures interleaved, and times passed as the same or as an equal array
+    for chain, classical, i, j, fresh in calls:
+        rates, measure, t = MEMO_CHAINS[chain]
+        z = -1.0 if classical and rates is not None else -1j
+        i, j = i % measure.jacobi.size, j % measure.jacobi.size
+        got = entry(rates, measure, i, j, t.copy() if fresh else t, z)
+        assert same_bits(got, direct_entry(rates, measure, i, j, t, z)), (chain, z, i, j)
+    for _, _, rows in spectral_walk.dynamics._last_chunk.values():
+        assert rows.size <= spectral_walk.dynamics._BLOCK_TERMS
+
+
+def test_entries_follow_times_mutated_in_place(rng):
+    rates = random_rates(rng, sites=10)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.linspace(0.0, 2.0, 6)
+    for z in (-1.0, -1j):
+        entry(rates, measure, 3, 4, t, z)
+        t[2] += 0.125
+        assert entry_is_direct(rates, measure, 3, 5, t, z)
+        t[2] -= 0.125
+
+
+def test_entries_of_a_replaced_measure_are_its_own(rng):
+    # the replacement is built right after the old measure is freed, so it
+    # usually takes the old one's address; the memo must not take it for
+    # the old measure
+    t = np.array([0.0, 0.5, 1.0])
+    rates = random_rates(rng, sites=8)
+    measure = eigendecompose(symmetrize(rates))
+    for _ in range(5):
+        new_rates = random_rates(rng, sites=8)
+        parts = eigendecompose(symmetrize(new_rates))
+        for z in (-1.0, -1j):
+            assert entry_is_direct(rates, measure, 2, 3, t, z)
+        del measure
+        measure = SpectralMeasure(jacobi=parts.jacobi, points=parts.points, masses=parts.masses,
+                                  weighted_chi=parts.weighted_chi)
+        rates = new_rates
+        del parts
+    for z in (-1.0, -1j):
+        assert entry_is_direct(rates, measure, 2, 3, t, z)
+
+
+def test_returned_values_are_not_the_memo(rng):
+    rates = random_rates(rng, sites=7)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.array([0.25, 1.0])
+    for z in (-1.0, -1j):
+        first = entry(rates, measure, 1, 2, t, z)
+        first[:] = 0.5
+        assert entry_is_direct(rates, measure, 1, 2, t, z)
+        assert entry_is_direct(rates, measure, 1, 3, t, z)
+
+
+def test_memo_keeps_no_measure_alive(rng):
+    rates = random_rates(rng, sites=6)
+    measure = eigendecompose(symmetrize(rates))
+    classical_transition(measure, rates, 1, 4, np.array([1.0]))
+    quantum_amplitude(measure, 1, 4, np.array([1.0]))
+    measure_ref = weakref.ref(measure)
+    del measure
+    gc.collect()
+    assert measure_ref() is None
+
+
+def test_memo_holds_at_most_one_block_of_values(two_state):
+    rates, _, measure = two_state
+    t = np.linspace(0.0, 10.0, 20001)
+    for z in (-1.0, -1j):
+        assert entry_is_direct(rates, measure, 0, 1, t, z)
+    for _, _, rows in spectral_walk.dynamics._last_chunk.values():
+        assert rows.size <= spectral_walk.dynamics._BLOCK_TERMS
+
+
+def test_full_sweep_runs_one_kernel_pass_per_row(rng, monkeypatch):
+    calls = []
+    original = spectral_walk.dynamics._spectral_sum
+
+    def counting(x, coeff, times, z):
+        calls.append(coeff.shape)
+        return original(x, coeff, times, z)
+
+    monkeypatch.setattr(spectral_walk.dynamics, "_spectral_sum", counting)
+    rates = random_rates(rng, sites=8)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.array([0.5, 2.0])
+    for i in range(8):
+        for j in range(8):
+            classical_transition(measure, rates, i, j, t)
+            quantum_amplitude(measure, i, j, t)
+    assert calls == [(8, 8)] * 16
 
 
 def test_scalar_time_shape(two_state):

@@ -7,8 +7,6 @@ Core claims:
       (mu_0 = 0), to -mu_0 in row 0 otherwise.
     - J = -U A U^{-1} holds entrywise (dense similarity oracle).
     - pi ratio recurrence pi_{i+1}/pi_i = lambda_i / mu_{i+1} is exact.
-    - rates_of inverts symmetrize given mu_0, and refuses operators
-      that did not come from a reflecting-boundary chain.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from spectral_walk import (
     UsageError,
     generator,
     pi_coefficients,
-    rates_of,
     symmetrize,
 )
 
@@ -36,6 +33,14 @@ def _dense_similarity(rates, n):
     pi = pi_coefficients(rates, n)
     u = np.array([(-1.0) ** i * np.sqrt(pi.value(i)) for i in range(n + 1)])
     return -(u[:, None] * A) / u[None, :]
+
+
+def _row_sums(gen):
+    """Row sums of the tridiagonal generator from its three bands."""
+    sums = gen.diag.copy()
+    sums[:-1] += gen.sup
+    sums[1:] += gen.sub
+    return sums
 
 
 # -- construction and validation ---------------------------------------------
@@ -96,13 +101,13 @@ def test_generator_row_sums_zero_reflecting(rng):
     for _ in range(5):
         rates = random_rates(rng)
         gen = generator(rates)
-        assert np.max(np.abs(gen.row_sums())) < 1e-15
+        assert np.max(np.abs(_row_sums(gen))) < 1e-15
 
 
 def test_generator_row_zero_kills_at_mu0():
     rates = BirthDeathRates.from_arrays([1.0], [0.7, 2.0])
     gen = generator(rates, 1)
-    sums = gen.row_sums()
+    sums = _row_sums(gen)
     assert sums[0] == pytest.approx(-0.7)
     assert sums[1] == 0.0
 
@@ -110,7 +115,7 @@ def test_generator_row_zero_kills_at_mu0():
 def test_generator_absorbing_tail_leaks():
     semi = BirthDeathRates(lam=lambda i: 1.0 + i, mu=lambda i: float(i))
     gen = generator(semi, 4, boundary="absorbing-tail")
-    sums = gen.row_sums()
+    sums = _row_sums(gen)
     assert sums[-1] == pytest.approx(-semi.lam(4))
     assert np.max(np.abs(sums[:-1])) < 1e-15
 
@@ -177,46 +182,6 @@ def test_pi_survives_extreme_products():
     # representation must still give finite ratios between nearby sites.
     semi = BirthDeathRates(lam=lambda i: 10.0, mu=lambda i: 1.0)
     pi = pi_coefficients(semi, 400)
-    assert np.isfinite(pi.ratio(399, 398))
-    assert pi.ratio(399, 398) == pytest.approx(10.0, rel=1e-12)
+    assert np.isfinite(pi.sqrt_ratio(399, 398))
+    assert pi.sqrt_ratio(399, 398) ** 2 == pytest.approx(10.0, rel=1e-12)
     assert pi.sqrt_ratio(10, 12) == pytest.approx(0.1, rel=1e-12)
-
-
-# -- rates_of ------------------------------------------------------------------
-
-def test_rates_of_round_trips(rng):
-    for _ in range(10):
-        rates = random_rates(rng)
-        n = rates.n_sites - 1
-        j_op = symmetrize(rates)
-        back = rates_of(j_op, mu0=0.0)
-        for i in range(n + 1):
-            assert back.lambda_at(i) == pytest.approx(rates.lambda_at(i),
-                                                      rel=1e-12, abs=1e-12)
-            assert back.mu_at(i) == pytest.approx(rates.mu_at(i),
-                                                  rel=1e-12, abs=1e-12)
-
-
-def test_rates_of_round_trips_with_killing(rng):
-    rates = BirthDeathRates.from_arrays([1.3, 0.4], [0.9, 1.1, 0.6])
-    j_op = symmetrize(rates)
-    back = rates_of(j_op, mu0=0.9)
-    assert back.mu_at(0) == pytest.approx(0.9, rel=1e-13)
-    assert back.lambda_at(1) == pytest.approx(0.4, rel=1e-12)
-
-
-def test_rates_of_rejects_zero_diagonal():
-    # b = 0 everywhere forces mu_i = -lambda_i at some site; no valid
-    # rate chain produces that.
-    j_op = JacobiOperator(b=np.zeros(4), j=np.full(3, 0.5))
-    with pytest.raises(DomainError):
-        rates_of(j_op)
-
-
-def test_rates_of_clamps_tiny_trailing_lambda(rng):
-    rates = random_rates(rng, sites=6)
-    j_op = symmetrize(rates)
-    # perturb within the clamp window: recovery should still treat the
-    # last site as reflecting
-    back = rates_of(j_op, tol=1e-12)
-    assert back.lambda_at(5) == 0.0

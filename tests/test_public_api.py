@@ -32,8 +32,8 @@ def test_package_namespace_is_pinned():
         "SpectralWalkError", "DomainError", "UsageError", "NumericError",
         "ConfigurationError",
         "BirthDeathRates", "GeneratorMatrix", "JacobiOperator", "PiCoefficients",
-        "symmetrize", "pi_coefficients", "generator", "rates_of",
-        "SpectralMeasure", "eigendecompose", "chi_table", "evaluate_Q",
+        "symmetrize", "pi_coefficients", "generator",
+        "SpectralMeasure", "eigendecompose", "chi_table",
         "ProbabilitySeries", "AmplitudeSeries", "classical_transition",
         "quantum_amplitude", "oracle_expm", "bessel_j1",
         "series_csv", "series_filename",

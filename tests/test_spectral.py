@@ -10,7 +10,6 @@ from spectral_walk import (
     SpectralMeasure,
     UsageError,
     eigendecompose,
-    evaluate_Q,
     chi_table,
     pi_coefficients,
     symmetrize,
@@ -78,9 +77,10 @@ class TestEigendecompose:
         j_op = _random_jacobi(rng, 10)
         measure = eigendecompose(j_op)
         dense = j_op.dense()
+        x, w = measure.nodes_and_weights()
         acc = np.eye(10)
         for k in range(7):
-            assert measure.moment(k) == pytest.approx(acc[0, 0], abs=1e-9)
+            assert np.sum(w * x**k) == pytest.approx(acc[0, 0], abs=1e-9)
             acc = acc @ dense
 
 
@@ -126,12 +126,6 @@ class TestSpectralMeasure:
         with pytest.raises(UsageError, match=message):
             SpectralMeasure(jacobi=j_op, points=np.empty(0), masses=np.empty(0),
                             interval=(0.0, 1.0), quad_points=points, quad_weights=weights)
-
-    def test_json_dict_discrete(self, rng):
-        measure = eigendecompose(_random_jacobi(rng, 4))
-        d = measure.to_json_dict()
-        assert set(d) == {"points", "masses"}
-        assert len(d["points"]) == 4
 
 
 # -- polynomial evaluation -----------------------------------------------------
@@ -210,18 +204,28 @@ def test_chi_table_caps_degree(rng):
 
 
 def test_Q_relation_to_chi(rng):
-    # Q_i = (-1)^i pi_i^{-1/2} chi_i on the symmetrized operator.
+    # Q_i = (-1)^i pi_i^{-1/2} chi_i on the symmetrized operator, with the
+    # Karlin-McGregor polynomials from their own recurrence
+    #     lambda_k Q_{k+1} = (lambda_k + mu_k - x) Q_k - mu_k Q_{k-1}
     rates = random_rates(rng, sites=8)
     j_op = symmetrize(rates)
     pi = pi_coefficients(rates, 7)
     x = rng.uniform(0.0, 4.0, size=6)
+    q_prev, q = np.zeros_like(x), np.ones_like(x)
     for i in range(7):
         expected = (-1.0) ** i * chi_table(j_op, i, x)[i] / np.sqrt(pi.value(i))
-        assert evaluate_Q(rates, i, x) == pytest.approx(list(expected), abs=1e-11)
+        assert q == pytest.approx(list(expected), abs=1e-11)
+        lam, mu = rates.lambda_at(i), rates.mu_at(i)
+        q_prev, q = q, ((lam + mu - x) * q - mu * q_prev) / lam
 
 
 def test_Q_at_zero_is_one_when_mu0_vanishes(rng):
-    # with mu_0 = 0 the recurrence at x = 0 propagates Q_i(0) = 1 exactly
+    # with mu_0 = 0, Q_i(0) = (-1)^i pi_i^{-1/2} chi_i(0) = 1: the constant
+    # vector is the generator's null vector
     rates = random_rates(rng, sites=9)
+    j_op = symmetrize(rates)
+    pi = pi_coefficients(rates, 8)
+    chi = chi_table(j_op, 8, 0.0)[:, 0]
     for i in range(8):
-        assert evaluate_Q(rates, i, 0.0) == pytest.approx(1.0, abs=1e-10)
+        q = (-1.0) ** i * chi[i] / np.sqrt(pi.value(i))
+        assert q == pytest.approx(1.0, abs=1e-10)
