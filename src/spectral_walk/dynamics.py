@@ -21,15 +21,14 @@ taken in fixed blocks of times that all targets share.  By
 Cauchy-Schwarz |c_s| <= 1 for a normalized measure, so the scaled
 polynomial recurrence can recombine products without overflow.
 
-Per-entry calls are evaluated in chunks of targets.
+Per-entry calls are evaluated by whole rows where a row fits one
+kernel block.  When n S T <= 2**14 for n sites, S nodes and T times,
 :func:`classical_transition` and :func:`quantum_amplitude` compute the
-aligned chunk of targets holding j, as many as fit one kernel block of
-2**14 terms over S nodes and T times (the whole row when n S T <= 2**14,
-one target once S T > 2**13), and remember the last chunk of several
-targets of each kind (classical, quantum) through a weak reference to
-the measure, so a sweep over j costs one kernel pass per chunk and no
-measure is kept alive.  A value depends neither on the rest of the
-grid, nor on the other targets of its chunk, nor on the order of calls:
+whole row i and remember the last row of each kind (classical, quantum)
+through a weak reference to the measure, so a sweep over j costs one
+kernel pass and no measure is kept alive; a larger entry is evaluated
+alone and nothing is kept.  A value depends neither on the rest of the
+grid, nor on the other targets of its row, nor on the order of calls:
 it is the double a call for that entry alone gives.
 
 The measure and the potential coefficients pi belong to the chain, not
@@ -72,10 +71,10 @@ _BLOCK_TERMS = 2 ** 14
 # one tuple, read and replaced whole, so concurrent callers never pair one
 # chain's objects with another chain's pi
 _last_bound = None
-# z -> (weakref to measure, (i, j0, times.shape, times.tobytes()), rows) of
-# the last chunk of several targets _entry evaluated for that kind; each
-# value is read and replaced whole, as _last_bound is
-_last_chunk = {}
+# z -> (weakref to measure, (i, times.shape, times.tobytes()), rows) of the
+# last whole row _entry evaluated for that kind; each value is read and
+# replaced whole, as _last_bound is
+_last_row = {}
 
 
 @dataclass(frozen=True)
@@ -215,37 +214,30 @@ def _amplitudes(measure: SpectralMeasure, i: int, js, times) -> np.ndarray:
 
 def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray, z) -> np.ndarray:
     """sum_s c_s e^{z x_s t} for the entry (i, j) over times (a float
-    array), evaluated with the aligned chunk of targets that holds j.
+    array).
 
-    The chunk is [j0, j0 + k) cut at the operator size, with
-    k = _BLOCK_TERMS // (S T) for S nodes and T times and
-    j0 = j - j mod k: one kernel block's worth of terms, so the whole
-    row on small chains.  A chunk of several targets (at most
-    _BLOCK_TERMS values) is kept as the last chunk of its z, keyed by a
-    weak reference to the measure and by (i, j0, times), so the next
-    target of a sweep over j is read off it.  Once S T > _BLOCK_TERMS / 2
-    the entry is evaluated alone and nothing is kept.  Rows of a stack
-    are the doubles single targets give, so the value does not depend
-    on the chunk, nor on the order of calls; the caller gets an array
-    of its own.
+    When the whole row i fits one kernel block (n S T <= _BLOCK_TERMS
+    for n sites, S nodes and T times) it is evaluated and kept as the
+    last row of its z, keyed by a weak reference to the measure and by
+    (i, times), so the next target of a sweep over j is read off it.  A
+    larger entry is evaluated alone and nothing is kept.  Rows of a
+    stack are the doubles single targets give, so the value does not
+    depend on the path, nor on the order of calls; the caller gets an
+    array of its own.
     """
     _check_sites(measure, i, j, j)
-    nodes = measure.points.size
-    if measure.quad_points is not None:
-        nodes += measure.quad_points.size
-    width = _BLOCK_TERMS // max(1, nodes * times.size)
-    if width <= 1:
+    key = (i, times.shape, times.tobytes())
+    last = _last_row.get(z)
+    if last is not None and last[0]() is measure and last[1] == key:
+        return last[2][j, ...].copy()
+    size = measure.jacobi.size
+    if size * measure.nodes_and_weights()[0].size * times.size > _BLOCK_TERMS:
         x, coeff = _chi_product_coefficients(measure, i, j)
         return _spectral_sum(x, coeff, times, z)
-    j0 = j - j % width
-    key = (i, j0, times.shape, times.tobytes())
-    last = _last_chunk.get(z)
-    if last is None or last[0]() is not measure or last[1] != key:
-        x, coeff = _chi_product_coefficients(
-            measure, i, range(j0, min(j0 + width, measure.jacobi.size)))
-        last = (weakref.ref(measure), key, _spectral_sum(x, coeff, times, z))
-        _last_chunk[z] = last
-    return last[2][j - j0, ...].copy()
+    x, coeff = _chi_product_coefficients(measure, i, range(size))
+    rows = _spectral_sum(x, coeff, times, z)
+    _last_row[z] = (weakref.ref(measure), key, rows)
+    return rows[j, ...].copy()
 
 
 def _check_provenance(measure: SpectralMeasure, rates: BirthDeathRates) -> None:

@@ -392,7 +392,7 @@ def test_warm_calls_equal_cold_calls_bitwise(rng):
             assert np.array_equal(warm[i][j], cold), (i, j)
 
 
-# -- per-entry calls evaluated in chunks of targets -----------------------------------
+# -- per-entry calls evaluated by whole rows -------------------------------------------
 
 def test_stacked_rows_of_an_f_ordered_table_equal_single_rows(rng):
     # the eigenvector table is Fortran-ordered; numpy reduces a node axis
@@ -411,7 +411,7 @@ def test_stacked_rows_of_an_f_ordered_table_equal_single_rows(rng):
 
 
 def direct_entry(rates, measure, i, j, t, z):
-    """The entry evaluated for its target alone, as before chunking."""
+    """The entry evaluated for its target alone."""
     dynamics = spectral_walk.dynamics
     x, coeff = dynamics._chi_product_coefficients(measure, i, j)
     values = dynamics._spectral_sum(x, coeff, np.asarray(t, dtype=float), z)
@@ -432,16 +432,16 @@ def entry_is_direct(rates, measure, i, j, t, z) -> bool:
 
 
 def memo_chains():
-    """Chains whose chunks hold the whole row (12 sites, 5 times), three
-    targets with a one-target tail (151 sites, 30 times), one target
-    (300 sites, 30 times), and six targets of a quadrature rule with a
-    four-target tail (64 nodes, 40 times)."""
+    """Chains evaluated by whole rows (12 sites and 5 times, 20 sites and
+    30 times, a 16-node quadrature rule and 40 times) and entry by entry
+    (300 sites and 30 times, a 64-node quadrature rule and 40 times)."""
     gen = np.random.default_rng(7)
     chains = []
-    for sites, steps in ((12, 5), (151, 30), (300, 30)):
+    for sites, steps in ((12, 5), (20, 30), (300, 30)):
         rates = random_rates(gen, sites=sites)
         chains.append((rates, eigendecompose(symmetrize(rates)), np.linspace(0.0, 3.0, steps)))
-    chains.append((None, uniform_chain(quad_order=64)[1], np.linspace(0.0, 30.0, 40)))
+    for order in (16, 64):
+        chains.append((None, uniform_chain(quad_order=order)[1], np.linspace(0.0, 30.0, 40)))
     return chains
 
 
@@ -449,11 +449,11 @@ MEMO_CHAINS = memo_chains()
 
 
 @settings(max_examples=60, deadline=None)
-@given(calls=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 299),
+@given(calls=st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.integers(0, 299),
                                 st.integers(0, 299), st.booleans()),
                       min_size=1, max_size=30))
 def test_entries_equal_direct_evaluation_in_any_call_order(calls):
-    # random (i, j) order, classical and quantum calls interleaved, four
+    # random (i, j) order, classical and quantum calls interleaved, five
     # measures interleaved, and times passed as the same or as an equal array
     for chain, classical, i, j, fresh in calls:
         rates, measure, t = MEMO_CHAINS[chain]
@@ -461,7 +461,7 @@ def test_entries_equal_direct_evaluation_in_any_call_order(calls):
         i, j = i % measure.jacobi.size, j % measure.jacobi.size
         got = entry(rates, measure, i, j, t.copy() if fresh else t, z)
         assert same_bits(got, direct_entry(rates, measure, i, j, t, z)), (chain, z, i, j)
-    for _, _, rows in spectral_walk.dynamics._last_chunk.values():
+    for _, _, rows in spectral_walk.dynamics._last_row.values():
         assert rows.size <= spectral_walk.dynamics._BLOCK_TERMS
 
 
@@ -502,8 +502,11 @@ def test_returned_values_are_not_the_memo(rng):
     measure = eigendecompose(symmetrize(rates))
     t = np.array([0.25, 1.0])
     for z in (-1.0, -1j):
+        # the first call evaluates the row, the second reads the kept row
         first = entry(rates, measure, 1, 2, t, z)
+        again = entry(rates, measure, 1, 2, t, z)
         first[:] = 0.5
+        again[:] = 0.5
         assert entry_is_direct(rates, measure, 1, 2, t, z)
         assert entry_is_direct(rates, measure, 1, 3, t, z)
 
@@ -524,7 +527,7 @@ def test_memo_holds_at_most_one_block_of_values(two_state):
     t = np.linspace(0.0, 10.0, 20001)
     for z in (-1.0, -1j):
         assert entry_is_direct(rates, measure, 0, 1, t, z)
-    for _, _, rows in spectral_walk.dynamics._last_chunk.values():
+    for _, _, rows in spectral_walk.dynamics._last_row.values():
         assert rows.size <= spectral_walk.dynamics._BLOCK_TERMS
 
 
