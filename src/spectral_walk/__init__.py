@@ -17,8 +17,7 @@ from .dynamics import (AmplitudeSeries, ProbabilitySeries, classical_transition,
 from .return_analysis import (ReturnVerdict, characteristic, classify_return,
                               detect_lattice, modified_measure,
                               return_probability_scan)
-from .chain_families import (EllipticContext, FamilyBuild, MeixnerFamily,
-                             StieltjesCarlitzFamily, build_from_spec,
+from .chain_families import (EllipticContext, FamilyBuild, build_from_spec,
                              elliptic_context, family_schemas, fitted_omega,
                              jacobi_cn_dn, meixner_chain, pst_demo_chain,
                              stieltjes_carlitz_chain, uniform_chain)
@@ -37,7 +36,7 @@ __all__ = [
     "ReturnVerdict", "characteristic",
     "modified_measure", "detect_lattice", "classify_return",
     "return_probability_scan",
-    "MeixnerFamily", "StieltjesCarlitzFamily", "EllipticContext", "FamilyBuild",
+    "EllipticContext", "FamilyBuild",
     "meixner_chain", "stieltjes_carlitz_chain", "uniform_chain",
     "pst_demo_chain", "elliptic_context", "jacobi_cn_dn", "fitted_omega",
     "family_schemas", "build_from_spec",

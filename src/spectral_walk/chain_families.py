@@ -14,10 +14,12 @@ eigensolve:
   * pst-demo     - finite chain with equispaced spectrum, end-to-end
                    perfect transfer (spectral folklore construction).
 
-Semi-infinite discrete measures are truncated by excluded-mass rules
-stated per constructor; the truncation always keeps enough sites that
-the polynomial table reaches well past the degrees the test tolerances
-are stated for.
+The semi-infinite discrete measures (meixner, sc-c, sc-d) share one
+truncation policy: each constructor picks a starting support from its
+own excluded-mass rule, and ``_truncated`` doubles it until the
+chi_i^2-weighted tail of every site i <= 10 is below 1e-10, so the
+polynomial table reaches well past the degrees the test tolerances are
+stated for.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .return_analysis import detect_lattice
 from .spectral import SpectralMeasure, chi_table, eigendecompose
 
 __all__ = [
-    "MeixnerFamily",
-    "StieltjesCarlitzFamily",
     "EllipticContext",
     "FamilyBuild",
     "meixner_chain",
@@ -56,124 +56,52 @@ _MEIXNER_SITE_CAP = 100_000
 _SC_S_CAP = 10_000
 _SC_MIN_HALF_SUPPORT = 12
 
-# Defaults size truncations so return amplitudes and the polynomial
-# Gram are accurate beyond site 0: the excluded tail of
-# sum_s M_s chi_i(x_s)^2 grows with i (chi_i is a degree-i polynomial),
-# so the support is extended until the deficit stays below the
-# tolerance for every site up to the probe order.
+# Default truncations keep return amplitudes and the polynomial Gram
+# accurate beyond site 0: the excluded tail of sum_s M_s chi_i(x_s)^2
+# grows with i (chi_i is a degree-i polynomial), so the support is
+# extended until the deficit stays below the tolerance for every site
+# up to the probe order.
 _SITE_PROBE_ORDER = 10
 _SITE_TAIL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MeixnerFamily:
-    """Parameters of the linear-rate chain: beta > 0, 0 < c < 1."""
-
-    beta: float
-    c: float
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise DomainError(f"beta = {self.beta} must be positive")
-        if not 0.0 < self.c < 1.0:
-            raise DomainError(f"c = {self.c} outside (0, 1)")
-
-    def rates(self) -> BirthDeathRates:
-        beta, c = self.beta, self.c
-        return BirthDeathRates(
-            lam=lambda i: c * (i + beta) / (1.0 - c),
-            mu=lambda i: i / (1.0 - c),
-        )
-
-
-@dataclass(frozen=True)
-class StieltjesCarlitzFamily:
-    """Variant C or D at a fixed elliptic context.
-
-    Couplings (diagonal is zero):
-      C: J_n = k n for even n, n for odd n;
-      D: J_n = n for even n, k n for odd n.
-    """
-
-    variant: str
-    context: EllipticContext
-
-    def __post_init__(self):
-        if self.variant not in ("C", "D"):
-            raise DomainError(f"variant {self.variant!r} must be 'C' or 'D'")
-
-    def coupling(self, n: int) -> float:
-        k = self.context.k
-        if self.variant == "C":
-            return k * n if n % 2 == 0 else float(n)
-        return float(n) if n % 2 == 0 else k * n
-
-
-def _negative_binomial(beta: float, c: float, n: int | None,
-                       tail_tol: float, cap: int):
-    """Masses M_s = (1-c)^beta (beta)_s c^s / s! for s = 0..S, with the
-    excluded tail bounded below tail_tol.  Returns (masses, tail_bound)."""
-    masses = [(1.0 - c) ** beta]
-    s = 0
-    while True:
-        m_next = masses[-1] * c * (beta + s) / (s + 1)
-        ratio_bound = max(c, c * (beta + s + 1) / (s + 2))
-        tail = m_next / (1.0 - ratio_bound) if ratio_bound < 1.0 else math.inf
-        if n is None:
-            if tail < tail_tol:
-                return np.array(masses), tail
-            if s + 1 > cap:
-                raise ConfigurationError(
-                    f"negative-binomial tail still {tail:.3e} at {cap} sites; "
-                    "raise the site cap or loosen tail_tol"
-                )
-        elif s + 1 > n:
-            if tail >= tail_tol:
-                raise ConfigurationError(
-                    f"truncation n = {n} leaves tail mass <= {tail:.3e} "
-                    f">= {tail_tol}; increase n"
-                )
-            return np.array(masses), tail
-        masses.append(m_next)
-        s += 1
-
-
-def _nb_tail_bound(masses: np.ndarray, beta: float, c: float) -> float:
-    s = len(masses) - 1
-    m_next = masses[-1] * c * (beta + s) / (s + 1)
-    ratio_bound = max(c, c * (beta + s + 1) / (s + 2))
-    return m_next / (1.0 - ratio_bound) if ratio_bound < 1.0 else math.inf
-
-
-def _nb_extend(masses: np.ndarray, beta: float, c: float, extra: int) -> np.ndarray:
-    out = list(masses)
-    s = len(out) - 1
-    for _ in range(extra):
-        out.append(out[-1] * c * (beta + s) / (s + 1))
-        s += 1
-    return np.array(out)
-
-
 def _site_weighted_deficit(probe: JacobiOperator, points: np.ndarray,
-                           masses: np.ndarray, order: int) -> float:
-    """max over i <= order of the deficit 1 - sum_s M_s chi_i(x_s)^2.
+                           masses: np.ndarray) -> float:
+    """max over sites i < probe.size of the deficit 1 - sum_s M_s chi_i(x_s)^2.
 
     Over the full (untruncated) support that sum is 1 exactly, so the
     partial sum itself measures how much chi_i^2-weighted mass the
     truncation dropped."""
-    table = chi_table(probe, order, points)
+    table = chi_table(probe, probe.size - 1, points)
     partial = (table**2) @ masses
     return float(np.max(1.0 - partial))
 
 
+def _truncated(support, size: int, probe: JacobiOperator, cap: int):
+    """Double ``size`` from its starting value until the support
+    ``support(size) -> (points, masses)`` leaves a chi_i^2-weighted tail
+    below _SITE_TAIL_TOL at every site of ``probe``; ``size`` never
+    exceeds ``cap``."""
+    points, masses = support(size)
+    while _site_weighted_deficit(probe, points, masses) > _SITE_TAIL_TOL:
+        if 2 * size > cap:
+            raise ConfigurationError(
+                f"site-weighted tail still above {_SITE_TAIL_TOL} at "
+                f"size {size}; cap {cap} reached")
+        size *= 2
+        points, masses = support(size)
+    return points, masses
+
+
 def meixner_chain(beta: float, c: float, n: int | None = None,
                   tail_tol: float = 1e-12) -> tuple[BirthDeathRates, JacobiOperator, SpectralMeasure]:
-    """Linear-rate chain lambda_i = c(i+beta)/(1-c), mu_i = i/(1-c).
+    """Linear-rate chain lambda_i = c(i+beta)/(1-c), mu_i = i/(1-c),
+    for beta > 0 and 0 < c < 1.
 
     The orthogonality measure is the negative binomial distribution on
     the integers s = 0, 1, 2, ...; the chain is truncated at the
     smallest support (or the given n) whose excluded mass is below
-    ``tail_tol``.  Without an explicit n the support is then extended
+    ``tail_tol``.  Without an explicit n the support is then doubled
     until the chi_i^2-weighted tail is also below 1e-10 for sites
     i <= 10, so return amplitudes and the polynomial Gram stay accurate
     away from site 0 (the plain mass rule alone leaves site-5
@@ -185,22 +113,50 @@ def meixner_chain(beta: float, c: float, n: int | None = None,
     semi-infinite operator (absorbing-tail convention), sized to the
     measure support.
     """
-    fam = MeixnerFamily(beta=beta, c=c)
-    masses, tail = _negative_binomial(beta, c, n, tail_tol, _MEIXNER_SITE_CAP)
-    rates = fam.rates()
+    if not beta > 0:
+        raise DomainError(f"beta = {beta} must be positive")
+    if not 0.0 < c < 1.0:
+        raise DomainError(f"c = {c} outside (0, 1)")
+    rates = BirthDeathRates(lam=lambda i: c * (i + beta) / (1.0 - c),
+                            mu=lambda i: i / (1.0 - c))
+    nb = [(1.0 - c) ** beta]
+
+    def mass(s: int) -> float:
+        """M_s = (1-c)^beta (beta)_s c^s / s!, by the ratio recurrence."""
+        while len(nb) <= s:
+            r = len(nb) - 1
+            nb.append(nb[-1] * c * (beta + r) / (r + 1))
+        return nb[s]
+
+    def tail(size: int) -> float:
+        """Bound on the mass sum_{s >= size} M_s left out by sites 0..size-1."""
+        s = size - 1
+        ratio = max(c, c * (beta + s + 1) / (s + 2))
+        return mass(size) / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+    def support(size: int):
+        mass(size - 1)
+        return np.arange(size, dtype=float), np.array(nb[:size])
+
     if n is None:
-        probe = symmetrize(rates, _SITE_PROBE_ORDER, boundary="absorbing-tail")
-        while _site_weighted_deficit(probe, np.arange(len(masses), dtype=float),
-                                     masses, _SITE_PROBE_ORDER) > _SITE_TAIL_TOL:
-            if 2 * len(masses) > _MEIXNER_SITE_CAP:
+        size = 1
+        while not tail(size) < tail_tol:
+            if size > _MEIXNER_SITE_CAP:
                 raise ConfigurationError(
-                    f"site-weighted tail still above {_SITE_TAIL_TOL} at "
-                    f"{len(masses)} sites; cap {_MEIXNER_SITE_CAP} reached")
-            masses = _nb_extend(masses, beta, c, len(masses))
-        tail = _nb_tail_bound(masses, beta, c)
-    j_op = symmetrize(rates, len(masses) - 1, boundary="absorbing-tail")
-    measure = SpectralMeasure.discrete(np.arange(len(masses), dtype=float), masses, j_op)
-    return rates, j_op, measure
+                    f"negative-binomial tail still {tail(size):.3e} at "
+                    f"{_MEIXNER_SITE_CAP} sites; raise the site cap or loosen tail_tol")
+            size += 1
+        probe = symmetrize(rates, _SITE_PROBE_ORDER, boundary="absorbing-tail")
+        points, masses = _truncated(support, size, probe, _MEIXNER_SITE_CAP)
+    else:
+        size = max(n, 0) + 1
+        if tail(size) >= tail_tol:
+            raise ConfigurationError(
+                f"truncation n = {n} leaves tail mass <= {tail(size):.3e} "
+                f">= {tail_tol}; increase n")
+        points, masses = support(size)
+    j_op = symmetrize(rates, len(points) - 1, boundary="absorbing-tail")
+    return rates, j_op, SpectralMeasure.discrete(points, masses, j_op)
 
 
 def _sc_half_support(q: float, offset: float, tail_tol: float) -> int:
@@ -224,6 +180,9 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None,
                             tail_tol: float = 1e-12) -> tuple[JacobiOperator, SpectralMeasure]:
     """Stieltjes-Carlitz chain of variant "C" or "D" at modulus k.
 
+    The diagonal is zero and the couplings are
+      C: J_n = k n for even n, n for odd n;
+      D: J_n = n for even n, k n for odd n.
     The spectrum is an elliptic lattice, symmetric about 0:
       C: tau_s = (pi/2K)(2s+1) for s = -s_max..s_max-1, masses
          eta_C / (q^{s+1/2} + q^{-s-1/2});
@@ -231,23 +190,23 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None,
          eta_D / (q^s + q^{-s}).
     eta is fixed numerically so the truncated masses sum to 1 exactly;
     s_max defaults to the excluded-mass rule (< tail_tol) with a floor
-    that keeps the polynomial table usable to degree ~20, then grows
+    that keeps the polynomial table usable to degree ~20, then doubles
     until the chi_i^2-weighted tail for sites i <= 10 is below 1e-10
     (the weights only decay like q^|s|, which at large modulus is too
     slow for the plain mass rule to cover excited sites).
     """
     variant = variant.upper()
     ctx = elliptic_context(k)
-    fam = StieltjesCarlitzFamily(variant=variant, context=ctx)
+    if variant not in ("C", "D"):
+        raise DomainError(f"variant {variant!r} must be 'C' or 'D'")
     q = ctx.q
-    offset = 0.5 if variant == "C" else 0.0
-    explicit = s_max is not None
-    if s_max is None:
-        s_max = max(_sc_half_support(q, offset, tail_tol), _SC_MIN_HALF_SUPPORT)
-    if s_max < 1:
-        raise UsageError(f"s_max = {s_max} must be >= 1")
 
-    def support(half):
+    def jacobi(size: int) -> JacobiOperator:
+        n = np.arange(1, size)
+        even_scaled = (n % 2 == 0) == (variant == "C")
+        return JacobiOperator(b=np.zeros(size), j=np.where(even_scaled, ctx.k * n, n * 1.0))
+
+    def support(half: int):
         if variant == "C":
             s_range = np.arange(-half, half)
             pts = (math.pi / (2.0 * ctx.K)) * (2.0 * s_range + 1.0)
@@ -258,27 +217,19 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None,
             raw = 1.0 / (q ** s_range.astype(float) + q ** (-s_range.astype(float)))
         return pts, raw / raw.sum()
 
-    points, masses = support(s_max)
-    if not explicit:
-        probe = JacobiOperator(
-            b=np.zeros(_SITE_PROBE_ORDER + 1),
-            j=np.array([fam.coupling(i) for i in range(1, _SITE_PROBE_ORDER + 1)]))
-        while _site_weighted_deficit(probe, points, masses,
-                                     _SITE_PROBE_ORDER) > _SITE_TAIL_TOL:
-            if 2 * s_max > _SC_S_CAP:
-                raise ConfigurationError(
-                    f"site-weighted tail still above {_SITE_TAIL_TOL} at "
-                    f"s_max = {s_max}; cap {_SC_S_CAP} reached")
-            s_max *= 2
-            points, masses = support(s_max)
+    if s_max is None:
+        half = max(_sc_half_support(q, 0.5 if variant == "C" else 0.0, tail_tol),
+                   _SC_MIN_HALF_SUPPORT)
+        points, masses = _truncated(support, half, jacobi(_SITE_PROBE_ORDER + 1), _SC_S_CAP)
+    elif s_max < 1:
+        raise UsageError(f"s_max = {s_max} must be >= 1")
+    else:
+        points, masses = support(s_max)
     asym = np.max(np.abs(points + points[::-1]))
     if asym > 1e-12 * points.max():
         raise UsageError(f"truncated spectral support is asymmetric by {asym}")
-    size = len(points)
-    j_op = JacobiOperator(b=np.zeros(size),
-                          j=np.array([fam.coupling(i) for i in range(1, size)]))
-    measure = SpectralMeasure.discrete(points, masses, j_op)
-    return j_op, measure
+    j_op = jacobi(len(points))
+    return j_op, SpectralMeasure.discrete(points, masses, j_op)
 
 
 def fitted_omega(variant: str, context: EllipticContext,

@@ -6,8 +6,9 @@ Subcommands:
   families   list available chain families and parameter schemas
   verify     standalone oracle cross-check of the spectral evaluation paths
 
-Exit codes: 0 success, 2 invalid spec or arguments (message names the
-offending field), 3 oracle mismatch above tolerance.
+Exit codes: 0 success, 2 invalid spec or arguments, non-finite rates
+and grid bounds included (message names the offending field), 3 oracle
+mismatch above tolerance.
 
 Every run is deterministic: each time point is an ordered reduction over
 the spectral nodes, so the same inputs give byte-identical CSV files.
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,44 +40,37 @@ _VERIFY_TOL = 1e-10
 _VERIFY_TIMES = (0.1, 0.5, 1.0, 2.0, 5.0)
 
 
-@dataclass
-class RunConfig:
-    """Resolved invocation: chain spec plus grid, sites and outputs."""
-
-    spec: dict
-    t_min: float = 0.0
-    t_max: float = 10.0
-    steps: int = 201
-    i: int = 0
-    js: tuple[int, ...] = (0,)
-    output: str = "."
-    verify_tol: float = _VERIFY_TOL
-    lattice_tol: float = 1e-9
-    extra: dict = field(default_factory=dict)
-
-    def time_grid(self) -> np.ndarray:
-        if self.t_min < 0:
-            raise UsageError(f"field 'tmin' is {self.t_min}, must be >= 0")
-        if self.t_max < self.t_min:
-            raise UsageError(f"field 'tmax' is {self.t_max}, below tmin {self.t_min}")
-        if self.t_max == self.t_min:
-            return np.array([self.t_min])
-        if self.steps < 2:
-            raise UsageError(f"field 'steps' is {self.steps}, need >= 2 for a grid")
-        return np.linspace(self.t_min, self.t_max, self.steps)
+def _time_grid(args) -> np.ndarray:
+    """The --tmin/--tmax/--steps grid; errors name the offending flag."""
+    for name, value in (("tmin", args.tmin), ("tmax", args.tmax)):
+        if not math.isfinite(value):
+            raise UsageError(f"field '{name}' is {value}, must be finite")
+    if args.tmin < 0:
+        raise UsageError(f"field 'tmin' is {args.tmin}, must be >= 0")
+    if args.tmax < args.tmin:
+        raise UsageError(f"field 'tmax' is {args.tmax}, below tmin {args.tmin}")
+    if args.tmax == args.tmin:
+        return np.array([args.tmin])
+    if args.steps < 2:
+        raise UsageError(f"field 'steps' is {args.steps}, need >= 2 for a grid")
+    return np.linspace(args.tmin, args.tmax, args.steps)
 
 
-def _load_spec(arg_spec: str | None, arg_family: str | None, params: dict) -> dict:
+def _load_spec(args) -> dict:
     """Chain spec from --spec (file path or inline JSON) or --family + flags."""
-    if (arg_spec is None) == (arg_family is None):
+    if (args.spec is None) == (args.family is None):
         raise UsageError("exactly one of --spec or --family is required")
-    if arg_family is not None:
-        spec = {"family": arg_family}
-        spec.update({k: v for k, v in params.items() if v is not None})
-        return spec
-    text = arg_spec
-    if os.path.exists(arg_spec):
-        with open(arg_spec) as fh:
+    if args.family is not None:
+        params = {
+            "beta": args.beta, "c": args.c, "k": args.k, "n": args.n,
+            "s_max": args.s_max, "quad_order": args.quad_order,
+            "lambdas": json.loads(args.lambdas) if args.lambdas else None,
+            "mus": json.loads(args.mus) if args.mus else None,
+        }
+        return {"family": args.family} | {k: v for k, v in params.items() if v is not None}
+    text = args.spec
+    if os.path.exists(args.spec):
+        with open(args.spec) as fh:
             text = fh.read()
     try:
         spec = json.loads(text)
@@ -85,21 +79,21 @@ def _load_spec(arg_spec: str | None, arg_family: str | None, params: dict) -> di
     return spec
 
 
-def _family_params(args) -> dict:
-    return {
-        "beta": args.beta, "c": args.c, "k": args.k, "n": args.n,
-        "s_max": args.s_max, "quad_order": args.quad_order,
-        "lambdas": json.loads(args.lambdas) if args.lambdas else None,
-        "mus": json.loads(args.mus) if args.mus else None,
-    }
-
-
 def _check_site(name: str, value: int, size: int) -> None:
     if not 0 <= value < size:
         raise UsageError(f"field '{name}' is {value}, outside the chain's {size} sites")
 
 
-def _verify_build(build, config: RunConfig, classical: bool):
+def _targets(args, size: int) -> list[int]:
+    """The --j targets (default: --i), after checking --i and each of them."""
+    js = args.j or [args.i]
+    _check_site("i", args.i, size)
+    for jj in js:
+        _check_site("j", jj, size)
+    return js
+
+
+def _verify_build(build, args, js: list[int], classical: bool):
     """Oracle cross-check on the truncated operator: the spectral-sum
     path against dense exp(tA) / exp(-iJt).  Returns the max abs
     deviation, NaN if any deviation is NaN.
@@ -109,100 +103,98 @@ def _verify_build(build, config: RunConfig, classical: bool):
     time point gives."""
     j_op = build.jacobi
     check_measure = eigendecompose(j_op)
-    times = [t for t in _VERIFY_TIMES if t <= max(config.t_max, _VERIFY_TIMES[0])]
+    times = [t for t in _VERIFY_TIMES if t <= max(args.tmax, _VERIFY_TIMES[0])]
     if classical:
         if build.rates is None:
             raise UsageError(f"family '{build.family}' has no classical rates to verify")
         operator = generator(build.rates, j_op.size - 1,
                              boundary="reflecting" if build.family == "custom" else "absorbing-tail")
-        rows = [classical_transition(check_measure, build.rates, config.i, jj,
-                                     np.array(times)).values for jj in config.js]
+        rows = [classical_transition(check_measure, build.rates, args.i, jj,
+                                     np.array(times)).values for jj in js]
     else:
         operator = j_op
-        rows = _amplitudes(check_measure, config.i, config.js, np.array(times))
+        rows = _amplitudes(check_measure, args.i, js, np.array(times))
     deviations = []
     for k, t in enumerate(times):
         dense = oracle_expm(operator, t)
-        deviations += [abs(row[k] - dense[config.i, jj]) for row, jj in zip(rows, config.js)]
+        deviations += [abs(row[k] - dense[args.i, jj]) for row, jj in zip(rows, js)]
     # np.max keeps a NaN deviation, which max() would drop
     return float(np.max(deviations)), times
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    build = build_from_spec(config.spec)
-    classical = config.extra.get("classical", False)
-    times = config.time_grid()
-    _check_site("i", config.i, build.jacobi.size)
-    for jj in config.js:
-        _check_site("j", jj, build.jacobi.size)
-    if classical and build.rates is None:
+def cmd_simulate(args) -> int:
+    spec = _load_spec(args)
+    build = build_from_spec(spec)
+    times = _time_grid(args)
+    js = _targets(args, build.jacobi.size)
+    if args.classical and build.rates is None:
         raise UsageError(
             f"family '{build.family}' defines no birth-death rates; classical "
             "dynamics is undefined (use --quantum)")
-    os.makedirs(config.output, exist_ok=True)
-    if classical:
-        all_series = [classical_transition(build.measure, build.rates, config.i, jj, times)
-                      for jj in config.js]
+    os.makedirs(args.output, exist_ok=True)
+    if args.classical:
+        all_series = [classical_transition(build.measure, build.rates, args.i, jj, times)
+                      for jj in js]
     else:
         # all targets in one pass over the grid
-        rows = _amplitudes(build.measure, config.i, config.js, times)
-        all_series = [AmplitudeSeries(i=config.i, j=jj, times=times, values=row)
-                      for jj, row in zip(config.js, rows)]
+        rows = _amplitudes(build.measure, args.i, js, times)
+        all_series = [AmplitudeSeries(i=args.i, j=jj, times=times, values=row)
+                      for jj, row in zip(js, rows)]
     written = []
     for series in all_series:
         name = series_filename(series)
-        with open(os.path.join(config.output, name), "w") as fh:
+        with open(os.path.join(args.output, name), "w") as fh:
             fh.write(series_csv(series))
         written.append(name)
     manifest = {
         "command": "simulate",
-        "mode": "classical" if classical else "quantum",
-        "spec": config.spec,
-        "grid": {"tmin": config.t_min, "tmax": config.t_max, "steps": config.steps},
-        "sites": {"i": config.i, "j": list(config.js)},
+        "mode": "classical" if args.classical else "quantum",
+        "spec": spec,
+        "grid": {"tmin": args.tmin, "tmax": args.tmax, "steps": args.steps},
+        "sites": {"i": args.i, "j": js},
         "truncation": build.info,
-        "tolerances": {"verify": config.verify_tol},
+        "tolerances": {"verify": args.verify_tol},
         "files": written,
     }
     code = EXIT_OK
-    if config.extra.get("verify", False):
-        worst, at = _verify_build(build, config, classical)
+    if args.verify:
+        worst, at = _verify_build(build, args, js, args.classical)
         manifest["verify"] = {"max_abs_diff": worst, "times": list(at),
                               "target": "truncated-operator oracle"}
         print(f"oracle cross-check: max |diff| = {worst:.3e} over t in {list(at)}")
-        if not worst <= config.verify_tol:  # NaN fails
-            print(f"verification FAILED: {worst:.3e} > {config.verify_tol:.1e}",
+        if not worst <= args.verify_tol:  # NaN fails
+            print(f"verification FAILED: {worst:.3e} > {args.verify_tol:.1e}",
                   file=sys.stderr)
             code = EXIT_MISMATCH
-    with open(os.path.join(config.output, "manifest.json"), "w") as fh:
+    with open(os.path.join(args.output, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for name in written:
-        print(os.path.join(config.output, name))
+        print(os.path.join(args.output, name))
     return code
 
 
-def cmd_return(config: RunConfig) -> int:
-    build = build_from_spec(config.spec)
-    site = config.i
+def cmd_return(args) -> int:
+    build = build_from_spec(_load_spec(args))
+    site = args.i
     _check_site("site", site, build.jacobi.size)
     measure = build.measure
     if site != 0:
         measure = modified_measure(measure, build.jacobi, site)
-    verdict = classify_return(measure, tol=config.lattice_tol)
+    verdict = classify_return(measure, tol=args.tol)
     payload = verdict.to_json_dict()
     if build.info:
         payload["evidence"] = dict(payload["evidence"]) | {"family_info": build.info}
-    if config.extra.get("scan", False):
-        times = config.time_grid()
+    if args.scan:
+        times = _time_grid(args)
         series = quantum_amplitude(build.measure, site, site, times)
-        os.makedirs(config.output, exist_ok=True)
+        os.makedirs(args.output, exist_ok=True)
         name = series_filename(series)
-        with open(os.path.join(config.output, name), "w") as fh:
+        with open(os.path.join(args.output, name), "w") as fh:
             fh.write(series_csv(series))
         maxima = return_probability_scan(series)
         payload["scan"] = {
-            "file": os.path.join(config.output, name),
+            "file": os.path.join(args.output, name),
             "top_maxima": [[t, a] for t, a in maxima[:10]],
         }
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -223,25 +215,23 @@ def cmd_families(as_json: bool) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    build = build_from_spec(config.spec)
-    _check_site("i", config.i, build.jacobi.size)
-    for jj in config.js:
-        _check_site("j", jj, build.jacobi.size)
-    worst_q, times = _verify_build(build, config, classical=False)
+def cmd_verify(args) -> int:
+    build = build_from_spec(_load_spec(args))
+    js = _targets(args, build.jacobi.size)
+    worst_q, times = _verify_build(build, args, js, classical=False)
     print(f"quantum  spectral-vs-dense: max |diff| = {worst_q:.3e} over t in {list(times)}")
     worst = worst_q
     if build.rates is not None:
-        worst_c, _ = _verify_build(build, config, classical=True)
+        worst_c, _ = _verify_build(build, args, js, classical=True)
         print(f"classical spectral-vs-expm: max |diff| = {worst_c:.3e}")
         worst = float(np.max([worst, worst_c]))
     else:
         print(f"classical check skipped: family '{build.family}' has no rates")
-    if not worst <= config.verify_tol:  # NaN fails
-        print(f"verification FAILED: {worst:.3e} > {config.verify_tol:.1e}",
+    if not worst <= args.verify_tol:  # NaN fails
+        print(f"verification FAILED: {worst:.3e} > {args.verify_tol:.1e}",
               file=sys.stderr)
         return EXIT_MISMATCH
-    print(f"ok (tolerance {config.verify_tol:.1e})")
+    print(f"ok (tolerance {args.verify_tol:.1e})")
     return EXIT_OK
 
 
@@ -304,33 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    spec = _load_spec(args.spec, args.family, _family_params(args))
-    js = tuple(args.j) if getattr(args, "j", None) else (args.i,)
-    return RunConfig(
-        spec=spec,
-        t_min=args.tmin, t_max=args.tmax, steps=args.steps,
-        i=args.i, js=js,
-        output=args.output,
-        verify_tol=getattr(args, "verify_tol", _VERIFY_TOL),
-        lattice_tol=getattr(args, "tol", 1e-9),
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "families":
             return cmd_families(args.json)
-        config = _config_from_args(args)
         if args.command == "simulate":
-            config.extra["classical"] = args.classical
-            config.extra["verify"] = args.verify
-            return cmd_simulate(config)
+            return cmd_simulate(args)
         if args.command == "return":
-            config.extra["scan"] = args.scan
-            return cmd_return(config)
-        return cmd_verify(config)
+            return cmd_return(args)
+        return cmd_verify(args)
     except SpectralWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -20,6 +20,7 @@ all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,7 +59,7 @@ class BirthDeathRates:
     -----
     Validity (checked by :meth:`validate`): lam(i) > 0 for every
     represented i except the last site of a finite chain, mu(i) > 0 for
-    i >= 1, mu(0) >= 0.
+    i >= 1, mu(0) >= 0, and every rate finite.
     """
 
     lam: Callable[[int], float]
@@ -122,14 +123,14 @@ class BirthDeathRates:
             if i == last:
                 if lam_i != 0.0:
                     raise DomainError(f"lambda[{i}] = {lam_i}, expected 0 at the last site")
-            elif not lam_i > 0.0:
-                raise DomainError(f"lambda[{i}] = {lam_i} is not positive")
+            elif not 0.0 < lam_i < math.inf:
+                raise DomainError(f"lambda[{i}] = {lam_i} is not positive and finite")
             mu_i = float(self.mu(i))
             if i == 0:
-                if mu_i < 0.0:
-                    raise DomainError(f"mu[0] = {mu_i} is negative")
-            elif not mu_i > 0.0:
-                raise DomainError(f"mu[{i}] = {mu_i} is not positive")
+                if not 0.0 <= mu_i < math.inf:
+                    raise DomainError(f"mu[0] = {mu_i} is negative or not finite")
+            elif not 0.0 < mu_i < math.inf:
+                raise DomainError(f"mu[{i}] = {mu_i} is not positive and finite")
 
     def truncation_order(self, n: int | None) -> int:
         """Resolve a requested truncation order against the chain length."""
@@ -295,17 +296,9 @@ def pi_coefficients(rates: BirthDeathRates, n: int | None = None) -> PiCoefficie
     range where the raw products overflow.
     """
     n = rates.truncation_order(n)
-    rates.validate(n)
-    ratios = np.empty(n)
-    for i in range(n):
-        lam_i = rates.lambda_at(i)
-        mu_next = rates.mu_at(i + 1)
-        if mu_next == 0.0:
-            raise DomainError(f"mu[{i + 1}] = 0 makes pi[{i + 1}] undefined")
-        ratios[i] = lam_i / mu_next
+    lam, mu = _gather(rates, n, "absorbing-tail")
     log_vals = np.zeros(n + 1)
-    if n:
-        log_vals[1:] = np.cumsum(np.log(ratios))
+    log_vals[1:] = np.cumsum(np.log(lam[:-1] / mu[1:]))
     return PiCoefficients(log_values=log_vals)
 
 

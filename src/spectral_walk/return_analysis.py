@@ -190,12 +190,15 @@ def detect_lattice(points, tol: float = 1e-9, masses=None,
     Exactly two surviving points always fit a lattice trivially; that
     verdict is flagged ``degenerate`` in evidence.
     """
-    points = np.sort(np.asarray(points, dtype=float).ravel())
+    points = np.asarray(points, dtype=float).ravel()
+    order = np.argsort(points)
+    points = points[order]
     ignored = 0.0
     if masses is not None:
         masses = np.asarray(masses, dtype=float).ravel()
         if masses.shape != points.shape:
             raise UsageError("masses and points differ in length")
+        masses = masses[order]
         keep = masses > mass_floor
         ignored = float(masses[~keep].sum())
         points = points[keep]

@@ -14,8 +14,10 @@ import scipy.integrate
 import scipy.special
 
 from spectral_walk import (
+    BirthDeathRates,
     ConfigurationError,
     DomainError,
+    JacobiOperator,
     UsageError,
     bessel_j1,
     build_from_spec,
@@ -31,6 +33,7 @@ from spectral_walk import (
     pst_demo_chain,
     quantum_amplitude,
     stieltjes_carlitz_chain,
+    symmetrize,
     uniform_chain,
 )
 
@@ -113,6 +116,163 @@ def test_meixner_truncation_moments_converged():
         assert abs(np.sum(w1 * x1**k) - np.sum(w2 * x2**k)) < 1e-8
 
 
+# == one truncation policy =======================================================
+#
+# meixner_chain and stieltjes_carlitz_chain share one doubling loop.  The
+# references below are the per-family loops it replaced, kept verbatim in
+# their arithmetic: the shared loop must give the same bits.
+
+def _reference_deficit(probe, points, masses) -> float:
+    table = chi_table(probe, 10, points)
+    return float(np.max(1.0 - (table**2) @ masses))
+
+
+def reference_meixner(beta, c, n=None, tail_tol=1e-12):
+    """Negative-binomial masses extended one at a time until the tail
+    bound is below tail_tol (or to n + 1 sites), then, without n,
+    extended by their own length until the chi_i^2 tail of sites
+    i <= 10 is below 1e-10."""
+    if not beta > 0:
+        raise DomainError(f"beta = {beta} must be positive")
+    if not 0.0 < c < 1.0:
+        raise DomainError(f"c = {c} outside (0, 1)")
+    rates = BirthDeathRates(lam=lambda i: c * (i + beta) / (1.0 - c),
+                            mu=lambda i: i / (1.0 - c))
+    masses = [(1.0 - c) ** beta]
+    s = 0
+    while True:
+        m_next = masses[-1] * c * (beta + s) / (s + 1)
+        ratio_bound = max(c, c * (beta + s + 1) / (s + 2))
+        tail = m_next / (1.0 - ratio_bound) if ratio_bound < 1.0 else math.inf
+        if n is None and tail < tail_tol:
+            break
+        if n is not None and s + 1 > n:
+            if tail >= tail_tol:
+                raise ConfigurationError(
+                    f"truncation n = {n} leaves tail mass <= {tail:.3e} "
+                    f">= {tail_tol}; increase n")
+            break
+        masses.append(m_next)
+        s += 1
+    if n is None:
+        probe = symmetrize(rates, 10, boundary="absorbing-tail")
+        while _reference_deficit(probe, np.arange(len(masses), dtype=float),
+                                 np.array(masses)) > 1e-10:
+            for _ in range(len(masses)):
+                s = len(masses) - 1
+                masses.append(masses[-1] * c * (beta + s) / (s + 1))
+    points = np.arange(len(masses), dtype=float)
+    return points, np.array(masses), symmetrize(rates, len(masses) - 1, boundary="absorbing-tail")
+
+
+def reference_sc(variant, k, s_max=None, tail_tol=1e-12):
+    """Half support from the relative excluded-mass rule (at least 12),
+    then, without s_max, doubled until the chi_i^2 tail of sites
+    i <= 10 is below 1e-10."""
+    variant = variant.upper()
+    ctx = elliptic_context(k)
+    if variant not in ("C", "D"):
+        raise DomainError(f"variant {variant!r} must be 'C' or 'D'")
+    q = ctx.q
+
+    def coupling(n):
+        if variant == "C":
+            return ctx.k * n if n % 2 == 0 else float(n)
+        return float(n) if n % 2 == 0 else ctx.k * n
+
+    def support(half):
+        if variant == "C":
+            s_range = np.arange(-half, half)
+            pts = (math.pi / (2.0 * ctx.K)) * (2.0 * s_range + 1.0)
+            raw = 1.0 / (q ** (s_range + 0.5) + q ** (-(s_range + 0.5)))
+        else:
+            s_range = np.arange(-half, half + 1)
+            pts = (math.pi / ctx.K) * s_range
+            raw = 1.0 / (q ** s_range.astype(float) + q ** (-s_range.astype(float)))
+        return pts, raw / raw.sum()
+
+    explicit = s_max is not None
+    if not explicit:
+        offset = 0.5 if variant == "C" else 0.0
+        total, s = 0.0, 0
+        while True:
+            total += 2.0 / (q ** (s + offset) + q ** (-(s + offset)))
+            if 2.0 * q ** (s + 1 + offset) / (1.0 - q) / total < tail_tol:
+                break
+            s += 1
+        s_max = max(s + 1, 12)
+    if s_max < 1:
+        raise UsageError(f"s_max = {s_max} must be >= 1")
+    points, masses = support(s_max)
+    if not explicit:
+        probe = JacobiOperator(b=np.zeros(11), j=np.array([coupling(i) for i in range(1, 11)]))
+        while _reference_deficit(probe, points, masses) > 1e-10:
+            s_max *= 2
+            points, masses = support(s_max)
+    size = len(points)
+    return points, masses, JacobiOperator(
+        b=np.zeros(size), j=np.array([coupling(i) for i in range(1, size)]))
+
+
+def assert_same_build(reference, built):
+    points, masses, j_ref = reference
+    j_op, measure = built[-2:]
+    assert measure.points.tobytes() == points.tobytes()
+    assert measure.masses.tobytes() == masses.tobytes()
+    assert j_op.b.tobytes() == j_ref.b.tobytes()
+    assert j_op.j.tobytes() == j_ref.j.tobytes()
+
+
+def outcome(build, *args):
+    try:
+        build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("c", [0.25, 0.5, 0.8, 0.9, 0.95, 0.99])
+def test_meixner_truncation_equals_reference(beta, c):
+    assert_same_build(reference_meixner(beta, c), meixner_chain(beta, c))
+
+
+@pytest.mark.parametrize("beta, c, n", [(1.0, 1e-13, 0), (1.0, 0.25, 30), (2.5, 0.5, 80),
+                                        (0.5, 0.8, 200), (0.5, 0.99, 4000)])
+def test_meixner_explicit_n_equals_reference(beta, c, n):
+    assert_same_build(reference_meixner(beta, c, n), meixner_chain(beta, c, n=n))
+
+
+@pytest.mark.parametrize("variant", ["C", "D"])
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99, 0.999])
+def test_sc_truncation_equals_reference(variant, k):
+    assert_same_build(reference_sc(variant, k), stieltjes_carlitz_chain(variant, k))
+
+
+@pytest.mark.parametrize("variant", ["C", "d"])
+@pytest.mark.parametrize("k, s_max", [(0.6, 1), (0.6, 7), (0.999, 40)])
+def test_sc_explicit_s_max_equals_reference(variant, k, s_max):
+    assert_same_build(reference_sc(variant, k, s_max),
+                      stieltjes_carlitz_chain(variant, k, s_max=s_max))
+
+
+@pytest.mark.parametrize("args", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (1.0, 0.0),
+                                  (1.0, 1.0), (1.0, -0.5), (1.0, math.nan), (-1.0, 2.0),
+                                  (1.0, 0.25, 3), (2.5, 0.99, 100)])
+def test_meixner_errors_equal_reference(args):
+    expected = outcome(reference_meixner, *args)
+    assert expected is not None
+    assert outcome(meixner_chain, *args) == expected
+
+
+@pytest.mark.parametrize("args", [("E", 0.5), ("x", 0.5), ("E", 1.5), ("C", 0.0),
+                                  ("D", 1.0), ("C", 0.5, 0), ("D", 0.5, -2), ("E", 0.5, 0)])
+def test_sc_errors_equal_reference(args):
+    expected = outcome(reference_sc, *args)
+    assert expected is not None
+    assert outcome(stieltjes_carlitz_chain, *args) == expected
+
+
 # == elliptic context and cn/dn ==================================================
 
 def test_K_against_quadrature():
@@ -181,17 +341,11 @@ def test_cn_dn_small_modulus_series_branch():
 # == Stieltjes-Carlitz ===========================================================
 
 def test_sc_coupling_parity_law():
-    ctx = elliptic_context(0.4)
-    from spectral_walk import StieltjesCarlitzFamily
-    fam_c = StieltjesCarlitzFamily(variant="C", context=ctx)
-    fam_d = StieltjesCarlitzFamily(variant="D", context=ctx)
-    for n in range(1, 9):
-        if n % 2 == 0:
-            assert fam_c.coupling(n) == pytest.approx(0.4 * n)
-            assert fam_d.coupling(n) == pytest.approx(float(n))
-        else:
-            assert fam_c.coupling(n) == pytest.approx(float(n))
-            assert fam_d.coupling(n) == pytest.approx(0.4 * n)
+    # C: J_n = k n for even n, n for odd n; D the other way round
+    for variant, even, odd in (("C", 0.4, 1.0), ("D", 1.0, 0.4)):
+        j = stieltjes_carlitz_chain(variant, 0.4)[0].j
+        for n in range(1, 9):
+            assert j[n - 1] == pytest.approx((even if n % 2 == 0 else odd) * n)
 
 
 def test_sc_atoms_and_mass():

@@ -168,6 +168,28 @@ def test_exit_2_for_bad_grid(capsys):
     assert "tmax" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--tmax", "nan"), ("--tmax", "inf"),
+                                         ("--tmin", "nan")])
+def test_exit_2_for_non_finite_grid_bound(tmp_path, capsys, flag, value):
+    code, _, err = run(capsys, "simulate", "--family", "pst-demo", "--n", "4",
+                       "--steps", "3", flag, value, "--output", str(tmp_path))
+    assert code == 2
+    assert f"'{flag[2:]}'" in err and "finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lambdas, mus, site", [
+    ("[1.0]", "[NaN, 2.0]", "mu[0]"),
+    ("[Infinity]", "[0.0, 2.0]", "lambda[0]"),
+    ("[1.0]", "[0.0, Infinity]", "mu[1]"),
+])
+def test_exit_2_for_non_finite_rates(capsys, lambdas, mus, site):
+    spec = f'{{"family": "custom", "lambdas": {lambdas}, "mus": {mus}}}'
+    code, _, err = run(capsys, "simulate", "--spec", spec)
+    assert code == 2
+    assert "'lambdas'/'mus'" in err and site in err
+
+
 def test_exit_2_for_site_out_of_range(capsys):
     code, _, err = run(capsys, "simulate", "--spec", TWO_STATE, "--i", "7")
     assert code == 2

@@ -1,8 +1,11 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never
+uses, and no private helper of the package is left unreferenced.
 
-A stdlib-only stand-in for a linter's unused-import rule: each file is
-parsed with ``ast``, and every name bound by a module-level import must
-be referenced somewhere in the file or listed in its ``__all__``.
+A stdlib-only stand-in for a linter's unused-import and dead-code
+rules: each file is parsed with ``ast``. Every name bound by a
+module-level import must be referenced somewhere in the file or listed
+in its ``__all__``. Every module-level private function, class and
+constant of the package must be read somewhere in the package.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "spectral_walk").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "spectral_walk").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -50,3 +54,47 @@ def test_checker_flags_unused_and_accepts_used_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_names(sources: list[str]) -> list[str]:
+    """Module-level ``_name`` functions, classes and constants that no
+    source reads, as a bare name or as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = [name for name in defined if name.startswith("_") and not name.startswith("__")]
+    return [name for name in private if name not in read]
+
+
+def test_dead_helper_checker_flags_unread_private_names():
+    module = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "__all__ = ['f']\n"
+        "def _helper():\n"
+        "    return _USED\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def f():\n"
+        "    _local = 3\n"
+        "    return _local\n"
+    )
+    caller = "import mod\nmod._helper()\n"
+    assert unreferenced_private_names([module, caller]) == ["_UNUSED", "_Gone"]
+
+
+def test_no_unreferenced_private_helpers_in_package():
+    assert unreferenced_private_names([path.read_text() for path in PACKAGE]) == []

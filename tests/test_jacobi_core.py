@@ -84,6 +84,16 @@ def test_negative_mu0_rejected():
         BirthDeathRates.from_arrays([1.0], [-0.5, 1.0])
 
 
+@pytest.mark.parametrize("lambdas, mus, field", [
+    ([1.0], [float("nan"), 2.0], r"mu\[0\]"),
+    ([float("inf")], [0.0, 2.0], r"lambda\[0\]"),
+    ([1.0], [0.0, float("inf")], r"mu\[1\]"),
+])
+def test_non_finite_rates_rejected(lambdas, mus, field):
+    with pytest.raises(DomainError, match=field):
+        BirthDeathRates.from_arrays(lambdas, mus)
+
+
 def test_truncation_order_defaults_and_caps():
     rates = BirthDeathRates.from_arrays([1.0, 1.0], [0.0, 1.0, 1.0])
     assert rates.truncation_order(None) == 2
@@ -175,6 +185,15 @@ def test_pi_ratio_recurrence_is_exact(rng):
         rhs = rates.lambda_at(i) / rates.mu_at(i + 1)
         assert lhs == pytest.approx(rhs, rel=1e-14)
     assert pi.value(0) == 1.0
+
+
+def test_pi_log_values_equal_scalar_loop(rng):
+    # one division per site, then one cumsum of the logs
+    rates = random_rates(rng, sites=40)
+    ratios = np.array([rates.lambda_at(i) / rates.mu_at(i + 1) for i in range(39)])
+    expected = np.concatenate([[0.0], np.cumsum(np.log(ratios))])
+    assert pi_coefficients(rates).log_values.tobytes() == expected.tobytes()
+    assert pi_coefficients(rates, 0).log_values.tobytes() == np.zeros(1).tobytes()
 
 
 def test_pi_survives_extreme_products():

@@ -39,7 +39,7 @@ def test_package_namespace_is_pinned():
         "series_csv", "series_filename",
         "ReturnVerdict", "characteristic", "modified_measure", "detect_lattice",
         "classify_return", "return_probability_scan",
-        "MeixnerFamily", "StieltjesCarlitzFamily", "EllipticContext", "FamilyBuild",
+        "EllipticContext", "FamilyBuild",
         "meixner_chain", "stieltjes_carlitz_chain", "uniform_chain",
         "pst_demo_chain", "elliptic_context", "jacobi_cn_dn", "fitted_omega",
         "family_schemas", "build_from_spec",

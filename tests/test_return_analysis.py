@@ -144,6 +144,17 @@ def test_tiny_masses_ignored_as_noise():
     assert verdict.evidence["ignored_mass"] == pytest.approx(1e-15)
 
 
+def test_masses_follow_their_points_when_unsorted():
+    # the noise atom at pi is listed first; it must be the one dropped
+    pts, masses = [math.pi, 0.0, 1.0, 2.0], [1e-20, 0.3, 0.3, 0.4]
+    verdict = detect_lattice(pts, masses=masses)
+    assert verdict.kind == "Perfect"
+    assert verdict.t0 == pytest.approx(2 * math.pi, rel=1e-12)
+    assert verdict.evidence["ignored_mass"] == 1e-20
+    order = np.argsort(pts)
+    assert detect_lattice(np.array(pts)[order], masses=np.array(masses)[order]).t0 == verdict.t0
+
+
 def test_continuous_mass_forces_no_return():
     verdict = detect_lattice(np.array([0.0, 1.0]), continuous_mass=0.5)
     assert verdict.kind == "NoReturn"
