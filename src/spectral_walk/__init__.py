@@ -17,9 +17,9 @@ from .dynamics import (AmplitudeSeries, ProbabilitySeries, classical_transition,
 from .return_analysis import (ReturnVerdict, characteristic, classify_return,
                               detect_lattice, modified_measure,
                               return_probability_scan)
-from .chain_families import (EllipticContext, FamilyBuild, build_from_spec,
-                             elliptic_context, family_schemas, fitted_omega,
-                             jacobi_cn_dn, meixner_chain, pst_demo_chain,
+from .elliptic import EllipticContext, elliptic_context, jacobi_cn_dn
+from .chain_families import (FamilyBuild, build_from_spec, family_schemas,
+                             fitted_omega, meixner_chain, pst_demo_chain,
                              stieltjes_carlitz_chain, uniform_chain)
 
 __version__ = "0.1.0"

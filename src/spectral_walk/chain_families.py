@@ -15,35 +15,37 @@ eigensolve:
                    perfect transfer (spectral folklore construction).
 
 The semi-infinite discrete measures (meixner, sc-c, sc-d) share one
-truncation policy: each constructor picks a starting support from its
-own excluded-mass rule, and ``_truncated`` doubles it until the
+truncation policy: each constructor picks a starting support whose
+excluded mass is below 1e-12, and ``_truncated`` doubles it until the
 chi_i^2-weighted tail of every site i <= 10 is below 1e-10, so the
 polynomial table reaches well past the degrees the test tolerances are
 stated for.
+
+:func:`build_from_spec` reads each spec field as the type
+:func:`family_schemas` names.  The elliptic functions live in ``elliptic``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticContext, elliptic_context, jacobi_cn_dn
+from .elliptic import EllipticContext, elliptic_context
 from .errors import ConfigurationError, DomainError, UsageError
 from .jacobi_core import BirthDeathRates, JacobiOperator, symmetrize
 from .return_analysis import detect_lattice
 from .spectral import SpectralMeasure, chi_table, eigendecompose
 
 __all__ = [
-    "EllipticContext",
     "FamilyBuild",
     "meixner_chain",
     "stieltjes_carlitz_chain",
     "uniform_chain",
     "pst_demo_chain",
-    "elliptic_context",
-    "jacobi_cn_dn",
     "fitted_omega",
     "family_schemas",
     "build_from_spec",
@@ -56,11 +58,13 @@ _MEIXNER_SITE_CAP = 100_000
 _SC_S_CAP = 10_000
 _SC_MIN_HALF_SUPPORT = 12
 
-# Default truncations keep return amplitudes and the polynomial Gram
-# accurate beyond site 0: the excluded tail of sum_s M_s chi_i(x_s)^2
+# Default truncations start from the smallest support whose excluded
+# mass is below _TAIL_TOL and keep return amplitudes and the polynomial
+# Gram accurate beyond site 0: the excluded tail of sum_s M_s chi_i(x_s)^2
 # grows with i (chi_i is a degree-i polynomial), so the support is
-# extended until the deficit stays below the tolerance for every site
+# extended until the deficit stays below _SITE_TAIL_TOL for every site
 # up to the probe order.
+_TAIL_TOL = 1e-12
 _SITE_PROBE_ORDER = 10
 _SITE_TAIL_TOL = 1e-10
 
@@ -93,15 +97,15 @@ def _truncated(support, size: int, probe: JacobiOperator, cap: int):
     return points, masses
 
 
-def meixner_chain(beta: float, c: float, n: int | None = None,
-                  tail_tol: float = 1e-12) -> tuple[BirthDeathRates, JacobiOperator, SpectralMeasure]:
+def meixner_chain(beta: float, c: float, n: int | None = None
+                  ) -> tuple[BirthDeathRates, JacobiOperator, SpectralMeasure]:
     """Linear-rate chain lambda_i = c(i+beta)/(1-c), mu_i = i/(1-c),
     for beta > 0 and 0 < c < 1.
 
     The orthogonality measure is the negative binomial distribution on
     the integers s = 0, 1, 2, ...; the chain is truncated at the
     smallest support (or the given n) whose excluded mass is below
-    ``tail_tol``.  Without an explicit n the support is then doubled
+    1e-12.  Without an explicit n the support is then doubled
     until the chi_i^2-weighted tail is also below 1e-10 for sites
     i <= 10, so return amplitudes and the polynomial Gram stay accurate
     away from site 0 (the plain mass rule alone leaves site-5
@@ -140,34 +144,34 @@ def meixner_chain(beta: float, c: float, n: int | None = None,
 
     if n is None:
         size = 1
-        while not tail(size) < tail_tol:
+        while not tail(size) < _TAIL_TOL:
             if size > _MEIXNER_SITE_CAP:
                 raise ConfigurationError(
                     f"negative-binomial tail still {tail(size):.3e} at "
-                    f"{_MEIXNER_SITE_CAP} sites; raise the site cap or loosen tail_tol")
+                    f"{_MEIXNER_SITE_CAP} sites; pass an explicit n")
             size += 1
         probe = symmetrize(rates, _SITE_PROBE_ORDER, boundary="absorbing-tail")
         points, masses = _truncated(support, size, probe, _MEIXNER_SITE_CAP)
     else:
         size = max(n, 0) + 1
-        if tail(size) >= tail_tol:
+        if tail(size) >= _TAIL_TOL:
             raise ConfigurationError(
                 f"truncation n = {n} leaves tail mass <= {tail(size):.3e} "
-                f">= {tail_tol}; increase n")
+                f">= {_TAIL_TOL}; increase n")
         points, masses = support(size)
     j_op = symmetrize(rates, len(points) - 1, boundary="absorbing-tail")
     return rates, j_op, SpectralMeasure.discrete(points, masses, j_op)
 
 
-def _sc_half_support(q: float, offset: float, tail_tol: float) -> int:
-    """Smallest S with two-sided excluded mass (relative) below tail_tol;
+def _sc_half_support(q: float, offset: float) -> int:
+    """Smallest S with two-sided excluded mass (relative) below _TAIL_TOL;
     one-sided raw weights are ~ q^{s+offset}."""
     total = 0.0
     s = 0
     while True:
         total += 2.0 / (q ** (s + offset) + q ** (-(s + offset)))
         tail = 2.0 * q ** (s + 1 + offset) / (1.0 - q)
-        if tail / total < tail_tol:
+        if tail / total < _TAIL_TOL:
             return s + 1
         s += 1
         if s > _SC_S_CAP:
@@ -176,8 +180,8 @@ def _sc_half_support(q: float, offset: float, tail_tol: float) -> int:
             )
 
 
-def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None,
-                            tail_tol: float = 1e-12) -> tuple[JacobiOperator, SpectralMeasure]:
+def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
+                            ) -> tuple[JacobiOperator, SpectralMeasure]:
     """Stieltjes-Carlitz chain of variant "C" or "D" at modulus k.
 
     The diagonal is zero and the couplings are
@@ -189,7 +193,7 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None,
       D: tau_s = pi s / K for s = -s_max..s_max, masses
          eta_D / (q^s + q^{-s}).
     eta is fixed numerically so the truncated masses sum to 1 exactly;
-    s_max defaults to the excluded-mass rule (< tail_tol) with a floor
+    s_max defaults to the excluded-mass rule (< 1e-12) with a floor
     that keeps the polynomial table usable to degree ~20, then doubles
     until the chi_i^2-weighted tail for sites i <= 10 is below 1e-10
     (the weights only decay like q^|s|, which at large modulus is too
@@ -218,7 +222,7 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None,
         return pts, raw / raw.sum()
 
     if s_max is None:
-        half = max(_sc_half_support(q, 0.5 if variant == "C" else 0.0, tail_tol),
+        half = max(_sc_half_support(q, 0.5 if variant == "C" else 0.0),
                    _SC_MIN_HALF_SUPPORT)
         points, masses = _truncated(support, half, jacobi(_SITE_PROBE_ORDER + 1), _SC_S_CAP)
     elif s_max < 1:
@@ -282,13 +286,7 @@ def uniform_chain(n: int | None = None, quad_order: int = 256
     idx = np.arange(1, m + 1, dtype=float)
     nodes = np.cos(idx * math.pi / (m + 1))[::-1].copy()
     weights = (2.0 / (m + 1)) * np.sin(idx * math.pi / (m + 1))[::-1] ** 2
-    measure = SpectralMeasure.continuous(
-        interval=(-1.0, 1.0),
-        quad_points=nodes,
-        quad_weights=weights,
-        jacobi=j_op,
-    )
-    return j_op, measure
+    return j_op, SpectralMeasure.continuous(nodes, weights, j_op)
 
 
 def pst_demo_chain(n: int = 10) -> JacobiOperator:
@@ -305,10 +303,10 @@ def pst_demo_chain(n: int = 10) -> JacobiOperator:
 
 @dataclass(frozen=True)
 class FamilyBuild:
-    """A constructed chain plus everything the CLI needs to run it."""
+    """A constructed chain plus everything the CLI needs to run it; the
+    operator is ``measure.jacobi``."""
 
     family: str
-    jacobi: JacobiOperator
     measure: SpectralMeasure
     rates: BirthDeathRates | None = None
     info: dict | None = None
@@ -369,17 +367,36 @@ def family_schemas() -> dict:
     }
 
 
-def _need(spec: dict, key: str, family: str):
+def _field(spec: dict, family: str, key: str, default=None):
+    """Field ``key`` of a spec as the type its schema names: "float" and
+    "int" take a number (not a bool; an int must be integral, so 12.0 is
+    12), "list[float]" a list of numbers.  An optional field that is
+    absent or null gives ``default``; every refusal names the field."""
+    meta = family_schemas()[family]["params"][key]
+    if spec.get(key) is None and not meta["required"]:
+        return default
     if key not in spec:
         raise UsageError(f"family '{family}' needs field '{key}'")
-    return spec[key]
+    value, kind = spec[key], meta["type"]
+    is_list = isinstance(value, (list, tuple))
+    items = value if is_list else [value]
+    if is_list == (kind == "list[float]") and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        with contextlib.suppress(OverflowError):  # an int beyond the double range
+            floats = [float(v) for v in items]
+            if kind != "int":
+                return floats if is_list else floats[0]
+            if floats[0].is_integer():
+                return int(value)
+    raise UsageError(f"field '{key}' is {value!r}, expected {kind}")
 
 
 def build_from_spec(spec: dict) -> FamilyBuild:
     """Construct a chain from a JSON-style spec dict.
 
     The spec must carry "family" plus the parameters listed by
-    :func:`family_schemas`; errors name the offending field.
+    :func:`family_schemas`, each of the type listed there; errors name
+    the offending field.
     """
     if not isinstance(spec, dict):
         raise UsageError("chain spec must be a JSON object")
@@ -392,46 +409,34 @@ def build_from_spec(spec: dict) -> FamilyBuild:
         if key not in known:
             raise UsageError(f"unknown field '{key}' for family '{family}'")
     if family == "custom":
-        lambdas = _need(spec, "lambdas", family)
-        mus = _need(spec, "mus", family)
         try:
-            rates = BirthDeathRates.from_arrays(lambdas, mus)
+            rates = BirthDeathRates.from_arrays(_field(spec, family, "lambdas"),
+                                                _field(spec, family, "mus"))
         except DomainError as exc:
             raise UsageError(f"field 'lambdas'/'mus': {exc}") from exc
-        j_op = symmetrize(rates)
-        measure = eigendecompose(j_op)
-        return FamilyBuild(family=family, jacobi=j_op, measure=measure, rates=rates,
-                           info={"sites": j_op.size})
+        measure = eigendecompose(symmetrize(rates))
+        return FamilyBuild(family=family, measure=measure, rates=rates,
+                           info={"sites": measure.jacobi.size})
     if family == "meixner":
-        n = spec.get("n")
         rates, j_op, measure = meixner_chain(
-            float(_need(spec, "beta", family)), float(_need(spec, "c", family)),
-            n=None if n is None else int(n))
+            _field(spec, family, "beta"), _field(spec, family, "c"),
+            n=_field(spec, family, "n"))
         tail = 1.0 - measure.masses.sum()
-        return FamilyBuild(family=family, jacobi=j_op, measure=measure, rates=rates,
+        return FamilyBuild(family=family, measure=measure, rates=rates,
                            info={"sites": j_op.size, "tail_mass": tail})
     if family in ("sc-c", "sc-d"):
         variant = "C" if family == "sc-c" else "D"
-        k = float(_need(spec, "k", family))
-        s_max = spec.get("s_max")
-        j_op, measure = stieltjes_carlitz_chain(
-            variant, k, s_max=None if s_max is None else int(s_max))
+        k = _field(spec, family, "k")
+        j_op, measure = stieltjes_carlitz_chain(variant, k, s_max=_field(spec, family, "s_max"))
         ctx = elliptic_context(k)
-        return FamilyBuild(
-            family=family, jacobi=j_op, measure=measure, rates=None,
-            info={
-                "sites": j_op.size,
-                "atoms": len(measure.points),
-                "omega_fitted": fitted_omega(variant, ctx, measure),
-                "nome_q": ctx.q,
-            })
+        return FamilyBuild(family=family, measure=measure, info={
+            "sites": j_op.size, "atoms": len(measure.points),
+            "omega_fitted": fitted_omega(variant, ctx, measure), "nome_q": ctx.q})
     if family == "uniform":
-        n = spec.get("n")
-        j_op, measure = uniform_chain(n=None if n is None else int(n),
-                                      quad_order=int(spec.get("quad_order", 256)))
-        return FamilyBuild(family=family, jacobi=j_op, measure=measure, rates=None,
+        j_op, measure = uniform_chain(n=_field(spec, family, "n"),
+                                      quad_order=_field(spec, family, "quad_order", 256))
+        return FamilyBuild(family=family, measure=measure,
                            info={"sites": j_op.size, "measure_kind": measure.kind})
-    n = int(spec.get("n", 10))
-    j_op = pst_demo_chain(n)
-    return FamilyBuild(family="pst-demo", jacobi=j_op, measure=eigendecompose(j_op),
-                       rates=None, info={"sites": n, "transfer_time": math.pi})
+    n = _field(spec, family, "n", 10)
+    return FamilyBuild(family="pst-demo", measure=eigendecompose(pst_demo_chain(n)),
+                       info={"sites": n, "transfer_time": math.pi})

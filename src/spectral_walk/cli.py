@@ -6,9 +6,9 @@ Subcommands:
   families   list available chain families and parameter schemas
   verify     standalone oracle cross-check of the spectral evaluation paths
 
-Exit codes: 0 success, 2 invalid spec or arguments, non-finite rates
-and grid bounds included (message names the offending field), 3 oracle
-mismatch above tolerance.
+Exit codes: 0 success, 2 invalid spec or arguments (wrong JSON types,
+malformed JSON, non-finite rates and grid bounds included; the message
+names the offending field or flag), 3 oracle mismatch above tolerance.
 
 Every run is deterministic: each time point is an ordered reduction over
 the spectral nodes, so the same inputs give byte-identical CSV files.
@@ -56,6 +56,14 @@ def _time_grid(args) -> np.ndarray:
     return np.linspace(args.tmin, args.tmax, args.steps)
 
 
+def _json(text: str, what: str):
+    """Parsed JSON text; a parse error names ``what`` the text came from."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+
+
 def _load_spec(args) -> dict:
     """Chain spec from --spec (file path or inline JSON) or --family + flags."""
     if (args.spec is None) == (args.family is None):
@@ -64,19 +72,15 @@ def _load_spec(args) -> dict:
         params = {
             "beta": args.beta, "c": args.c, "k": args.k, "n": args.n,
             "s_max": args.s_max, "quad_order": args.quad_order,
-            "lambdas": json.loads(args.lambdas) if args.lambdas else None,
-            "mus": json.loads(args.mus) if args.mus else None,
+            "lambdas": _json(args.lambdas, "--lambdas is not valid JSON") if args.lambdas else None,
+            "mus": _json(args.mus, "--mus is not valid JSON") if args.mus else None,
         }
         return {"family": args.family} | {k: v for k, v in params.items() if v is not None}
     text = args.spec
     if os.path.exists(args.spec):
         with open(args.spec) as fh:
             text = fh.read()
-    try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--spec is neither an existing file nor valid JSON: {exc}")
-    return spec
+    return _json(text, "--spec is neither an existing file nor valid JSON")
 
 
 def _check_site(name: str, value: int, size: int) -> None:
@@ -93,20 +97,19 @@ def _targets(args, size: int) -> list[int]:
     return js
 
 
-def _verify_build(build, args, js: list[int], classical: bool):
+def _verify_build(build, args, js: list[int], classical: bool, tmax: float):
     """Oracle cross-check on the truncated operator: the spectral-sum
-    path against dense exp(tA) / exp(-iJt).  Returns the max abs
-    deviation, NaN if any deviation is NaN.
+    path against dense exp(tA) / exp(-iJt), at the check times up to
+    ``tmax`` (at least the first).  Returns the max abs deviation, NaN
+    if any deviation is NaN.
 
     Each target is evaluated over all check times in one call; a value
     does not depend on the rest of the grid, so it is the one a call per
     time point gives."""
-    j_op = build.jacobi
+    j_op = build.measure.jacobi
     check_measure = eigendecompose(j_op)
-    times = [t for t in _VERIFY_TIMES if t <= max(args.tmax, _VERIFY_TIMES[0])]
+    times = [t for t in _VERIFY_TIMES if t <= max(tmax, _VERIFY_TIMES[0])]
     if classical:
-        if build.rates is None:
-            raise UsageError(f"family '{build.family}' has no classical rates to verify")
         operator = generator(build.rates, j_op.size - 1,
                              boundary="reflecting" if build.family == "custom" else "absorbing-tail")
         rows = [classical_transition(check_measure, build.rates, args.i, jj,
@@ -126,7 +129,7 @@ def cmd_simulate(args) -> int:
     spec = _load_spec(args)
     build = build_from_spec(spec)
     times = _time_grid(args)
-    js = _targets(args, build.jacobi.size)
+    js = _targets(args, build.measure.jacobi.size)
     if args.classical and build.rates is None:
         raise UsageError(
             f"family '{build.family}' defines no birth-death rates; classical "
@@ -158,7 +161,7 @@ def cmd_simulate(args) -> int:
     }
     code = EXIT_OK
     if args.verify:
-        worst, at = _verify_build(build, args, js, args.classical)
+        worst, at = _verify_build(build, args, js, args.classical, times[-1])
         manifest["verify"] = {"max_abs_diff": worst, "times": list(at),
                               "target": "truncated-operator oracle"}
         print(f"oracle cross-check: max |diff| = {worst:.3e} over t in {list(at)}")
@@ -177,11 +180,9 @@ def cmd_simulate(args) -> int:
 def cmd_return(args) -> int:
     build = build_from_spec(_load_spec(args))
     site = args.i
-    _check_site("site", site, build.jacobi.size)
     measure = build.measure
-    if site != 0:
-        measure = modified_measure(measure, build.jacobi, site)
-    verdict = classify_return(measure, tol=args.tol)
+    _check_site("site", site, measure.jacobi.size)
+    verdict = classify_return(modified_measure(measure, measure.jacobi, site), tol=args.tol)
     payload = verdict.to_json_dict()
     if build.info:
         payload["evidence"] = dict(payload["evidence"]) | {"family_info": build.info}
@@ -217,12 +218,13 @@ def cmd_families(as_json: bool) -> int:
 
 def cmd_verify(args) -> int:
     build = build_from_spec(_load_spec(args))
-    js = _targets(args, build.jacobi.size)
-    worst_q, times = _verify_build(build, args, js, classical=False)
+    tmax = _time_grid(args)[-1]
+    js = _targets(args, build.measure.jacobi.size)
+    worst_q, times = _verify_build(build, args, js, classical=False, tmax=tmax)
     print(f"quantum  spectral-vs-dense: max |diff| = {worst_q:.3e} over t in {list(times)}")
     worst = worst_q
     if build.rates is not None:
-        worst_c, _ = _verify_build(build, args, js, classical=True)
+        worst_c, _ = _verify_build(build, args, js, classical=True, tmax=tmax)
         print(f"classical spectral-vs-expm: max |diff| = {worst_c:.3e}")
         worst = float(np.max([worst, worst_c]))
     else:

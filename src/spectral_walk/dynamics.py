@@ -323,37 +323,25 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
                            values=_entry(measure, i, j, times_arr, -1j))
 
 
-def oracle_expm(operator, t: float, kind: str | None = None) -> np.ndarray:
+def oracle_expm(operator, t: float) -> np.ndarray:
     """Dense reference evolution, independent of the spectral path.
 
     GeneratorMatrix -> exp(t A) by scaling-and-squaring;
-    JacobiOperator -> exp(-i J t) by dense symmetric eigendecomposition.
-    A raw square ndarray needs an explicit ``kind`` of "classical" or
-    "quantum".  Accuracy target 1e-12 at sizes <= 32; sizes above 512 or
-    |t| > 1e3 are refused rather than returned inaccurate.
+    JacobiOperator -> exp(-i J t) by dense symmetric eigendecomposition;
+    anything else is refused.  Accuracy target 1e-12 at sizes <= 32;
+    sizes above 512 or |t| > 1e3 are refused rather than returned
+    inaccurate.
     """
-    if isinstance(operator, GeneratorMatrix):
-        mat, inferred = operator.dense(), "classical"
-    elif isinstance(operator, JacobiOperator):
-        mat, inferred = operator.dense(), "quantum"
-    else:
-        mat = np.asarray(operator, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise UsageError(f"oracle needs a square matrix, got shape {mat.shape}")
-        if kind is None:
-            raise UsageError('raw matrices need kind="classical" or kind="quantum"')
-        inferred = None
-    kind = kind or inferred
-    if kind not in ("classical", "quantum"):
-        raise UsageError(f"unknown oracle kind {kind!r}")
-    if mat.shape[0] > _ORACLE_SIZE_CAP:
-        raise UsageError(f"oracle size {mat.shape[0]} above cap {_ORACLE_SIZE_CAP}")
+    if not isinstance(operator, (GeneratorMatrix, JacobiOperator)):
+        raise UsageError(
+            f"oracle needs a GeneratorMatrix or a JacobiOperator, got {type(operator).__name__}")
+    if operator.size > _ORACLE_SIZE_CAP:
+        raise UsageError(f"oracle size {operator.size} above cap {_ORACLE_SIZE_CAP}")
     if abs(t) > _ORACLE_TIME_CAP:
         raise UsageError(f"oracle |t| = {abs(t)} above cap {_ORACLE_TIME_CAP}")
-    if kind == "classical":
+    mat = operator.dense()
+    if isinstance(operator, GeneratorMatrix):
         return scipy.linalg.expm(mat * float(t))
-    if not np.allclose(mat, mat.T, rtol=0, atol=1e-12):
-        raise UsageError("quantum oracle needs a symmetric matrix")
     vals, vecs = np.linalg.eigh(mat)
     return (vecs * np.exp(-1j * vals * float(t))) @ vecs.T
 

@@ -99,25 +99,14 @@ class BirthDeathRates:
         rates.validate(n - 1)
         return rates
 
-    def lambda_at(self, i: int) -> float:
-        self._check_index(i)
-        return float(self.lam(i))
-
-    def mu_at(self, i: int) -> float:
-        self._check_index(i)
-        return float(self.mu(i))
-
-    def _check_index(self, i: int) -> None:
-        if i < 0:
-            raise UsageError(f"site index {i} is negative")
-        if self.n_sites is not None and i >= self.n_sites:
-            raise UsageError(f"site index {i} beyond finite chain of {self.n_sites} sites")
-
     def validate(self, n: int) -> None:
         """Check rate positivity for sites 0..n; raise DomainError naming
-        the first offending index."""
-        self._check_index(n)
+        the first offending index (UsageError if n is not a site)."""
+        if n < 0:
+            raise UsageError(f"site index {n} is negative")
         last = self.n_sites - 1 if self.n_sites is not None else None
+        if last is not None and n > last:
+            raise UsageError(f"site index {n} beyond finite chain of {self.n_sites} sites")
         for i in range(n + 1):
             lam_i = float(self.lam(i))
             if i == last:
@@ -160,7 +149,6 @@ class GeneratorMatrix:
     diag: np.ndarray
     sup: np.ndarray
     sub: np.ndarray
-    boundary: str = "reflecting"
 
     @property
     def size(self) -> int:
@@ -202,12 +190,6 @@ class JacobiOperator:
     def size(self) -> int:
         return len(self.b)
 
-    def coupling(self, i: int) -> float:
-        """J_i, the coupling between sites i-1 and i (J_0 = 0)."""
-        if i == 0:
-            return 0.0
-        return float(self.j[i - 1])
-
     def dense(self) -> np.ndarray:
         m = np.diag(self.b)
         m += np.diag(self.j, 1)
@@ -227,9 +209,6 @@ class PiCoefficients:
 
     def __post_init__(self):
         self.log_values.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.log_values)
 
     def value(self, i: int) -> float:
         with np.errstate(over="ignore"):
@@ -316,5 +295,4 @@ def generator(rates: BirthDeathRates, n: int | None = None,
         diag=-(lam + mu),
         sup=lam[:-1].copy(),
         sub=mu[1:].copy(),
-        boundary=boundary,
     )

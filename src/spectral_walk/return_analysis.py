@@ -11,6 +11,10 @@ regimes follow from the measure type:
   * continuous mass present  ->  |f_ii(t)| -> 0 along subsequences, no
     return of either kind.
 
+The masses of dmu_i are the products w_s chi_i(x_s)^2 that
+dynamics._chi_product_coefficients gives for f_ii, so the eigenvector
+table or the scaled recurrence is chosen in one place for both.
+
 Floating-point spectra are never exactly commensurate, so lattice
 detection is a tolerance-and-cap policy (documented at
 :func:`detect_lattice`) rather than an exact gcd.
@@ -24,10 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dynamics import _spectral_sum
+from .dynamics import _chi_product_coefficients, _spectral_sum
 from .errors import UsageError
 from .jacobi_core import JacobiOperator
-from .spectral import SpectralMeasure, chi_table_scaled
+from .spectral import SpectralMeasure
 
 __all__ = [
     "ReturnVerdict",
@@ -92,36 +96,24 @@ def characteristic(measure: SpectralMeasure, t):
 
 
 def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> SpectralMeasure:
-    """Site-i modified measure dmu_i = chi_i^2 dmu.
-
-    Orthonormality makes this a probability measure again; masses are
-    left as computed (no renormalization) so the 1e-12 mass invariant
-    stays a real check on the polynomial table.  The return amplitude
-    from site i is the characteristic function of dmu_i at -t.
+    """Site-i modified measure dmu_i = chi_i^2 dmu, whose masses are the
+    coefficients w_s chi_i(x_s)^2 that :func:`quantum_amplitude` sums for
+    f_ii.  Orthonormality makes this a probability measure again; masses
+    are left as computed (no renormalization) so the 1e-12 mass invariant
+    stays a real check on the polynomial table.  ``j_op`` must equal the
+    measure's operator and i must be one of its sites, else UsageError.
     """
+    own = measure.jacobi
+    if not (np.array_equal(j_op.b, own.b) and np.array_equal(j_op.j, own.j)):
+        raise UsageError("operator differs from the measure's operator")
     if i == 0:
         return measure
-    if measure.weighted_chi is not None and measure.quad_points is None:
-        if i >= measure.weighted_chi.shape[0]:
-            raise UsageError(
-                f"site {i} beyond operator size {measure.weighted_chi.shape[0]}")
-        return SpectralMeasure(jacobi=j_op, points=measure.points,
-                               masses=measure.weighted_chi[i] ** 2)
-    x, _ = measure.nodes_and_weights()
-    mant, expo = chi_table_scaled(j_op, i, x)
-    chi2 = np.ldexp(mant[i] ** 2, (2 * expo[i]).astype(np.int32, copy=False))
+    _, coeff = _chi_product_coefficients(measure, i, i)
     n_atoms = len(measure.points)
-    new_masses = measure.masses * chi2[:n_atoms]
-    if measure.quad_points is None:
-        return SpectralMeasure(jacobi=j_op, points=measure.points, masses=new_masses)
     return SpectralMeasure(
-        jacobi=j_op,
-        points=measure.points,
-        masses=new_masses,
-        interval=measure.interval,
+        jacobi=own, points=measure.points, masses=coeff[:n_atoms],
         quad_points=measure.quad_points,
-        quad_weights=measure.quad_weights * chi2[n_atoms:],
-    )
+        quad_weights=None if measure.quad_points is None else coeff[n_atoms:])
 
 
 def _lattice_fit(points: np.ndarray, tol: float):
@@ -162,9 +154,7 @@ def _lattice_fit(points: np.ndarray, tol: float):
     return delta, residual, info
 
 
-def detect_lattice(points, tol: float = 1e-9, masses=None,
-                   continuous_mass: float = 0.0,
-                   mass_floor: float = MASS_FLOOR) -> ReturnVerdict:
+def detect_lattice(points, tol: float = 1e-9, masses=None) -> ReturnVerdict:
     """Classify a discrete spectrum by lattice structure.
 
     If every gap to the smallest point is an integer multiple of a
@@ -172,8 +162,8 @@ def detect_lattice(points, tol: float = 1e-9, masses=None,
     spread), the measure is a lattice distribution: Perfect return with
     t0 = 2*pi/delta (largest consistent delta, hence smallest t0) and
     offset xi = x_min mod delta.  Otherwise the spectrum is pure point
-    but incommensurate: AlmostPerfect.  Continuous mass above
-    ``mass_floor`` forces NoReturn.
+    but incommensurate: AlmostPerfect.  Continuous mass is not its
+    concern: :func:`classify_return` rules on it first.
 
     Commensurability is decided by continued-fraction rationalization of
     gap ratios with denominator cap 1e6; the caps and the residual make
@@ -184,7 +174,7 @@ def detect_lattice(points, tol: float = 1e-9, masses=None,
     five points up, where a false fit would need several large
     denominators with a small common multiple.
 
-    Atoms with mass below ``mass_floor`` are ignored as truncation noise
+    Atoms with mass at or below MASS_FLOOR are ignored as truncation noise
     when ``masses`` is given; their total is reported in evidence.
 
     Exactly two surviving points always fit a lattice trivially; that
@@ -199,12 +189,10 @@ def detect_lattice(points, tol: float = 1e-9, masses=None,
         if masses.shape != points.shape:
             raise UsageError("masses and points differ in length")
         masses = masses[order]
-        keep = masses > mass_floor
+        keep = masses > MASS_FLOOR
         ignored = float(masses[~keep].sum())
         points = points[keep]
-    evidence: dict = {"ignored_mass": ignored, "continuous_mass": continuous_mass}
-    if continuous_mass > mass_floor:
-        return ReturnVerdict(kind="NoReturn", evidence=evidence)
+    evidence: dict = {"ignored_mass": ignored, "continuous_mass": 0.0}
     if len(points) < 2:
         raise UsageError(f"lattice detection needs >= 2 spectrum points, got {len(points)}")
     delta, residual, info = _lattice_fit(points, tol)

@@ -10,9 +10,9 @@ and a probability measure under which they are orthonormal.  For a
 finite operator that measure is discrete: the points are the eigenvalues
 and the mass at each point is the squared first component of the
 normalized eigenvector (the Golub-Welsch construction).  A continuous
-part is represented by its support interval and a Gauss quadrature rule
-whose weights already include the density, so every downstream consumer
-can treat "nodes and weights" uniformly.  The polynomials themselves are
+part is represented by a Gauss quadrature rule whose weights already
+include the density, so every downstream consumer can treat "nodes and
+weights" uniformly.  The polynomials themselves are
 evaluated as whole tables chi_0..chi_n at a set of nodes.
 """
 
@@ -51,8 +51,6 @@ class SpectralMeasure:
         Equal consecutive points are allowed: an operator can have
         eigenvalues that coincide in floating point, each with its own
         eigenvector column.
-    interval : (float, float) or None
-        Support of the continuous part.
     quad_points, quad_weights : ndarray or None
         Quadrature rule representing the continuous part, given together
         or not at all; the weights already include the density, so sums
@@ -69,7 +67,6 @@ class SpectralMeasure:
     jacobi: JacobiOperator
     points: np.ndarray
     masses: np.ndarray
-    interval: tuple[float, float] | None = None
     quad_points: np.ndarray | None = None
     quad_weights: np.ndarray | None = None
     weighted_chi: np.ndarray | None = None
@@ -116,11 +113,10 @@ class SpectralMeasure:
                    masses=np.asarray(masses, dtype=float)[order])
 
     @classmethod
-    def continuous(cls, interval, quad_points, quad_weights,
+    def continuous(cls, quad_points, quad_weights,
                    jacobi: JacobiOperator) -> "SpectralMeasure":
         return cls(jacobi=jacobi,
                    points=np.empty(0), masses=np.empty(0),
-                   interval=(float(interval[0]), float(interval[1])),
                    quad_points=quad_points, quad_weights=quad_weights)
 
     @property
@@ -130,16 +126,12 @@ class SpectralMeasure:
         return "continuous" if len(self.points) == 0 else "mixed"
 
     @property
-    def discrete_mass(self) -> float:
-        return float(self.masses.sum()) if len(self.masses) else 0.0
-
-    @property
     def continuous_mass(self) -> float:
         return float(self.quad_weights.sum()) if self.quad_weights is not None else 0.0
 
     @property
     def total_mass(self) -> float:
-        return self.discrete_mass + self.continuous_mass
+        return float(self.masses.sum()) + self.continuous_mass
 
     def nodes_and_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """All evaluation nodes with their masses/quadrature weights, in a
@@ -168,9 +160,6 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     """
     b = np.asarray(j_op.b, dtype=float)
     e = np.asarray(j_op.j, dtype=float)
-    if len(b) == 1:
-        return SpectralMeasure(jacobi=j_op, points=b.copy(), masses=np.ones(1),
-                               weighted_chi=np.ones((1, 1)))
     try:
         vals, vecs = scipy.linalg.eigh_tridiagonal(b, e)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:

@@ -209,6 +209,42 @@ def test_exit_2_for_malformed_spec_json(capsys):
     assert "--spec" in err
 
 
+@pytest.mark.parametrize("spec, field", [
+    ('{"family": "meixner", "beta": "abc", "c": 0.5}', "'beta' is 'abc'"),
+    ('{"family": "meixner", "beta": null, "c": 0.5}', "'beta' is None"),
+    ('{"family": "meixner", "beta": true, "c": 0.5}', "'beta' is True"),
+    ('{"family": "custom", "lambdas": "ab", "mus": [0.0, 1.0]}', "'lambdas' is 'ab'"),
+    ('{"family": "custom", "lambdas": [1.0], "mus": [0.0, "1"]}', "'mus'"),
+    ('{"family": "uniform", "quad_order": "x"}', "'quad_order' is 'x'"),
+    ('{"family": "pst-demo", "n": [3]}', "'n' is [3]"),
+    ('{"family": "pst-demo", "n": 2.7}', "'n' is 2.7"),
+    ('{"family": "sc-d", "k": 0.5, "s_max": NaN}', "'s_max' is nan"),
+])
+def test_exit_2_for_spec_field_of_wrong_type(tmp_path, capsys, spec, field):
+    code, _, err = run(capsys, "simulate", "--spec", spec, "--output", str(tmp_path))
+    assert code == 2
+    assert f"field {field}" in err and "expected" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--lambdas", "--mus"])
+def test_exit_2_for_malformed_rate_flag_json(capsys, flag):
+    rates = {"--lambdas": "[1.0]", "--mus": "[0.0, 2.0]"} | {flag: "[1,"}
+    code, _, err = run(capsys, "simulate", "--family", "custom",
+                       "--lambdas", rates["--lambdas"], "--mus", rates["--mus"])
+    assert code == 2
+    assert f"{flag} is not valid JSON" in err
+
+
+@pytest.mark.parametrize("tmax, message", [("nan", "must be finite"),
+                                           ("-1", "below tmin")])
+def test_exit_2_for_bad_verify_grid(capsys, tmax, message):
+    code, _, err = run(capsys, "verify", "--family", "pst-demo", "--n", "4",
+                       "--tmax", tmax)
+    assert code == 2
+    assert "'tmax'" in err and message in err
+
+
 def test_return_meixner_verdict(capsys):
     code, out, _ = run(capsys, "return", "--family", "meixner",
                        "--beta", "1.0", "--c", "0.25")

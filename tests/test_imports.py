@@ -1,11 +1,15 @@
 """No module of the package or of the tests imports a name it never
-uses, and no private helper of the package is left unreferenced.
+uses, and no private helper or method of the package is left
+unreferenced.
 
 A stdlib-only stand-in for a linter's unused-import and dead-code
 rules: each file is parsed with ``ast``. Every name bound by a
 module-level import must be referenced somewhere in the file or listed
 in its ``__all__``. Every module-level private function, class and
-constant of the package must be read somewhere in the package.
+constant of the package must be read somewhere in the package. Every
+method and property of a package class, dunders aside, must be read as
+an attribute by the package, a demo, the bench or the acceptance suite:
+one that only unit tests call is API no user path needs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "spectral_walk").glob("*.py"))
+USERS = sorted([*PACKAGE, *(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py"),
+                ROOT / "tests" / "test_acceptance.py"])
 FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
@@ -98,3 +104,44 @@ def test_dead_helper_checker_flags_unread_private_names():
 
 def test_no_unreferenced_private_helpers_in_package():
     assert unreferenced_private_names([path.read_text() for path in PACKAGE]) == []
+
+
+def unread_methods(defining: list[str], reading: list[str]) -> list[str]:
+    """``Class.method`` for each method or property defined on a class of
+    the ``defining`` sources, dunders aside, whose name no ``reading``
+    source reads as an attribute."""
+    defined = []
+    for tree in map(ast.parse, defining):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defined += [(cls.name, node.name) for node in cls.body
+                            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    read = {node.attr for tree in map(ast.parse, reading)
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{cls}.{name}" for cls, name in defined if name not in read]
+
+
+def test_unread_method_checker_flags_methods_no_user_reads():
+    package = (
+        "class Rates:\n"
+        "    def __post_init__(self):\n"
+        "        self._check()\n"
+        "    def _check(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def lambda_at(self, i):\n"
+        "        return 0.0\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls()\n"
+    )
+    user = "rates = Rates.build()\nprint(rates.size)\n"
+    assert unread_methods([package], [package, user]) == ["Rates.lambda_at"]
+
+
+def test_no_package_method_only_unit_tests_read():
+    assert unread_methods([path.read_text() for path in PACKAGE],
+                          [path.read_text() for path in USERS]) == []

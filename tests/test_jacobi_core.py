@@ -48,13 +48,13 @@ def _row_sums(gen):
 def test_from_arrays_implicit_trailing_zero():
     rates = BirthDeathRates.from_arrays([1.0, 2.0], [0.0, 3.0, 4.0])
     assert rates.n_sites == 3
-    assert rates.lambda_at(2) == 0.0
-    assert rates.mu_at(2) == 4.0
+    assert rates.lam(2) == 0.0
+    assert rates.mu(2) == 4.0
 
 
 def test_from_arrays_explicit_trailing_zero():
     rates = BirthDeathRates.from_arrays([1.0, 2.0, 0.0], [0.0, 3.0, 4.0])
-    assert rates.lambda_at(2) == 0.0
+    assert rates.lam(2) == 0.0
 
 
 def test_from_arrays_rejects_nonzero_last_lambda():
@@ -182,7 +182,7 @@ def test_pi_ratio_recurrence_is_exact(rng):
     pi = pi_coefficients(rates, 11)
     for i in range(11):
         lhs = pi.value(i + 1) / pi.value(i)
-        rhs = rates.lambda_at(i) / rates.mu_at(i + 1)
+        rhs = rates.lam(i) / rates.mu(i + 1)
         assert lhs == pytest.approx(rhs, rel=1e-14)
     assert pi.value(0) == 1.0
 
@@ -190,7 +190,7 @@ def test_pi_ratio_recurrence_is_exact(rng):
 def test_pi_log_values_equal_scalar_loop(rng):
     # one division per site, then one cumsum of the logs
     rates = random_rates(rng, sites=40)
-    ratios = np.array([rates.lambda_at(i) / rates.mu_at(i + 1) for i in range(39)])
+    ratios = np.array([rates.lam(i) / rates.mu(i + 1) for i in range(39)])
     expected = np.concatenate([[0.0], np.cumsum(np.log(ratios))])
     assert pi_coefficients(rates).log_values.tobytes() == expected.tobytes()
     assert pi_coefficients(rates, 0).log_values.tobytes() == np.zeros(1).tobytes()

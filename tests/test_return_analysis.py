@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spectral_walk import (
+    BirthDeathRates,
     JacobiOperator,
     ReturnVerdict,
     UsageError,
@@ -19,9 +20,11 @@ from spectral_walk import (
     modified_measure,
     quantum_amplitude,
     return_probability_scan,
+    stieltjes_carlitz_chain,
     symmetrize,
     uniform_chain,
 )
+from spectral_walk.dynamics import _chi_product_coefficients
 
 from conftest import random_rates
 
@@ -104,6 +107,53 @@ def test_modified_measure_on_family_measure_uses_recurrence():
     assert abs(m1.total_mass - 1.0) < 1e-11
 
 
+@pytest.fixture(scope="module")
+def measures():
+    """An eigendecomposed measure, two closed-form discrete ones and a
+    quadrature one, each with its operator."""
+    j_op = symmetrize(BirthDeathRates.from_arrays([1.0, 0.5, 2.0], [0.0, 2.0, 1.0, 0.7]))
+    _, meixner_op, meixner = meixner_chain(beta=1.3, c=0.9)
+    return {"eigen": (j_op, eigendecompose(j_op)), "meixner": (meixner_op, meixner),
+            "sc-d": stieltjes_carlitz_chain("D", 0.8), "uniform": uniform_chain(quad_order=64)}
+
+
+@pytest.mark.parametrize("case", ["eigen", "meixner", "sc-d", "uniform"])
+def test_modified_measure_rejects_negative_site(measures, case):
+    j_op, measure = measures[case]
+    with pytest.raises(UsageError, match="nonnegative"):
+        modified_measure(measure, j_op, -1)
+
+
+@pytest.mark.parametrize("case", ["eigen", "meixner", "sc-d", "uniform"])
+def test_modified_measure_rejects_site_beyond_operator(measures, case):
+    j_op, measure = measures[case]
+    with pytest.raises(UsageError, match=f"beyond operator size {j_op.size}"):
+        modified_measure(measure, j_op, j_op.size)
+
+
+def test_modified_measure_rejects_foreign_operator():
+    _, _, meixner = meixner_chain(beta=1.0, c=0.25)
+    foreign, _ = uniform_chain(n=meixner.jacobi.size - 1)
+    for i in (0, 2):
+        with pytest.raises(UsageError, match="operator"):
+            modified_measure(meixner, foreign, i)
+    # an equal operator built separately is the measure's operator
+    twin = JacobiOperator(b=meixner.jacobi.b.copy(), j=meixner.jacobi.j.copy())
+    assert modified_measure(meixner, twin, 0) is meixner
+
+
+@pytest.mark.parametrize("case", ["meixner", "sc-d", "uniform"])
+def test_modified_masses_are_the_diagonal_amplitude_coefficients(measures, case):
+    # one chi-product table for f_ii and for the site-i measure
+    j_op, measure = measures[case]
+    for i in (1, 3, 7):
+        m_i = modified_measure(measure, j_op, i)
+        _, coeff = _chi_product_coefficients(measure, i, i)
+        masses = m_i.nodes_and_weights()[1]
+        assert masses.tobytes() == coeff.tobytes()
+        assert np.array_equal(m_i.nodes_and_weights()[0], measure.nodes_and_weights()[0])
+
+
 # -- lattice detection -----------------------------------------------------------
 
 def test_exact_lattice_detected():
@@ -153,11 +203,6 @@ def test_masses_follow_their_points_when_unsorted():
     assert verdict.evidence["ignored_mass"] == 1e-20
     order = np.argsort(pts)
     assert detect_lattice(np.array(pts)[order], masses=np.array(masses)[order]).t0 == verdict.t0
-
-
-def test_continuous_mass_forces_no_return():
-    verdict = detect_lattice(np.array([0.0, 1.0]), continuous_mass=0.5)
-    assert verdict.kind == "NoReturn"
 
 
 def test_single_point_rejected():

@@ -107,14 +107,13 @@ class TestSpectralMeasure:
         j_op = JacobiOperator(b=np.zeros(3), j=np.array([1.0, 1.0]))
         m = SpectralMeasure(jacobi=j_op,
                             points=np.array([0.5]), masses=np.array([0.5]),
-                            interval=(0.0, 1.0),
                             quad_points=np.array([0.25, 0.75]),
                             quad_weights=np.array([0.25, 0.25]))
         x, w = m.nodes_and_weights()
         assert list(x) == [0.5, 0.25, 0.75]
         assert m.kind == "mixed"
-        assert m.discrete_mass == 0.5
         assert m.continuous_mass == pytest.approx(0.5)
+        assert m.total_mass == pytest.approx(1.0)
 
     @pytest.mark.parametrize("points, weights, message", [
         (np.array([0.25, 0.5, 0.75]), np.array([1.0]), "3 quadrature points but 1"),
@@ -125,7 +124,7 @@ class TestSpectralMeasure:
         j_op = JacobiOperator(b=np.zeros(3), j=np.array([1.0, 1.0]))
         with pytest.raises(UsageError, match=message):
             SpectralMeasure(jacobi=j_op, points=np.empty(0), masses=np.empty(0),
-                            interval=(0.0, 1.0), quad_points=points, quad_weights=weights)
+                            quad_points=points, quad_weights=weights)
 
 
 # -- polynomial evaluation -----------------------------------------------------
@@ -186,7 +185,8 @@ def test_chi_table_rows_match_single_evaluations(rng):
     for i in range(7):
         assert table[i] == pytest.approx(list(curr))
         if i < 6:
-            prev, curr = curr, ((x - j_op.b[i]) * curr - j_op.coupling(i) * prev) / j_op.j[i]
+            coupling = j_op.j[i - 1] if i else 0.0
+            prev, curr = curr, ((x - j_op.b[i]) * curr - coupling * prev) / j_op.j[i]
 
 
 def test_chi_table_scaled_shapes(rng):
@@ -215,7 +215,7 @@ def test_Q_relation_to_chi(rng):
     for i in range(7):
         expected = (-1.0) ** i * chi_table(j_op, i, x)[i] / np.sqrt(pi.value(i))
         assert q == pytest.approx(list(expected), abs=1e-11)
-        lam, mu = rates.lambda_at(i), rates.mu_at(i)
+        lam, mu = rates.lam(i), rates.mu(i)
         q_prev, q = q, ((lam + mu - x) * q - mu * q_prev) / lam
 
 
