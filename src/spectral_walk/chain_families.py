@@ -55,6 +55,8 @@ __all__ = [
 FAMILY_NAMES = ("custom", "meixner", "sc-c", "sc-d", "uniform", "pst-demo")
 
 _MEIXNER_SITE_CAP = 100_000
+# largest count (n, s_max, quad_order) a spec may give; a 4096-site table is 128 MB
+_SPEC_COUNT_CAP = 4096
 _SC_S_CAP = 10_000
 _SC_MIN_HALF_SUPPORT = 12
 
@@ -117,8 +119,8 @@ def meixner_chain(beta: float, c: float, n: int | None = None
     semi-infinite operator (absorbing-tail convention), sized to the
     measure support.
     """
-    if not beta > 0:
-        raise DomainError(f"beta = {beta} must be positive")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta = {beta} is not positive and finite")
     if not 0.0 < c < 1.0:
         raise DomainError(f"c = {c} outside (0, 1)")
     rates = BirthDeathRates(lam=lambda i: c * (i + beta) / (1.0 - c),
@@ -369,9 +371,9 @@ def family_schemas() -> dict:
 
 def _field(spec: dict, family: str, key: str, default=None):
     """Field ``key`` of a spec as the type its schema names: "float" and
-    "int" take a number (not a bool; an int must be integral, so 12.0 is
-    12), "list[float]" a list of numbers.  An optional field that is
-    absent or null gives ``default``; every refusal names the field."""
+    "int" take a number (not a bool; an int is integral, 12.0 is 12, and
+    at most _SPEC_COUNT_CAP), "list[float]" a list of numbers.  A null or
+    absent optional field gives ``default``; every refusal names the field."""
     meta = family_schemas()[family]["params"][key]
     if spec.get(key) is None and not meta["required"]:
         return default
@@ -382,6 +384,8 @@ def _field(spec: dict, family: str, key: str, default=None):
     items = value if is_list else [value]
     if is_list == (kind == "list[float]") and all(
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+        if kind == "int" and value > _SPEC_COUNT_CAP:
+            raise UsageError(f"field '{key}' is {value!r}, above the cap {_SPEC_COUNT_CAP}")
         with contextlib.suppress(OverflowError):  # an int beyond the double range
             floats = [float(v) for v in items]
             if kind != "int":
@@ -395,8 +399,9 @@ def build_from_spec(spec: dict) -> FamilyBuild:
     """Construct a chain from a JSON-style spec dict.
 
     The spec must carry "family" plus the parameters listed by
-    :func:`family_schemas`, each of the type listed there; errors name
-    the offending field.
+    :func:`family_schemas`, each of the type listed there; a count (n,
+    s_max, quad_order) may not exceed 4096.  Errors name the offending
+    field.
     """
     if not isinstance(spec, dict):
         raise UsageError("chain spec must be a JSON object")

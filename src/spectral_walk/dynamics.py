@@ -21,15 +21,16 @@ taken in fixed blocks of times that all targets share.  By
 Cauchy-Schwarz |c_s| <= 1 for a normalized measure, so the scaled
 polynomial recurrence can recombine products without overflow.
 
-Per-entry calls are evaluated by whole rows where a row fits one
-kernel block.  When n S T <= 2**14 for n sites, S nodes and T times,
-:func:`classical_transition` and :func:`quantum_amplitude` compute the
-whole row i and remember the last row of each kind (classical, quantum)
-through a weak reference to the measure, so a sweep over j costs one
-kernel pass and no measure is kept alive; a larger entry is evaluated
-alone and nothing is kept.  A value depends neither on the rest of the
-grid, nor on the other targets of its row, nor on the order of calls:
-it is the double a call for that entry alone gives.
+Per-entry calls are served from finished stacks of whole rows.  When
+n S T <= 2**14 for n sites, S nodes and T times, a call evaluates the
+rows of k = floor(2**14 / (n S T)) sources around i in one kernel pass
+and remembers the last stack of each kind (classical stacks with their
+sign and pi prefactor applied) through a weak reference to the
+measure, so a sweep over (i, j) costs one pass per stack and no measure
+is kept alive; a larger entry is evaluated alone and nothing is kept.
+A value depends neither on the rest of the grid, nor on the other
+entries of its stack, nor on the order of calls: it is the double a
+call for that entry alone gives.
 
 The measure and the potential coefficients pi belong to the chain, not
 to the entry (i, j): :func:`classical_transition` checks that a measure
@@ -41,6 +42,7 @@ is kept alive.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
@@ -48,7 +50,7 @@ import numpy as np
 import scipy.linalg
 
 from .jacobi_core import (BirthDeathRates, GeneratorMatrix, JacobiOperator, PiCoefficients,
-                          pi_coefficients, symmetrize)
+                          _gather, _pi_of, symmetrize)
 from .errors import DomainError, NumericError, UsageError
 from .spectral import SpectralMeasure, chi_table_scaled
 
@@ -60,6 +62,8 @@ __all__ = [
     "oracle_expm",
     "series_csv",
     "series_filename",
+    # re-exported: the benchmark's tracer test wraps this module's binding
+    "symmetrize",
 ]
 
 _ORACLE_SIZE_CAP = 512
@@ -71,10 +75,9 @@ _BLOCK_TERMS = 2 ** 14
 # one tuple, read and replaced whole, so concurrent callers never pair one
 # chain's objects with another chain's pi
 _last_bound = None
-# z -> (weakref to measure, (i, times.shape, times.tobytes()), rows) of the
-# last whole row _entry evaluated for that kind; each value is read and
-# replaced whole, as _last_bound is
-_last_row = {}
+# z -> (weakref to measure, pi or None, sources, times key, stack) of the last
+# stack _entry kept for that kind; read and replaced whole, as _last_bound is
+_last_stack = {}
 
 
 @dataclass(frozen=True)
@@ -130,19 +133,20 @@ class AmplitudeSeries:
             raise UsageError("times and values differ in shape")
 
 
-def _check_sites(measure: SpectralMeasure, i: int, low: int, high: int) -> None:
-    """Source i and targets low..high must be sites of the measure's operator."""
-    if i < 0 or low < 0:
-        raise UsageError(f"site indices ({i}, {low}) must be nonnegative")
+def _check_sites(measure: SpectralMeasure, low: int, high: int) -> None:
+    """Sites low..high must be sites of the measure's operator."""
+    if low < 0:
+        raise UsageError(f"site index {low} must be nonnegative")
     size = measure.jacobi.size
-    if i >= size or high >= size:
-        raise UsageError(f"site indices ({i}, {high}) beyond operator size {size}")
+    if high >= size:
+        raise UsageError(f"site index {high} beyond operator size {size}")
 
 
-def _chi_product_coefficients(measure: SpectralMeasure, i: int, js) -> tuple[np.ndarray, np.ndarray]:
+def _chi_product_coefficients(measure: SpectralMeasure, i, js) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s): shape
-    (S,) for one target j, (len(js), S) for a sequence of targets, each
-    row the same double either way.
+    (S,) for one target j, (len(js), S) for a sequence of targets and
+    (len(i), len(js), S) for a range i of sources, each row the same
+    double either way.
 
     Eigendecomposed measures carry the orthonormal table W, and there
     c_s = W[i, s] W[j, s]; this keeps the sum-rule identities (rows of
@@ -155,14 +159,16 @@ def _chi_product_coefficients(measure: SpectralMeasure, i: int, js) -> tuple[np.
         # a list indexes rows, where a tuple would index axes
         js = [int(j) for j in js]
         low, high = min(js), max(js)
-    _check_sites(measure, i, low, high)
+    first, last, src = ((i.start, i.stop - 1, np.s_[i.start:i.stop, None])
+                        if isinstance(i, range) else (i, i, i))
+    _check_sites(measure, min(first, low), max(last, high))
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
-        return measure.points, table[i] * table[js]
+        return measure.points, table[src] * table[js]
     x, w = measure.nodes_and_weights()
-    mant, expo = chi_table_scaled(measure.jacobi, max(i, high), x)
-    coeff = np.ldexp(w * mant[i] * mant[js],
-                     (expo[i] + expo[js]).astype(np.int32, copy=False))
+    mant, expo = chi_table_scaled(measure.jacobi, max(last, high), x)
+    coeff = np.ldexp(w * mant[src] * mant[js],
+                     (expo[src] + expo[js]).astype(np.int32, copy=False))
     return x, coeff
 
 
@@ -212,61 +218,67 @@ def _amplitudes(measure: SpectralMeasure, i: int, js, times) -> np.ndarray:
     return _spectral_sum(x, coeff, times, -1j)
 
 
-def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray, z) -> np.ndarray:
+def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray, z,
+           pi: PiCoefficients | None = None) -> np.ndarray:
     """sum_s c_s e^{z x_s t} for the entry (i, j) over times (a float
-    array).
+    array); with pi, the classical P_ij, prefactor applied and t >= 0
+    checked.
 
-    When the whole row i fits one kernel block (n S T <= _BLOCK_TERMS
-    for n sites, S nodes and T times) it is evaluated and kept as the
-    last row of its z, keyed by a weak reference to the measure and by
-    (i, times), so the next target of a sweep over j is read off it.  A
-    larger entry is evaluated alone and nothing is kept.  Rows of a
-    stack are the doubles single targets give, so the value does not
-    depend on the path, nor on the order of calls; the caller gets an
-    array of its own.
+    When a whole row fits one kernel block (n S T <= _BLOCK_TERMS for n
+    sites, S nodes and T times), the rows of the aligned sources
+    [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are evaluated
+    in one kernel pass, finished with pi and kept as the last stack of
+    their z, keyed by a weak reference to the measure, pi by identity,
+    the sources and times.  A larger entry is evaluated alone and
+    nothing is kept.  Entries of a stack are the doubles single entries
+    give, so the value depends neither on the path nor on the order of
+    calls; the caller gets an array of its own.
     """
-    _check_sites(measure, i, j, j)
-    key = (i, times.shape, times.tobytes())
-    last = _last_row.get(z)
-    if last is not None and last[0]() is measure and last[1] == key:
-        return last[2][j, ...].copy()
     size = measure.jacobi.size
-    if size * measure.nodes_and_weights()[0].size * times.size > _BLOCK_TERMS:
+    key = (times.shape, times.tobytes())
+    last = _last_stack.get(z)
+    if (last is not None and last[0]() is measure and last[1] is pi and i in last[2]
+            and 0 <= j < size and last[3] == key):
+        return last[4][i - last[2].start, j, ...].copy()
+    _check_sites(measure, min(i, j), max(i, j))
+    if pi is not None and (times < 0).any():
+        raise UsageError("classical evolution needs t >= 0")
+    per_row = size * measure.nodes_and_weights()[0].size * times.size
+    if per_row > _BLOCK_TERMS:
         x, coeff = _chi_product_coefficients(measure, i, j)
-        return _spectral_sum(x, coeff, times, z)
-    x, coeff = _chi_product_coefficients(measure, i, range(size))
-    rows = _spectral_sum(x, coeff, times, z)
-    _last_row[z] = (weakref.ref(measure), key, rows)
-    return rows[j, ...].copy()
+        values = _spectral_sum(x, coeff, times, z)
+        if pi is None:
+            return values
+        return ((-1.0) ** ((i + j) % 2)) * pi.sqrt_ratio(j, i) * values
+    k = _BLOCK_TERMS // max(per_row, 1)
+    sources = range(i - i % k, min(i - i % k + k, size))
+    x, coeff = _chi_product_coefficients(measure, sources, range(size))
+    stack = _spectral_sum(x, coeff, times, z)
+    if pi is not None:
+        stack *= _prefactors(pi, sources).reshape(len(sources), size, *[1] * times.ndim)
+    _last_stack[z] = (weakref.ref(measure), pi, sources, key, stack)
+    return stack[i - sources.start, j, ...].copy()
 
 
-def _check_provenance(measure: SpectralMeasure, rates: BirthDeathRates) -> None:
-    """The measure must come from the symmetrization of these rates
-    (either boundary convention), else the pi-prefactor formula is
-    silently wrong; reject early instead."""
-    j_op = measure.jacobi
-    n = j_op.size - 1
-    try:
-        candidates = [symmetrize(rates, n, boundary=bnd)
-                      for bnd in ("reflecting", "absorbing-tail")]
-    except (UsageError, DomainError) as exc:
-        raise UsageError(
-            f"rates do not extend to the measure's {n + 1}-site operator: {exc}") from exc
-    scale = max(1.0, float(np.max(np.abs(j_op.b))))
-    for cand in candidates:
-        if (np.allclose(cand.b, j_op.b, rtol=1e-12, atol=1e-13 * scale)
-                and np.allclose(cand.j, j_op.j, rtol=1e-12, atol=1e-13 * scale)):
-            return
-    raise UsageError(
-        "measure was not built from these rates: symmetrized operator "
-        "disagrees beyond roundoff (provenance mismatch)"
-    )
+def _prefactors(pi: PiCoefficients, sources: range) -> np.ndarray:
+    """(-1)^(i+j) sqrt(pi_j / pi_i) for the sources i (rows) and every
+    target j (columns), in one vector operation: each is the double
+    ``(-1.0) ** ((i + j) % 2) * pi.sqrt_ratio(j, i)`` gives."""
+    log_pi, rows = pi.log_values, np.arange(sources.start, sources.stop)[:, None]
+    ratio = np.exp(0.5 * (log_pi - log_pi[rows]))
+    ratio[(rows + np.arange(log_pi.size)) % 2 == 1] *= -1.0
+    return ratio
 
 
 def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> PiCoefficients:
     """pi_0..pi_n of the rates over the measure's n + 1 sites, after
     checking once per (measure, rates) pair that the measure came from
-    the rates.
+    the symmetrization of the rates (either boundary convention), else
+    the pi-prefactor formula is silently wrong.
+
+    The rates are read once per pair: both candidate operators and pi
+    come from one absorbing-tail gather, since the reflecting operator
+    differs only in b[n], mu_n in place of lambda_n + mu_n.
 
     A repeated pair is recognized by identity (both objects are frozen),
     through weak references: a strong one would keep a big measure and
@@ -279,8 +291,22 @@ def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> PiCoefficients:
         measure_ref, rates_ref, pi = _last_bound
         if measure_ref() is measure and rates_ref() is rates:
             return pi
-    _check_provenance(measure, rates)
-    pi = pi_coefficients(rates, measure.jacobi.size - 1)
+    j_op = measure.jacobi
+    n = j_op.size - 1
+    try:
+        lam, mu = _gather(rates, rates.truncation_order(n), "absorbing-tail")
+    except (UsageError, DomainError) as exc:
+        raise UsageError(
+            f"rates do not extend to the measure's {n + 1}-site operator: {exc}") from exc
+    b, coupling = lam + mu, np.sqrt(lam[:-1] * mu[1:])
+    scale = max(1.0, float(np.max(np.abs(j_op.b))))
+    close = functools.partial(np.allclose, rtol=1e-12, atol=1e-13 * scale)
+    if not (close(coupling, j_op.j) and (close(np.r_[b[:-1], mu[n]], j_op.b) or close(b, j_op.b))):
+        raise UsageError(
+            "measure was not built from these rates: symmetrized operator "
+            "disagrees beyond roundoff (provenance mismatch)"
+        )
+    pi = _pi_of(lam, mu)
     _last_bound = (weakref.ref(measure), weakref.ref(rates), pi)
     return pi
 
@@ -304,12 +330,8 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
         Nonnegative time grid.
     """
     times_arr = np.asarray(times, dtype=float)
-    if (times_arr < 0).any():
-        raise UsageError("classical evolution needs t >= 0")
-    pi = _bind(measure, rates)
-    vals = _entry(measure, i, j, times_arr, -1.0)
-    prefactor = ((-1.0) ** ((i + j) % 2)) * pi.sqrt_ratio(j, i)
-    return ProbabilitySeries(i=i, j=j, times=times_arr, values=prefactor * vals)
+    values = _entry(measure, i, j, times_arr, -1.0, _bind(measure, rates))
+    return ProbabilitySeries(i=i, j=j, times=times_arr, values=values)
 
 
 def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> AmplitudeSeries:

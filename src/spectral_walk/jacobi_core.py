@@ -274,9 +274,12 @@ def pi_coefficients(rates: BirthDeathRates, n: int | None = None) -> PiCoefficie
     accumulated in log space so the object stays usable far beyond the
     range where the raw products overflow.
     """
-    n = rates.truncation_order(n)
-    lam, mu = _gather(rates, n, "absorbing-tail")
-    log_vals = np.zeros(n + 1)
+    return _pi_of(*_gather(rates, rates.truncation_order(n), "absorbing-tail"))
+
+
+def _pi_of(lam: np.ndarray, mu: np.ndarray) -> PiCoefficients:
+    """pi_0..pi_n from the validated rate arrays of sites 0..n."""
+    log_vals = np.zeros(lam.size)
     log_vals[1:] = np.cumsum(np.log(lam[:-1] / mu[1:]))
     return PiCoefficients(log_values=log_vals)
 

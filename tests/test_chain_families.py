@@ -132,8 +132,8 @@ def reference_meixner(beta, c, n=None, tail_tol=1e-12):
     bound is below tail_tol (or to n + 1 sites), then, without n,
     extended by their own length until the chi_i^2 tail of sites
     i <= 10 is below 1e-10."""
-    if not beta > 0:
-        raise DomainError(f"beta = {beta} must be positive")
+    if not 0 < beta < math.inf:
+        raise DomainError(f"beta = {beta} is not positive and finite")
     if not 0.0 < c < 1.0:
         raise DomainError(f"c = {c} outside (0, 1)")
     rates = BirthDeathRates(lam=lambda i: c * (i + beta) / (1.0 - c),
@@ -258,7 +258,7 @@ def test_sc_explicit_s_max_equals_reference(variant, k, s_max):
 
 @pytest.mark.parametrize("args", [(0.0, 0.5), (-1.0, 0.5), (math.nan, 0.5), (1.0, 0.0),
                                   (1.0, 1.0), (1.0, -0.5), (1.0, math.nan), (-1.0, 2.0),
-                                  (1.0, 0.25, 3), (2.5, 0.99, 100)])
+                                  (1.0, 0.25, 3), (2.5, 0.99, 100), (math.inf, 0.5)])
 def test_meixner_errors_equal_reference(args):
     expected = outcome(reference_meixner, *args)
     assert expected is not None

@@ -227,6 +227,29 @@ def test_exit_2_for_spec_field_of_wrong_type(tmp_path, capsys, spec, field):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--spec", '{"family": "pst-demo", "n": 100000}'], "'n' is 100000"),
+    (["--spec", '{"family": "uniform", "n": 1e308}'], "'n' is 1e+308"),
+    (["--spec", '{"family": "uniform", "quad_order": Infinity}'], "'quad_order' is inf"),
+    (["--spec", '{"family": "sc-d", "k": 0.5, "s_max": 4097}'], "'s_max' is 4097"),
+    (["--family", "meixner", "--beta", "1", "--c", "0.5", "--n", "10000"], "'n' is 10000"),
+])
+def test_exit_2_for_spec_count_above_cap(tmp_path, capsys, argv, field):
+    # refused before any table is allocated: the first spec would ask for
+    # a 74.5 GiB eigenvector table, the second for more than numpy allows
+    code, _, err = run(capsys, "return", *argv, "--output", str(tmp_path))
+    assert code == 2
+    assert f"field {field}, above the cap 4096" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_exit_2_for_infinite_meixner_beta(capsys):
+    spec = '{"family": "meixner", "beta": Infinity, "c": 0.5}'
+    code, _, err = run(capsys, "return", "--spec", spec)
+    assert code == 2
+    assert "beta = inf is not positive and finite" in err
+
+
 @pytest.mark.parametrize("flag", ["--lambdas", "--mus"])
 def test_exit_2_for_malformed_rate_flag_json(capsys, flag):
     rates = {"--lambdas": "[1.0]", "--mus": "[0.0, 2.0]"} | {flag: "[1,"}

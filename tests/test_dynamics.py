@@ -27,6 +27,7 @@ from spectral_walk import (
     BirthDeathRates,
     JacobiOperator,
     NumericError,
+    PiCoefficients,
     SpectralMeasure,
     UsageError,
     characteristic,
@@ -157,8 +158,15 @@ def test_absorbing_tail_provenance_accepted():
 
 def test_out_of_range_site_rejected(two_state):
     rates, _, measure = two_state
+    t = np.array([1.0])
     with pytest.raises(UsageError):
-        quantum_amplitude(measure, 0, 5, np.array([1.0]))
+        quantum_amplitude(measure, 0, 5, t)
+    # also when the memo holds the stack of every other part of the key
+    for z in (-1.0, -1j):
+        entry(rates, measure, 0, 0, t, z)
+        for i, j in ((0, 2), (0, -1), (-1, 0), (2, 0)):
+            with pytest.raises(UsageError, match="nonnegative|beyond"):
+                entry(rates, measure, i, j, t, z)
 
 
 def test_probability_guard_catches_sign_corruption():
@@ -351,20 +359,34 @@ def test_bound_pair_still_rejects_other_rates_or_measure(rng, two_state):
 
 def test_full_sweep_checks_provenance_once(rng, monkeypatch):
     calls = []
-    original = spectral_walk.dynamics.symmetrize
+    original = spectral_walk.dynamics._gather
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(spectral_walk.dynamics, "symmetrize", counting)
+    monkeypatch.setattr(spectral_walk.dynamics, "_gather", counting)
     rates = random_rates(rng, sites=8)
     measure = eigendecompose(symmetrize(rates))
     for i in range(8):
         for j in range(8):
             classical_transition(measure, rates, i, j, np.array([0.5, 2.0]))
-    # one operator per boundary convention, for the single check
-    assert len(calls) == 2
+    # one read of the rates serves both boundary conventions and pi
+    assert len(calls) == 1
+
+
+def test_binding_accepts_either_boundary_and_gives_pi_bitwise():
+    semi = BirthDeathRates(lam=lambda i: 1.0 + 0.1 * i, mu=lambda i: float(i))
+    want = pi_coefficients(semi, 9).log_values
+    for boundary in ("reflecting", "absorbing-tail"):
+        measure = eigendecompose(symmetrize(semi, 9, boundary=boundary))
+        assert same_bits(spectral_walk.dynamics._bind(measure, semi).log_values, want)
+    # a last diagonal entry that is neither mu_9 nor lambda_9 + mu_9
+    j_op = symmetrize(semi, 9, boundary="absorbing-tail")
+    b = j_op.b.copy()
+    b[-1] -= 0.5
+    with pytest.raises(UsageError, match="provenance"):
+        classical_transition(eigendecompose(JacobiOperator(b=b, j=j_op.j)), semi, 0, 0, 0.5)
 
 
 def test_binding_keeps_neither_object_alive(rng):
@@ -392,7 +414,7 @@ def test_warm_calls_equal_cold_calls_bitwise(rng):
             assert np.array_equal(warm[i][j], cold), (i, j)
 
 
-# -- per-entry calls evaluated by whole rows -------------------------------------------
+# -- per-entry calls served from stacks of whole rows ----------------------------------
 
 def test_stacked_rows_of_an_f_ordered_table_equal_single_rows(rng):
     # the eigenvector table is Fortran-ordered; numpy reduces a node axis
@@ -432,15 +454,17 @@ def entry_is_direct(rates, measure, i, j, t, z) -> bool:
 
 
 def memo_chains():
-    """Chains evaluated by whole rows (12 sites and 5 times, 20 sites and
-    30 times, a 16-node quadrature rule and 40 times) and entry by entry
-    (300 sites and 30 times, a 64-node quadrature rule and 40 times)."""
+    """Chains served from one stack of all rows (12 sites and 5 times),
+    from stacks of 10 rows (18 sites and 5 times), of one row (20 sites
+    and 30 times), of 6 rows of a quadrature rule (8 nodes and 40 times)
+    and of one row of a 16-node rule (40 times), and chains evaluated
+    entry by entry (300 sites and 30 times, a 64-node rule and 40 times)."""
     gen = np.random.default_rng(7)
     chains = []
-    for sites, steps in ((12, 5), (20, 30), (300, 30)):
+    for sites, steps in ((12, 5), (18, 5), (20, 30), (300, 30)):
         rates = random_rates(gen, sites=sites)
         chains.append((rates, eigendecompose(symmetrize(rates)), np.linspace(0.0, 3.0, steps)))
-    for order in (16, 64):
+    for order in (8, 16, 64):
         chains.append((None, uniform_chain(quad_order=order)[1], np.linspace(0.0, 30.0, 40)))
     return chains
 
@@ -449,11 +473,11 @@ MEMO_CHAINS = memo_chains()
 
 
 @settings(max_examples=60, deadline=None)
-@given(calls=st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.integers(0, 299),
+@given(calls=st.lists(st.tuples(st.integers(0, 6), st.booleans(), st.integers(0, 299),
                                 st.integers(0, 299), st.booleans()),
                       min_size=1, max_size=30))
 def test_entries_equal_direct_evaluation_in_any_call_order(calls):
-    # random (i, j) order, classical and quantum calls interleaved, five
+    # random (i, j) order, classical and quantum calls interleaved, seven
     # measures interleaved, and times passed as the same or as an equal array
     for chain, classical, i, j, fresh in calls:
         rates, measure, t = MEMO_CHAINS[chain]
@@ -461,8 +485,8 @@ def test_entries_equal_direct_evaluation_in_any_call_order(calls):
         i, j = i % measure.jacobi.size, j % measure.jacobi.size
         got = entry(rates, measure, i, j, t.copy() if fresh else t, z)
         assert same_bits(got, direct_entry(rates, measure, i, j, t, z)), (chain, z, i, j)
-    for _, _, rows in spectral_walk.dynamics._last_row.values():
-        assert rows.size <= spectral_walk.dynamics._BLOCK_TERMS
+    for *_, stack in spectral_walk.dynamics._last_stack.values():
+        assert stack.size <= spectral_walk.dynamics._BLOCK_TERMS
 
 
 def test_entries_follow_times_mutated_in_place(rng):
@@ -522,24 +546,41 @@ def test_memo_keeps_no_measure_alive(rng):
     assert measure_ref() is None
 
 
-def test_memo_holds_at_most_one_block_of_values(two_state):
-    rates, _, measure = two_state
-    t = np.linspace(0.0, 10.0, 20001)
-    for z in (-1.0, -1j):
-        assert entry_is_direct(rates, measure, 0, 1, t, z)
-    for _, _, rows in spectral_walk.dynamics._last_row.values():
-        assert rows.size <= spectral_walk.dynamics._BLOCK_TERMS
-
-
-def test_full_sweep_runs_one_kernel_pass_per_row(rng, monkeypatch):
+def counted_kernel(monkeypatch) -> list:
+    """Patch the kernel to record (coefficient shape, kernel terms) per call."""
     calls = []
     original = spectral_walk.dynamics._spectral_sum
 
     def counting(x, coeff, times, z):
-        calls.append(coeff.shape)
+        calls.append((coeff.shape, coeff.size * np.size(times)))
         return original(x, coeff, times, z)
 
     monkeypatch.setattr(spectral_walk.dynamics, "_spectral_sum", counting)
+    return calls
+
+
+def test_memo_holds_at_most_one_block_of_values(two_state, monkeypatch):
+    block = spectral_walk.dynamics._BLOCK_TERMS
+    calls = counted_kernel(monkeypatch)
+    # full sweeps of the chains served from stacks: a miss does at most
+    # one block of kernel work
+    for rates, measure, t in (MEMO_CHAINS[0], MEMO_CHAINS[1], MEMO_CHAINS[4]):
+        for i in range(measure.jacobi.size):
+            for j in range(measure.jacobi.size):
+                for z in ((-1.0, -1j) if rates is not None else (-1j,)):
+                    entry(rates, measure, i, j, t, z)
+    assert calls and max(terms for _, terms in calls) <= block
+    # an entry beyond one block is evaluated alone and keeps nothing
+    rates, _, measure = two_state
+    t = np.linspace(0.0, 10.0, 20001)
+    for z in (-1.0, -1j):
+        assert entry_is_direct(rates, measure, 0, 1, t, z)
+    for *_, stack in spectral_walk.dynamics._last_stack.values():
+        assert stack.size <= block
+
+
+def test_full_sweep_runs_one_kernel_pass_per_kind(rng, monkeypatch):
+    calls = counted_kernel(monkeypatch)
     rates = random_rates(rng, sites=8)
     measure = eigendecompose(symmetrize(rates))
     t = np.array([0.5, 2.0])
@@ -547,7 +588,44 @@ def test_full_sweep_runs_one_kernel_pass_per_row(rng, monkeypatch):
         for j in range(8):
             classical_transition(measure, rates, i, j, t)
             quantum_amplitude(measure, i, j, t)
-    assert calls == [(8, 8)] * 16
+    assert [shape for shape, _ in calls] == [(8, 8, 8)] * 2
+
+
+def test_negative_time_rejected_after_a_memo_fill(rng):
+    rates = random_rates(rng, sites=6)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.array([0.0, 0.5, 1.0])
+    classical_transition(measure, rates, 2, 3, t)
+    with pytest.raises(UsageError, match="t >= 0"):
+        classical_transition(measure, rates, 2, 4, np.array([0.0, -0.5, 1.0]))
+    t[1] = -0.5
+    with pytest.raises(UsageError, match="t >= 0"):
+        classical_transition(measure, rates, 2, 4, t)
+
+
+def test_second_rates_on_one_measure_get_their_own_prefactors(rng):
+    # rates whose births are off by 4e-13 pass the provenance check of the
+    # first rates' measure, but their pi, so their P, differ in the last bits
+    lam, mu = rng.uniform(0.1, 2.0, 7), np.r_[0.0, rng.uniform(0.1, 2.0, 7)]
+    rates = BirthDeathRates.from_arrays(lam, mu)
+    other = BirthDeathRates.from_arrays(lam * (1.0 + 4e-13), mu)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.array([0.25, 1.0])
+    first = classical_transition(measure, rates, 0, 7, t).values
+    assert entry_is_direct(other, measure, 0, 7, t, -1.0)
+    assert not same_bits(first, classical_transition(measure, other, 0, 7, t).values)
+    assert entry_is_direct(rates, measure, 0, 7, t, -1.0)
+
+
+def test_vector_prefactors_equal_scalar_sqrt_ratio(rng):
+    # log pi spanning the whole double range: ratios overflow, underflow
+    # and everything between
+    pi = PiCoefficients(log_values=np.r_[0.0, np.cumsum(rng.uniform(-60.0, 60.0, 199))])
+    for sources in (range(0, 200), range(37, 51)):
+        got = spectral_walk.dynamics._prefactors(pi, sources)
+        want = np.array([[(-1.0) ** ((i + j) % 2) * pi.sqrt_ratio(j, i) for j in range(200)]
+                         for i in sources])
+        assert same_bits(got, want)
 
 
 def test_scalar_time_shape(two_state):
@@ -556,6 +634,9 @@ def test_scalar_time_shape(two_state):
     assert p.values.shape == ()
     f = quantum_amplitude(measure, 0, 1, 2.0)
     assert f.values.shape == ()
+    # an empty grid gives empty series
+    assert classical_transition(measure, rates, 0, 1, []).values.shape == (0,)
+    assert quantum_amplitude(measure, 0, 1, np.empty((2, 0))).values.shape == (2, 0)
 
 
 # -- oracle_expm dispatch --------------------------------------------------------
