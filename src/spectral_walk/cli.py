@@ -25,11 +25,12 @@ import sys
 import numpy as np
 
 from .chain_families import FAMILY_NAMES, build_from_spec, family_schemas
-from .dynamics import (AmplitudeSeries, _amplitudes, classical_transition, oracle_expm,
+from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _rows, oracle_expm,
                        quantum_amplitude, series_csv, series_filename)
 from .errors import SpectralWalkError, UsageError
 from .jacobi_core import generator
-from .return_analysis import classify_return, modified_measure, return_probability_scan
+from .return_analysis import (LATTICE_TOL, classify_return, modified_measure,
+                              return_probability_scan)
 from .spectral import eigendecompose
 
 EXIT_OK = 0
@@ -54,6 +55,13 @@ def _time_grid(args) -> np.ndarray:
     if args.steps < 2:
         raise UsageError(f"field 'steps' is {args.steps}, need >= 2 for a grid")
     return np.linspace(args.tmin, args.tmax, args.steps)
+
+
+def _verify_tol(args) -> float:
+    """--verify-tol, refused when NaN or negative."""
+    if not args.verify_tol >= 0:  # NaN fails
+        raise UsageError(f"--verify-tol is {args.verify_tol}, must be a number >= 0")
+    return args.verify_tol
 
 
 def _json(text: str, what: str):
@@ -103,20 +111,18 @@ def _verify_build(build, args, js: list[int], classical: bool, tmax: float):
     ``tmax`` (at least the first).  Returns the max abs deviation, NaN
     if any deviation is NaN.
 
-    Each target is evaluated over all check times in one call; a value
-    does not depend on the rest of the grid, so it is the one a call per
-    time point gives."""
+    All targets are evaluated over all check times in one call, and the
+    raw rows are compared: a NaN or out-of-band value is a mismatch."""
     j_op = build.measure.jacobi
     check_measure = eigendecompose(j_op)
     times = [t for t in _VERIFY_TIMES if t <= max(tmax, _VERIFY_TIMES[0])]
     if classical:
         operator = generator(build.rates, j_op.size - 1,
                              boundary="reflecting" if build.family == "custom" else "absorbing-tail")
-        rows = [classical_transition(check_measure, build.rates, args.i, jj,
-                                     np.array(times)).values for jj in js]
+        z, pi = -1.0, _bind(check_measure, build.rates)
     else:
-        operator = j_op
-        rows = _amplitudes(check_measure, args.i, js, np.array(times))
+        operator, z, pi = j_op, -1j, None
+    rows = _rows(check_measure, range(args.i, args.i + 1), js, np.array(times), z, pi)[0]
     deviations = []
     for k, t in enumerate(times):
         dense = oracle_expm(operator, t)
@@ -126,6 +132,7 @@ def _verify_build(build, args, js: list[int], classical: bool, tmax: float):
 
 
 def cmd_simulate(args) -> int:
+    verify_tol = _verify_tol(args)
     spec = _load_spec(args)
     build = build_from_spec(spec)
     times = _time_grid(args)
@@ -135,14 +142,12 @@ def cmd_simulate(args) -> int:
             f"family '{build.family}' defines no birth-death rates; classical "
             "dynamics is undefined (use --quantum)")
     os.makedirs(args.output, exist_ok=True)
-    if args.classical:
-        all_series = [classical_transition(build.measure, build.rates, args.i, jj, times)
-                      for jj in js]
-    else:
-        # all targets in one pass over the grid
-        rows = _amplitudes(build.measure, args.i, js, times)
-        all_series = [AmplitudeSeries(i=args.i, j=jj, times=times, values=row)
-                      for jj, row in zip(js, rows)]
+    z, pi, kind = ((-1.0, _bind(build.measure, build.rates), ProbabilitySeries) if args.classical
+                   else (-1j, None, AmplitudeSeries))
+    # all targets in one pass over the grid; the series check each row
+    # (NaN, probability band) before any file is written
+    rows = _rows(build.measure, range(args.i, args.i + 1), js, times, z, pi)[0]
+    all_series = [kind(i=args.i, j=jj, times=times, values=row) for jj, row in zip(js, rows)]
     written = []
     for series in all_series:
         name = series_filename(series)
@@ -156,7 +161,7 @@ def cmd_simulate(args) -> int:
         "grid": {"tmin": args.tmin, "tmax": args.tmax, "steps": args.steps},
         "sites": {"i": args.i, "j": js},
         "truncation": build.info,
-        "tolerances": {"verify": args.verify_tol},
+        "tolerances": {"verify": verify_tol},
         "files": written,
     }
     code = EXIT_OK
@@ -165,9 +170,8 @@ def cmd_simulate(args) -> int:
         manifest["verify"] = {"max_abs_diff": worst, "times": list(at),
                               "target": "truncated-operator oracle"}
         print(f"oracle cross-check: max |diff| = {worst:.3e} over t in {list(at)}")
-        if not worst <= args.verify_tol:  # NaN fails
-            print(f"verification FAILED: {worst:.3e} > {args.verify_tol:.1e}",
-                  file=sys.stderr)
+        if not worst <= verify_tol:  # NaN fails
+            print(f"verification FAILED: {worst:.3e} > {verify_tol:.1e}", file=sys.stderr)
             code = EXIT_MISMATCH
     with open(os.path.join(args.output, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -217,6 +221,7 @@ def cmd_families(as_json: bool) -> int:
 
 
 def cmd_verify(args) -> int:
+    verify_tol = _verify_tol(args)
     build = build_from_spec(_load_spec(args))
     tmax = _time_grid(args)[-1]
     js = _targets(args, build.measure.jacobi.size)
@@ -229,11 +234,10 @@ def cmd_verify(args) -> int:
         worst = float(np.max([worst, worst_c]))
     else:
         print(f"classical check skipped: family '{build.family}' has no rates")
-    if not worst <= args.verify_tol:  # NaN fails
-        print(f"verification FAILED: {worst:.3e} > {args.verify_tol:.1e}",
-              file=sys.stderr)
+    if not worst <= verify_tol:  # NaN fails
+        print(f"verification FAILED: {worst:.3e} > {verify_tol:.1e}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(f"ok (tolerance {args.verify_tol:.1e})")
+    print(f"ok (tolerance {verify_tol:.1e})")
     return EXIT_OK
 
 
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ret = sub.add_parser("return", help="classify return behavior, print verdict JSON")
     _add_spec_args(p_ret)
     _add_grid_args(p_ret)
-    p_ret.add_argument("--tol", type=float, default=1e-9, help="lattice-fit tolerance")
+    p_ret.add_argument("--tol", type=float, default=LATTICE_TOL, help="lattice-fit tolerance")
     p_ret.add_argument("--scan", action="store_true",
                        help="also write an |f_ii| scan CSV over the time grid")
 

@@ -14,23 +14,22 @@ factor is required for P >= 0, and the oracle cross-check below pins it.
 
 Both, and the characteristic function of return_analysis, are one sum
 sum_s c_s e^{z x_s t} with a different coefficient table c_s and
-exponent factor z; :func:`_spectral_sum` is that sum.  The coefficient
-table c_s = w_s chi_i(x_s) chi_j(x_s) is computed for a source i and a
-stack of targets j at once; each time point is then an O(S) reduction,
-taken in fixed blocks of times that all targets share.  By
-Cauchy-Schwarz |c_s| <= 1 for a normalized measure, so the scaled
-polynomial recurrence can recombine products without overflow.
+exponent factor z; :func:`_spectral_sum` is that sum.  Every finished
+P_ij and f_ij comes from :func:`_rows`: the table c_s = w_s chi_i(x_s)
+chi_j(x_s) of a range of sources i and a sequence of targets j, one
+kernel pass in blocks of times that all rows share, and for P the sign
+and pi prefactor in one vector operation.  By Cauchy-Schwarz
+|c_s| <= 1 for a normalized measure, so the scaled polynomial
+recurrence can recombine products without overflow.
 
 Per-entry calls are served from finished stacks of whole rows.  When
-n S T <= 2**14 for n sites, S nodes and T times, a call evaluates the
-rows of k = floor(2**14 / (n S T)) sources around i in one kernel pass
-and remembers the last stack of each kind (classical stacks with their
-sign and pi prefactor applied) through a weak reference to the
-measure, so a sweep over (i, j) costs one pass per stack and no measure
-is kept alive; a larger entry is evaluated alone and nothing is kept.
-A value depends neither on the rest of the grid, nor on the other
-entries of its stack, nor on the order of calls: it is the double a
-call for that entry alone gives.
+n S T <= 2**14 for n sites, S nodes and T times, a call takes the rows
+of k = floor(2**14 / (n S T)) sources around i from :func:`_rows` and
+remembers the last stack of each kind through a weak reference to the
+measure; a larger entry is a stack of one row and one target, and
+nothing is kept.  A value depends neither on the rest of the grid, nor
+on the other entries of its stack, nor on the order of calls: it is
+the double a call for that entry alone gives.
 
 The measure and the potential coefficients pi belong to the chain, not
 to the entry (i, j): :func:`classical_transition` checks that a measure
@@ -142,33 +141,27 @@ def _check_sites(measure: SpectralMeasure, low: int, high: int) -> None:
         raise UsageError(f"site index {high} beyond operator size {size}")
 
 
-def _chi_product_coefficients(measure: SpectralMeasure, i, js) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s): shape
-    (S,) for one target j, (len(js), S) for a sequence of targets and
-    (len(i), len(js), S) for a range i of sources, each row the same
-    double either way.
+def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets):
+    """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s) of the
+    sources i and the targets j, shaped (len(sources), len(targets), S).
 
     Eigendecomposed measures carry the orthonormal table W, and there
     c_s = W[i, s] W[j, s]; this keeps the sum-rule identities (rows of
     P, unitarity) at eigensolver accuracy even for chains whose chi
     recurrence is unstable at edge nodes.
     """
-    if isinstance(js, (int, np.integer)):
-        low = high = js
-    else:
-        # a list indexes rows, where a tuple would index axes
-        js = [int(j) for j in js]
-        low, high = min(js), max(js)
-    first, last, src = ((i.start, i.stop - 1, np.s_[i.start:i.stop, None])
-                        if isinstance(i, range) else (i, i, i))
-    _check_sites(measure, min(first, low), max(last, high))
+    # a list indexes rows, where a tuple would index axes
+    targets = [int(j) for j in targets]
+    last = max(sources.stop - 1, *targets)
+    _check_sites(measure, min(sources.start, *targets), last)
+    src = np.s_[sources.start:sources.stop, None]
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
-        return measure.points, table[src] * table[js]
+        return measure.points, table[src] * table[targets]
     x, w = measure.nodes_and_weights()
-    mant, expo = chi_table_scaled(measure.jacobi, max(last, high), x)
-    coeff = np.ldexp(w * mant[src] * mant[js],
-                     (expo[src] + expo[js]).astype(np.int32, copy=False))
+    mant, expo = chi_table_scaled(measure.jacobi, last, x)
+    coeff = np.ldexp(w * mant[src] * mant[targets],
+                     (expo[src] + expo[targets]).astype(np.int32, copy=False))
     return x, coeff
 
 
@@ -211,28 +204,30 @@ def _spectral_sum(x, coeff, times, z):
     return out.reshape(coeff.shape[:-1] + times.shape)
 
 
-def _amplitudes(measure: SpectralMeasure, i: int, js, times) -> np.ndarray:
-    """f_ij over times for one target j (shaped like times) or a sequence
-    of targets (one row each, all sharing each block of phases)."""
-    x, coeff = _chi_product_coefficients(measure, i, js)
-    return _spectral_sum(x, coeff, times, -1j)
+def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray, z,
+          pi: PiCoefficients | None = None) -> np.ndarray:
+    """sum_s c_s e^{z x_s t} for each source i and target j over times (a
+    float array), shaped (len(sources), len(targets)) + times.shape, all
+    rows sharing each block of phases; with pi, the classical P_ij, sign
+    and prefactor applied and t >= 0 checked.  Every finished P_ij and
+    f_ij is made here, and an entry is the same double in any stack."""
+    if pi is not None and (times < 0).any():
+        raise UsageError("classical evolution needs t >= 0")
+    x, coeff = _chi_product_coefficients(measure, sources, targets)
+    rows = _spectral_sum(x, coeff, times, z)
+    if pi is not None:
+        rows *= _prefactors(pi, sources, targets).reshape(coeff.shape[:2] + (1,) * times.ndim)
+    return rows
 
 
 def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray, z,
            pi: PiCoefficients | None = None) -> np.ndarray:
-    """sum_s c_s e^{z x_s t} for the entry (i, j) over times (a float
-    array); with pi, the classical P_ij, prefactor applied and t >= 0
-    checked.
-
-    When a whole row fits one kernel block (n S T <= _BLOCK_TERMS for n
-    sites, S nodes and T times), the rows of the aligned sources
-    [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are evaluated
-    in one kernel pass, finished with pi and kept as the last stack of
-    their z, keyed by a weak reference to the measure, pi by identity,
-    the sources and times.  A larger entry is evaluated alone and
-    nothing is kept.  Entries of a stack are the doubles single entries
-    give, so the value depends neither on the path nor on the order of
-    calls; the caller gets an array of its own.
+    """The entry (i, j) of :func:`_rows` over times, in an array of the
+    caller's own.  When n S T <= _BLOCK_TERMS, the rows of the aligned
+    sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are
+    evaluated and kept as the last stack of their z, keyed by a weak
+    reference to the measure, pi by identity, the sources and times; a
+    larger entry is evaluated alone and nothing is kept.
     """
     size = measure.jacobi.size
     key = (times.shape, times.tobytes())
@@ -241,32 +236,22 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray, z,
             and 0 <= j < size and last[3] == key):
         return last[4][i - last[2].start, j, ...].copy()
     _check_sites(measure, min(i, j), max(i, j))
-    if pi is not None and (times < 0).any():
-        raise UsageError("classical evolution needs t >= 0")
     per_row = size * measure.nodes_and_weights()[0].size * times.size
     if per_row > _BLOCK_TERMS:
-        x, coeff = _chi_product_coefficients(measure, i, j)
-        values = _spectral_sum(x, coeff, times, z)
-        if pi is None:
-            return values
-        return ((-1.0) ** ((i + j) % 2)) * pi.sqrt_ratio(j, i) * values
+        return _rows(measure, range(i, i + 1), [j], times, z, pi)[0, 0, ...]
     k = _BLOCK_TERMS // max(per_row, 1)
     sources = range(i - i % k, min(i - i % k + k, size))
-    x, coeff = _chi_product_coefficients(measure, sources, range(size))
-    stack = _spectral_sum(x, coeff, times, z)
-    if pi is not None:
-        stack *= _prefactors(pi, sources).reshape(len(sources), size, *[1] * times.ndim)
+    stack = _rows(measure, sources, range(size), times, z, pi)
     _last_stack[z] = (weakref.ref(measure), pi, sources, key, stack)
     return stack[i - sources.start, j, ...].copy()
 
 
-def _prefactors(pi: PiCoefficients, sources: range) -> np.ndarray:
-    """(-1)^(i+j) sqrt(pi_j / pi_i) for the sources i (rows) and every
-    target j (columns), in one vector operation: each is the double
-    ``(-1.0) ** ((i + j) % 2) * pi.sqrt_ratio(j, i)`` gives."""
-    log_pi, rows = pi.log_values, np.arange(sources.start, sources.stop)[:, None]
-    ratio = np.exp(0.5 * (log_pi - log_pi[rows]))
-    ratio[(rows + np.arange(log_pi.size)) % 2 == 1] *= -1.0
+def _prefactors(pi: PiCoefficients, sources: range, targets) -> np.ndarray:
+    """(-1)^(i+j) sqrt(pi_j / pi_i) for the sources i (rows) and the
+    targets j (columns), in one vector operation."""
+    rows, cols = np.arange(sources.start, sources.stop)[:, None], np.asarray(targets)
+    ratio = np.exp(0.5 * (pi.log_values[cols] - pi.log_values[rows]))
+    ratio[(rows + cols) % 2 == 1] *= -1.0
     return ratio
 
 

@@ -201,8 +201,10 @@ class JacobiOperator:
 class PiCoefficients:
     """Potential coefficients pi_i, stored in log space.
 
-    ``log_values[i]`` is log pi_i.  Use :meth:`sqrt_ratio` rather than
-    forming pi_i, which overflows around i ~ 150 for growing chains.
+    ``log_values[i]`` is log pi_i.  Take ratios from differences of
+    log_values, sqrt(pi_i / pi_k) = exp((log_values[i] - log_values[k]) / 2),
+    rather than forming pi_i, which overflows around i ~ 150 for growing
+    chains.
     """
 
     log_values: np.ndarray
@@ -213,10 +215,6 @@ class PiCoefficients:
     def value(self, i: int) -> float:
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_values[i]))
-
-    def sqrt_ratio(self, i: int, k: int) -> float:
-        """sqrt(pi_i / pi_k)."""
-        return float(np.exp(0.5 * (self.log_values[i] - self.log_values[k])))
 
 
 def _gather(rates: BirthDeathRates, n: int, boundary: str):

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 MASS_FLOOR = 1e-13
+# default lattice-fit tolerance, relative to the spectral spread
+LATTICE_TOL = 1e-9
 _DENOMINATOR_CAP = 10**6
 _LCM_CAP = 10**6
 _MULTIPLE_CAP = 10**9
@@ -108,7 +110,7 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
         raise UsageError("operator differs from the measure's operator")
     if i == 0:
         return measure
-    _, coeff = _chi_product_coefficients(measure, i, i)
+    coeff = _chi_product_coefficients(measure, range(i, i + 1), [i])[1][0, 0]
     n_atoms = len(measure.points)
     return SpectralMeasure(
         jacobi=own, points=measure.points, masses=coeff[:n_atoms],
@@ -154,7 +156,13 @@ def _lattice_fit(points: np.ndarray, tol: float):
     return delta, residual, info
 
 
-def detect_lattice(points, tol: float = 1e-9, masses=None) -> ReturnVerdict:
+def _check_tol(tol: float) -> None:
+    # NaN or inf would pass any residual, a negative tol none
+    if not (math.isfinite(tol) and tol >= 0):
+        raise UsageError(f"lattice tolerance tol is {tol}, must be finite and >= 0")
+
+
+def detect_lattice(points, tol: float = LATTICE_TOL, masses=None) -> ReturnVerdict:
     """Classify a discrete spectrum by lattice structure.
 
     If every gap to the smallest point is an integer multiple of a
@@ -178,8 +186,10 @@ def detect_lattice(points, tol: float = 1e-9, masses=None) -> ReturnVerdict:
     when ``masses`` is given; their total is reported in evidence.
 
     Exactly two surviving points always fit a lattice trivially; that
-    verdict is flagged ``degenerate`` in evidence.
+    verdict is flagged ``degenerate`` in evidence.  A ``tol`` that is
+    not finite and nonnegative is refused (UsageError).
     """
+    _check_tol(tol)
     points = np.asarray(points, dtype=float).ravel()
     order = np.argsort(points)
     points = points[order]
@@ -207,15 +217,17 @@ def detect_lattice(points, tol: float = 1e-9, masses=None) -> ReturnVerdict:
     return ReturnVerdict(kind="Perfect", t0=2.0 * math.pi / delta, xi=xi, evidence=evidence)
 
 
-def classify_return(measure: SpectralMeasure, tol: float = 1e-9) -> ReturnVerdict:
+def classify_return(measure: SpectralMeasure, tol: float = LATTICE_TOL) -> ReturnVerdict:
     """Verdict for a spectral measure.
 
     A continuous part (by measure kind, not by truncation artifacts)
     means NoReturn; otherwise the discrete spectrum goes through
     :func:`detect_lattice`.  Finite truncations of continuous families
     must therefore be classified via the family's declared measure, not
-    via an eigendecomposition of the truncated operator.
+    via an eigendecomposition of the truncated operator.  A ``tol`` that
+    is not finite and nonnegative is refused (UsageError).
     """
+    _check_tol(tol)
     if measure.kind != "discrete":
         return ReturnVerdict(kind="NoReturn", evidence={
             "continuous_mass": measure.continuous_mass,

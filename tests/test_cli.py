@@ -7,12 +7,12 @@ the offending field), 3 oracle mismatch above tolerance.
 from __future__ import annotations
 
 import json
-import types
 
 import numpy as np
 import pytest
 
 import spectral_walk.cli
+from spectral_walk import build_from_spec, classical_transition, dynamics, series_csv
 from spectral_walk.cli import main
 
 TWO_STATE = '{"family": "custom", "lambdas": [1.0], "mus": [0.0, 2.0]}'
@@ -98,27 +98,59 @@ def test_simulate_verify_exit_3_when_tolerance_unmeetable(tmp_path, capsys):
     assert "FAILED" in err
 
 
-def nan_amplitudes(measure, i, js, times):
-    return np.full(np.shape(js) + np.shape(times), np.nan + 0j)
+def nan_rows(kind):
+    """The row path with NaN values for one kind of z: -1j (quantum) or
+    -1.0 (classical)."""
+    real = spectral_walk.cli._rows
+
+    def rows(measure, sources, targets, times, z, pi=None):
+        values = real(measure, sources, targets, times, z, pi)
+        return np.full_like(values, np.nan) if z == kind else values
+    return rows
 
 
-def nan_transition(measure, rates, i, j, times):
-    return types.SimpleNamespace(values=np.full(np.shape(times), np.nan))
-
-
-@pytest.mark.parametrize("patched, stub, argv", [
-    ("_amplitudes", nan_amplitudes, ["simulate", "--family", "pst-demo", "--n", "8",
-                                     "--verify", "--j", "0", "--j", "3"]),
-    ("_amplitudes", nan_amplitudes, ["verify", "--spec", TWO_STATE, "--j", "1"]),
-    ("classical_transition", nan_transition, ["verify", "--spec", TWO_STATE, "--j", "1"]),
+@pytest.mark.parametrize("stub, argv", [
+    (nan_rows(-1j), ["simulate", "--family", "pst-demo", "--n", "8",
+                     "--verify", "--j", "0", "--j", "3"]),
+    (nan_rows(-1j), ["verify", "--spec", TWO_STATE, "--j", "1"]),
+    (nan_rows(-1.0), ["verify", "--spec", TWO_STATE, "--j", "1"]),
 ], ids=["simulate-quantum", "verify-quantum", "verify-classical"])
-def test_nan_values_fail_verification(tmp_path, capsys, monkeypatch, patched, stub, argv):
+def test_nan_values_fail_verification(tmp_path, capsys, monkeypatch, stub, argv):
     # NaN compares false with the tolerance and max() drops it; either way
     # it must count as a mismatch, not as a deviation of 0
-    monkeypatch.setattr(spectral_walk.cli, patched, stub)
+    monkeypatch.setattr(spectral_walk.cli, "_rows", stub)
     code, _, err = run(capsys, *argv, "--output", str(tmp_path))
     assert code == 3
     assert "FAILED: nan" in err
+
+
+@pytest.mark.parametrize("sites, steps", [(6, 5), (12, 201)])
+def test_classical_targets_take_one_kernel_pass(tmp_path, capsys, monkeypatch, sites, steps):
+    # chains on each side of the n S T <= 2**14 switch of per-entry calls:
+    # all --j targets come from one kernel call, and each file is the one
+    # classical_transition's series for that target gives
+    rng = np.random.default_rng(sites)
+    spec = {"family": "custom", "lambdas": rng.uniform(0.2, 2.0, sites - 1).tolist(),
+            "mus": [0.0, *rng.uniform(0.2, 2.0, sites - 1).tolist()]}
+    calls = []
+    kernel = dynamics._spectral_sum
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(dynamics, "_spectral_sum", counting)
+    code, _, _ = run(capsys, "simulate", "--spec", json.dumps(spec), "--classical", "--i", "2",
+                     "--j", "0", "--j", "5", "--j", "3", "--tmax", "4", "--steps", str(steps),
+                     "--output", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    build = build_from_spec(spec)
+    times = np.linspace(0.0, 4.0, steps)
+    for j in (0, 5, 3):
+        want = series_csv(classical_transition(build.measure, build.rates, 2, j, times))
+        assert (tmp_path / f"p_2_{j}.csv").read_bytes() == want.encode()
 
 
 def test_simulate_spec_from_file(tmp_path, capsys):
@@ -266,6 +298,29 @@ def test_exit_2_for_bad_verify_grid(capsys, tmax, message):
                        "--tmax", tmax)
     assert code == 2
     assert "'tmax'" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("value", ["nan", "-1e-10", "-inf"])
+def test_exit_2_for_bad_verify_tol(tmp_path, capsys, command, value):
+    # a NaN bar fails every deviation and a negative one every finite one;
+    # either is a bad flag, not an oracle mismatch
+    code, _, err = run(capsys, command, "--spec", TWO_STATE, f"--verify-tol={value}",
+                       "--output", str(tmp_path))
+    assert code == 2
+    assert f"--verify-tol is {float(value)}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("family", [["--family", "meixner", "--beta", "1", "--c", "0.5"],
+                                    ["--family", "uniform"]])
+def test_exit_2_for_bad_lattice_tol(capsys, family, value):
+    # at --tol -1 the Meixner chain read AlmostPerfect, exit 0; its
+    # verdict is Perfect at 2 pi
+    code, out, err = run(capsys, "return", *family, "--tol", value)
+    assert code == 2
+    assert out == "" and "tol is" in err
 
 
 def test_return_meixner_verdict(capsys):

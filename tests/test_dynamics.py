@@ -287,19 +287,19 @@ def test_any_sequence_of_targets_gives_the_single_target_rows(kind, rng):
     else:
         measure = eigendecompose(symmetrize(random_rates(rng, sites=9)))
     t = np.linspace(0.0, 30.0, 301)
-    amplitudes = spectral_walk.dynamics._amplitudes
-    single = [amplitudes(measure, 2, j, t) for j in (0, 3, 7)]
+    rows_of = spectral_walk.dynamics._rows
+    single = [rows_of(measure, range(2, 3), [j], t, -1j)[0, 0] for j in (0, 3, 7)]
     for js in ([0, 3, 7], (0, 3, 7), np.array([0, 3, 7])):
-        rows = amplitudes(measure, 2, js, t)
-        assert rows.shape == (len(js), t.size)
-        for row, want in zip(rows, single):
+        rows = rows_of(measure, range(2, 3), js, t, -1j)
+        assert rows.shape == (1, len(js), t.size)
+        for row, want in zip(rows[0], single):
             assert same_bits(row, want), js
-    assert same_bits(amplitudes(measure, 2, np.int64(3), t), single[1])
+    assert same_bits(rows_of(measure, range(2, 3), [np.int64(3)], t, -1j)[0, 0], single[1])
     with pytest.raises(UsageError, match="nonnegative"):
-        amplitudes(measure, 2, (0, -1), t)
+        rows_of(measure, range(2, 3), (0, -1), t, -1j)
     if kind == "eigenvectors":
         with pytest.raises(UsageError, match="beyond"):
-            amplitudes(measure, 2, np.array([0, 9]), t)
+            rows_of(measure, range(2, 3), np.array([0, 9]), t, -1j)
 
 
 def test_near_degenerate_spectrum_keeps_eigenvector_table():
@@ -433,13 +433,13 @@ def test_stacked_rows_of_an_f_ordered_table_equal_single_rows(rng):
 
 
 def direct_entry(rates, measure, i, j, t, z):
-    """The entry evaluated for its target alone."""
+    """The entry evaluated for its target alone, its prefactor inline."""
     dynamics = spectral_walk.dynamics
-    x, coeff = dynamics._chi_product_coefficients(measure, i, j)
-    values = dynamics._spectral_sum(x, coeff, np.asarray(t, dtype=float), z)
+    x, coeff = dynamics._chi_product_coefficients(measure, range(i, i + 1), [j])
+    values = dynamics._spectral_sum(x, coeff[0, 0], np.asarray(t, dtype=float), z)
     if z == -1.0:
-        pi = pi_coefficients(rates, measure.jacobi.size - 1)
-        values = ((-1.0) ** ((i + j) % 2) * pi.sqrt_ratio(j, i)) * values
+        lv = pi_coefficients(rates, measure.jacobi.size - 1).log_values
+        values = ((-1.0) ** ((i + j) % 2) * float(np.exp(0.5 * (lv[j] - lv[i])))) * values
     return values
 
 
@@ -620,11 +620,13 @@ def test_second_rates_on_one_measure_get_their_own_prefactors(rng):
 def test_vector_prefactors_equal_scalar_sqrt_ratio(rng):
     # log pi spanning the whole double range: ratios overflow, underflow
     # and everything between
-    pi = PiCoefficients(log_values=np.r_[0.0, np.cumsum(rng.uniform(-60.0, 60.0, 199))])
-    for sources in (range(0, 200), range(37, 51)):
-        got = spectral_walk.dynamics._prefactors(pi, sources)
-        want = np.array([[(-1.0) ** ((i + j) % 2) * pi.sqrt_ratio(j, i) for j in range(200)]
-                         for i in sources])
+    lv = np.r_[0.0, np.cumsum(rng.uniform(-60.0, 60.0, 199))]
+    pi = PiCoefficients(log_values=lv)
+    for sources, targets in ((range(0, 200), range(200)), (range(37, 51), range(200)),
+                             (range(37, 51), [199, 0, 44, 44, 3])):
+        got = spectral_walk.dynamics._prefactors(pi, sources, targets)
+        want = np.array([[(-1.0) ** ((i + j) % 2) * float(np.exp(0.5 * (lv[j] - lv[i])))
+                          for j in targets] for i in sources])
         assert same_bits(got, want)
 
 

@@ -200,7 +200,7 @@ def test_pi_survives_extreme_products():
     # 400 sites of ratio 10 would overflow a raw product; the log
     # representation must still give finite ratios between nearby sites.
     semi = BirthDeathRates(lam=lambda i: 10.0, mu=lambda i: 1.0)
-    pi = pi_coefficients(semi, 400)
-    assert np.isfinite(pi.sqrt_ratio(399, 398))
-    assert pi.sqrt_ratio(399, 398) ** 2 == pytest.approx(10.0, rel=1e-12)
-    assert pi.sqrt_ratio(10, 12) == pytest.approx(0.1, rel=1e-12)
+    lv = pi_coefficients(semi, 400).log_values
+    assert np.isfinite(np.exp(0.5 * (lv[399] - lv[398])))
+    assert np.exp(0.5 * (lv[399] - lv[398])) ** 2 == pytest.approx(10.0, rel=1e-12)
+    assert np.exp(0.5 * (lv[10] - lv[12])) == pytest.approx(0.1, rel=1e-12)

@@ -148,7 +148,7 @@ def test_modified_masses_are_the_diagonal_amplitude_coefficients(measures, case)
     j_op, measure = measures[case]
     for i in (1, 3, 7):
         m_i = modified_measure(measure, j_op, i)
-        _, coeff = _chi_product_coefficients(measure, i, i)
+        coeff = _chi_product_coefficients(measure, range(i, i + 1), [i])[1][0, 0]
         masses = m_i.nodes_and_weights()[1]
         assert masses.tobytes() == coeff.tobytes()
         assert np.array_equal(m_i.nodes_and_weights()[0], measure.nodes_and_weights()[0])
@@ -203,6 +203,21 @@ def test_masses_follow_their_points_when_unsorted():
     assert verdict.evidence["ignored_mass"] == 1e-20
     order = np.argsort(pts)
     assert detect_lattice(np.array(pts)[order], masses=np.array(masses)[order]).t0 == verdict.t0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_bad_lattice_tolerance_rejected(tol):
+    # a one-1e-7 defect in a lattice has residual_rel 2.4e-8: NaN and inf
+    # passed it as Perfect (t0 = 2 pi), a negative tol failed every fit
+    points = [0.0, 1.0, 2.0 + 1e-7, 3.0]
+    assert detect_lattice(points, tol=1e-9).kind == "AlmostPerfect"
+    with pytest.raises(UsageError, match="tol"):
+        detect_lattice(points, tol=tol)
+    meixner = meixner_chain(1.0, 0.5)[2]
+    assert classify_return(meixner).kind == "Perfect"
+    for measure in (meixner, uniform_chain()[1]):
+        with pytest.raises(UsageError, match="tol"):
+            classify_return(measure, tol=tol)
 
 
 def test_single_point_rejected():
