@@ -10,7 +10,7 @@ from .errors import (ConfigurationError, DomainError, NumericError,
                      SpectralWalkError, UsageError)
 from .jacobi_core import (BirthDeathRates, GeneratorMatrix, JacobiOperator,
                           PiCoefficients, generator, pi_coefficients, symmetrize)
-from .spectral import SpectralMeasure, chi_table, eigendecompose
+from .spectral import SpectralMeasure, eigendecompose
 from .bessel import bessel_j1
 from .dynamics import (AmplitudeSeries, ProbabilitySeries, classical_transition,
                        oracle_expm, quantum_amplitude, series_csv, series_filename)
@@ -29,7 +29,7 @@ __all__ = [
     "ConfigurationError",
     "BirthDeathRates", "GeneratorMatrix", "JacobiOperator", "PiCoefficients",
     "symmetrize", "pi_coefficients", "generator",
-    "SpectralMeasure", "eigendecompose", "chi_table",
+    "SpectralMeasure", "eigendecompose",
     "ProbabilitySeries", "AmplitudeSeries", "classical_transition",
     "quantum_amplitude", "oracle_expm", "bessel_j1",
     "series_csv", "series_filename",

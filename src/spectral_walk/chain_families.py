@@ -38,7 +38,7 @@ from .elliptic import EllipticContext, elliptic_context
 from .errors import ConfigurationError, DomainError, UsageError
 from .jacobi_core import BirthDeathRates, JacobiOperator, symmetrize
 from .return_analysis import detect_lattice
-from .spectral import SpectralMeasure, chi_table, eigendecompose
+from .spectral import SpectralMeasure, chi_table_scaled, eigendecompose
 
 __all__ = [
     "FamilyBuild",
@@ -62,7 +62,7 @@ _SC_MIN_HALF_SUPPORT = 12
 
 # Default truncations start from the smallest support whose excluded
 # mass is below _TAIL_TOL and keep return amplitudes and the polynomial
-# Gram accurate beyond site 0: the excluded tail of sum_s M_s chi_i(x_s)^2
+# Gram accurate beyond site 0: the excluded tail of sum_s W[i, s]^2
 # grows with i (chi_i is a degree-i polynomial), so the support is
 # extended until the deficit stays below _SITE_TAIL_TOL for every site
 # up to the probe order.
@@ -71,32 +71,26 @@ _SITE_PROBE_ORDER = 10
 _SITE_TAIL_TOL = 1e-10
 
 
-def _site_weighted_deficit(probe: JacobiOperator, points: np.ndarray,
-                           masses: np.ndarray) -> float:
-    """max over sites i < probe.size of the deficit 1 - sum_s M_s chi_i(x_s)^2.
-
-    Over the full (untruncated) support that sum is 1 exactly, so the
-    partial sum itself measures how much chi_i^2-weighted mass the
-    truncation dropped."""
-    table = chi_table(probe, probe.size - 1, points)
-    partial = (table**2) @ masses
-    return float(np.max(1.0 - partial))
-
-
 def _truncated(support, size: int, probe: JacobiOperator, cap: int):
     """Double ``size`` from its starting value until the support
     ``support(size) -> (points, masses)`` leaves a chi_i^2-weighted tail
     below _SITE_TAIL_TOL at every site of ``probe``; ``size`` never
-    exceeds ``cap``."""
+    exceeds ``cap``.
+
+    The tail of site i is its deficit 1 - sum_s W[i, s]^2 on the weighted
+    table W = sqrt(M) chi: over the full (untruncated) support that sum
+    is 1 exactly."""
     points, masses = support(size)
-    while _site_weighted_deficit(probe, points, masses) > _SITE_TAIL_TOL:
+    while True:
+        table = chi_table_scaled(probe, probe.size - 1, points, masses)
+        if not np.max(1.0 - (table * table).sum(axis=1)) > _SITE_TAIL_TOL:
+            return points, masses
         if 2 * size > cap:
             raise ConfigurationError(
                 f"site-weighted tail still above {_SITE_TAIL_TOL} at "
                 f"size {size}; cap {cap} reached")
         size *= 2
         points, masses = support(size)
-    return points, masses
 
 
 def meixner_chain(beta: float, c: float, n: int | None = None
@@ -213,14 +207,16 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
         return JacobiOperator(b=np.zeros(size), j=np.where(even_scaled, ctx.k * n, n * 1.0))
 
     def support(half: int):
-        if variant == "C":
-            s_range = np.arange(-half, half)
-            pts = (math.pi / (2.0 * ctx.K)) * (2.0 * s_range + 1.0)
-            raw = 1.0 / (q ** (s_range + 0.5) + q ** (-(s_range + 0.5)))
-        else:
-            s_range = np.arange(-half, half + 1)
-            pts = (math.pi / ctx.K) * s_range
-            raw = 1.0 / (q ** s_range.astype(float) + q ** (-s_range.astype(float)))
+        # q^-s beyond the double range is inf, and its atom gets mass 0
+        with np.errstate(over="ignore"):
+            if variant == "C":
+                s_range = np.arange(-half, half)
+                pts = (math.pi / (2.0 * ctx.K)) * (2.0 * s_range + 1.0)
+                raw = 1.0 / (q ** (s_range + 0.5) + q ** (-(s_range + 0.5)))
+            else:
+                s_range = np.arange(-half, half + 1)
+                pts = (math.pi / ctx.K) * s_range
+                raw = 1.0 / (q ** s_range.astype(float) + q ** (-s_range.astype(float)))
         return pts, raw / raw.sum()
 
     if s_max is None:
@@ -231,9 +227,6 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
         raise UsageError(f"s_max = {s_max} must be >= 1")
     else:
         points, masses = support(s_max)
-    asym = np.max(np.abs(points + points[::-1]))
-    if asym > 1e-12 * points.max():
-        raise UsageError(f"truncated spectral support is asymmetric by {asym}")
     j_op = jacobi(len(points))
     return j_op, SpectralMeasure.discrete(points, masses, j_op)
 

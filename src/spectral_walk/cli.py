@@ -25,8 +25,8 @@ import sys
 import numpy as np
 
 from .chain_families import FAMILY_NAMES, build_from_spec, family_schemas
-from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _rows, oracle_expm,
-                       quantum_amplitude, series_csv, series_filename)
+from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _check_oracle_size, _rows,
+                       oracle_expm, quantum_amplitude, series_csv, series_filename)
 from .errors import SpectralWalkError, UsageError
 from .jacobi_core import generator
 from .return_analysis import (LATTICE_TOL, classify_return, modified_measure,
@@ -105,16 +105,26 @@ def _targets(args, size: int) -> list[int]:
     return js
 
 
-def _verify_build(build, args, js: list[int], classical: bool, tmax: float):
+def _check_measure(build):
+    """The measure the oracle cross-check evaluates: ``build.measure``
+    itself when it carries its operator's eigenvector table (custom,
+    pst-demo, finite uniform), else one eigendecomposition of the
+    truncated operator, made only once the oracle's size cap admits it."""
+    j_op = build.measure.jacobi
+    _check_oracle_size(j_op.size)
+    return build.measure if build.measure.weighted_chi is not None else eigendecompose(j_op)
+
+
+def _verify_build(build, check_measure, args, js: list[int], classical: bool, tmax: float):
     """Oracle cross-check on the truncated operator: the spectral-sum
-    path against dense exp(tA) / exp(-iJt), at the check times up to
-    ``tmax`` (at least the first).  Returns the max abs deviation, NaN
-    if any deviation is NaN.
+    path on ``check_measure`` (from :func:`_check_measure`) against
+    dense exp(tA) / exp(-iJt), at the check times up to ``tmax`` (at
+    least the first).  Returns the max abs deviation, NaN if any
+    deviation is NaN.
 
     All targets are evaluated over all check times in one call, and the
     raw rows are compared: a NaN or out-of-band value is a mismatch."""
-    j_op = build.measure.jacobi
-    check_measure = eigendecompose(j_op)
+    j_op = check_measure.jacobi
     times = [t for t in _VERIFY_TIMES if t <= max(tmax, _VERIFY_TIMES[0])]
     if classical:
         operator = generator(build.rates, j_op.size - 1,
@@ -166,7 +176,8 @@ def cmd_simulate(args) -> int:
     }
     code = EXIT_OK
     if args.verify:
-        worst, at = _verify_build(build, args, js, args.classical, times[-1])
+        worst, at = _verify_build(build, _check_measure(build), args, js, args.classical,
+                                  times[-1])
         manifest["verify"] = {"max_abs_diff": worst, "times": list(at),
                               "target": "truncated-operator oracle"}
         print(f"oracle cross-check: max |diff| = {worst:.3e} over t in {list(at)}")
@@ -225,11 +236,12 @@ def cmd_verify(args) -> int:
     build = build_from_spec(_load_spec(args))
     tmax = _time_grid(args)[-1]
     js = _targets(args, build.measure.jacobi.size)
-    worst_q, times = _verify_build(build, args, js, classical=False, tmax=tmax)
+    check_measure = _check_measure(build)
+    worst_q, times = _verify_build(build, check_measure, args, js, classical=False, tmax=tmax)
     print(f"quantum  spectral-vs-dense: max |diff| = {worst_q:.3e} over t in {list(times)}")
     worst = worst_q
     if build.rates is not None:
-        worst_c, _ = _verify_build(build, args, js, classical=True, tmax=tmax)
+        worst_c, _ = _verify_build(build, check_measure, args, js, classical=True, tmax=tmax)
         print(f"classical spectral-vs-expm: max |diff| = {worst_c:.3e}")
         worst = float(np.max([worst, worst_c]))
     else:

@@ -18,9 +18,11 @@ exponent factor z; :func:`_spectral_sum` is that sum.  Every finished
 P_ij and f_ij comes from :func:`_rows`: the table c_s = w_s chi_i(x_s)
 chi_j(x_s) of a range of sources i and a sequence of targets j, one
 kernel pass in blocks of times that all rows share, and for P the sign
-and pi prefactor in one vector operation.  By Cauchy-Schwarz
-|c_s| <= 1 for a normalized measure, so the scaled polynomial
-recurrence can recombine products without overflow.
+and pi prefactor in one vector operation.  Each coefficient is a
+product W[i, s] W[j, s] of the weighted table W = sqrt(w) chi, whose
+entries are at most 1 in size on a normalized measure
+(sum_s W[i, s]^2 <= 1), so by Cauchy-Schwarz |c_s| <= 1 and no
+product overflows.
 
 Per-entry calls are served from finished stacks of whole rows.  When
 n S T <= 2**14 for n sites, S nodes and T times, a call takes the rows
@@ -143,32 +145,31 @@ def _check_sites(measure: SpectralMeasure, low: int, high: int) -> None:
 
 def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets):
     """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s) of the
-    sources i and the targets j, shaped (len(sources), len(targets), S).
+    sources i and the targets j, shaped (len(sources), len(targets), S),
+    as c_s = W[i, s] W[j, s] on the table W = sqrt(w) chi.
 
-    Eigendecomposed measures carry the orthonormal table W, and there
-    c_s = W[i, s] W[j, s]; this keeps the sum-rule identities (rows of
-    P, unitarity) at eigensolver accuracy even for chains whose chi
-    recurrence is unstable at edge nodes.
+    Eigendecomposed measures carry their orthonormal W; this keeps the
+    sum-rule identities (rows of P, unitarity) at eigensolver accuracy
+    even for chains whose chi recurrence is unstable at edge nodes.
+    Every other measure takes W from the weighted recurrence.
     """
     # a list indexes rows, where a tuple would index axes
     targets = [int(j) for j in targets]
     last = max(sources.stop - 1, *targets)
     _check_sites(measure, min(sources.start, *targets), last)
-    src = np.s_[sources.start:sources.stop, None]
+    x, w = measure.nodes_and_weights()
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
-        return measure.points, table[src] * table[targets]
-    x, w = measure.nodes_and_weights()
-    mant, expo = chi_table_scaled(measure.jacobi, last, x)
-    coeff = np.ldexp(w * mant[src] * mant[targets],
-                     (expo[src] + expo[targets]).astype(np.int32, copy=False))
-    return x, coeff
+    else:
+        table = chi_table_scaled(measure.jacobi, last, x, w)
+    return x, table[sources.start:sources.stop, None] * table[targets]
 
 
 def _spectral_sum(x, coeff, times, z):
     """values[..., k] = sum_s coeff[..., s] * exp(z * x[s] * times[k]),
     shaped coeff.shape[:-1] + times.shape: coeff is one row of S
     coefficients or a stack of rows.  z is -1 (classical) or +-1j.
+    A NaN or infinite time is refused (UsageError), not summed to NaN.
     coeff is made C-contiguous first: numpy reduces a node axis that is
     not contiguous in another order, so an F-ordered stack (rows of the
     eigenvector table, say) would give rows that differ from the
@@ -193,6 +194,8 @@ def _spectral_sum(x, coeff, times, z):
     """
     coeff = np.ascontiguousarray(coeff)
     times = np.asarray(times, dtype=float)
+    if not np.isfinite(times).all():
+        raise UsageError("times must be finite (NaN or inf given)")
     flat = times.reshape(-1)
     dtype = complex if isinstance(z, complex) else float
     out = np.empty(coeff.shape[:-1] + flat.shape, dtype=dtype)
@@ -330,6 +333,12 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
                            values=_entry(measure, i, j, times_arr, -1j))
 
 
+def _check_oracle_size(size: int) -> None:
+    """The dense oracle refuses operators above _ORACLE_SIZE_CAP sites."""
+    if size > _ORACLE_SIZE_CAP:
+        raise UsageError(f"oracle size {size} above cap {_ORACLE_SIZE_CAP}")
+
+
 def oracle_expm(operator, t: float) -> np.ndarray:
     """Dense reference evolution, independent of the spectral path.
 
@@ -342,8 +351,7 @@ def oracle_expm(operator, t: float) -> np.ndarray:
     if not isinstance(operator, (GeneratorMatrix, JacobiOperator)):
         raise UsageError(
             f"oracle needs a GeneratorMatrix or a JacobiOperator, got {type(operator).__name__}")
-    if operator.size > _ORACLE_SIZE_CAP:
-        raise UsageError(f"oracle size {operator.size} above cap {_ORACLE_SIZE_CAP}")
+    _check_oracle_size(operator.size)
     if abs(t) > _ORACLE_TIME_CAP:
         raise UsageError(f"oracle |t| = {abs(t)} above cap {_ORACLE_TIME_CAP}")
     mat = operator.dense()

@@ -72,11 +72,14 @@ def jacobi_cn_dn(z, context: EllipticContext):
 
     cn has period 4K, dn period 2K; both are evaluated after reduction
     modulo 4K.  Moduli below 1e-5 switch to the k^2 perturbation of
-    cos/1 (the Landen phase fold degenerates there).
+    cos/1 (the Landen phase fold degenerates there).  A NaN or infinite
+    z raises DomainError.
     """
     k = context.k
     z_arr = np.asarray(z, dtype=float)
     flat = np.atleast_1d(z_arr).ravel()
+    if not np.isfinite(flat).all():
+        raise DomainError("jacobi_cn_dn needs finite arguments")
     if k < _SMALL_MODULUS:
         s, c = np.sin(flat), np.cos(flat)
         cn = c + 0.25 * k * k * (flat - s * c) * s
@@ -91,7 +94,7 @@ def jacobi_cn_dn(z, context: EllipticContext):
             if abs(c) <= _AGM_TOL * a:
                 break
             a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        phi = math.ldexp(a, len(scales) - 1) * u
+        phi = a * 2.0 ** (len(scales) - 1) * u
         for a_n, c_n in reversed(scales[1:]):
             phi = 0.5 * (phi + np.arcsin(np.clip((c_n / a_n) * np.sin(phi), -1.0, 1.0)))
         sn = np.sin(phi)

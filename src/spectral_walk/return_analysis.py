@@ -11,9 +11,9 @@ regimes follow from the measure type:
   * continuous mass present  ->  |f_ii(t)| -> 0 along subsequences, no
     return of either kind.
 
-The masses of dmu_i are the products w_s chi_i(x_s)^2 that
-dynamics._chi_product_coefficients gives for f_ii, so the eigenvector
-table or the scaled recurrence is chosen in one place for both.
+The masses of dmu_i are the products W[i, s]^2 = w_s chi_i(x_s)^2 that
+dynamics._chi_product_coefficients gives for f_ii, from one weighted
+table W for both.
 
 Floating-point spectra are never exactly commensurate, so lattice
 detection is a tolerance-and-cap policy (documented at

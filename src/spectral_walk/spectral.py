@@ -12,8 +12,14 @@ and the mass at each point is the squared first component of the
 normalized eigenvector (the Golub-Welsch construction).  A continuous
 part is represented by a Gauss quadrature rule whose weights already
 include the density, so every downstream consumer can treat "nodes and
-weights" uniformly.  The polynomials themselves are
-evaluated as whole tables chi_0..chi_n at a set of nodes.
+weights" uniformly.
+
+The polynomials are evaluated as one weighted table W[i, s] =
+sqrt(w_s) chi_i(x_s) at the nodes x_s with weights w_s: the eigenvector
+matrix for an eigendecomposed measure, the three-term recurrence seeded
+with W_0 = sqrt(w) for any other.  On a normalized measure
+sum_s W[i, s]^2 <= 1, so every entry is at most 1 in size, and the
+coefficients w_s chi_i(x_s) chi_j(x_s) are products W[i, s] W[j, s].
 """
 
 from __future__ import annotations
@@ -29,12 +35,7 @@ from .errors import NumericError, UsageError
 __all__ = [
     "SpectralMeasure",
     "eigendecompose",
-    "chi_table",
 ]
-
-# |chi| above this triggers a power-of-two renormalization of the
-# recurrence pair; far below overflow, far above any orthonormal value.
-_RESCALE_LIMIT = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,8 @@ class SpectralMeasure:
         The operator whose recurrence polynomials this measure
         orthonormalizes; also the evaluator used for chi_i(x).
     points, masses : ndarray
-        Discrete atoms (points in increasing order, nonnegative masses).
+        Discrete atoms (points in increasing order, nonnegative masses;
+        a negative mass is refused, since the table takes its square root).
         Equal consecutive points are allowed: an operator can have
         eigenvalues that coincide in floating point, each with its own
         eigenvector column.
@@ -55,13 +57,16 @@ class SpectralMeasure:
         Quadrature rule representing the continuous part, given together
         or not at all; the weights already include the density, so sums
         against them approximate integrals against the continuous part.
+        Weights are nonnegative, as masses are.
     weighted_chi : ndarray or None
         Table W[i, s] = sqrt(M_s) chi_i(x_s), present when the atoms are
         the operator's own eigenvalues (it is then the sign-fixed
-        eigenvector matrix).  Forward recurrence through a recessive
-        regime can lose all relative accuracy at edge nodes of
-        ill-conditioned chains, while this table is orthonormal by
-        construction, so coefficient products at the atoms prefer it.
+        eigenvector matrix).  :func:`chi_table_scaled` builds the same W
+        by recurrence for every other measure.  Forward recurrence
+        through a recessive regime can lose all relative accuracy at
+        edge nodes of ill-conditioned chains, while this table is
+        orthonormal by construction, so coefficient products at the
+        atoms prefer it.
     """
 
     jacobi: JacobiOperator
@@ -80,7 +85,7 @@ class SpectralMeasure:
             raise UsageError("points and masses differ in length")
         if len(pts) > 1 and not (np.diff(pts) >= 0).all():
             raise UsageError("discrete points must be in increasing order")
-        if len(ms) and ms.min() < -1e-15:
+        if (ms < 0).any():
             raise UsageError(f"negative mass {ms.min()} in discrete part")
         if (self.quad_points is None) != (self.quad_weights is None):
             raise UsageError("continuous part needs both quadrature points and weights")
@@ -90,6 +95,8 @@ class SpectralMeasure:
             if qp.shape != qw.shape:
                 raise UsageError(
                     f"{qp.size} quadrature points but {qw.size} quadrature weights")
+            if (qw < 0).any():
+                raise UsageError(f"negative quadrature weight {qw.min()} in continuous part")
             object.__setattr__(self, "quad_points", qp)
             object.__setattr__(self, "quad_weights", qw)
             qp.setflags(write=False)
@@ -172,14 +179,16 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
                            weighted_chi=table)
 
 
-def chi_table_scaled(j_op: JacobiOperator, n: int, x):
-    """All chi_0..chi_n at the nodes x as (mantissas, exponents), each of
-    shape (n+1, len(x)), with chi_i(x) = mant[i] * 2**expo[i].
+def chi_table_scaled(j_op: JacobiOperator, n: int, x, w):
+    """Rows 0..n of W[i, s] = sqrt(w_s) chi_i(x_s), shape (n+1, len(x)),
+    for nodes x and nonnegative weights w (scalars or arrays of the
+    same length).
 
-    The scaled three-term recurrence renormalizes the pair
-    (chi_i, chi_{i-1}) by a power of two whenever it grows past 2**500,
-    so arbitrarily high degrees never overflow; products chi_i * chi_j
-    recombine exactly via ldexp.
+    The three-term recurrence is linear, so seeding it with
+    W_0 = sqrt(w) instead of 1 carries the weight through every degree.
+    Under a normalized measure sum_s W[i, s]^2 <= 1, so no entry needs
+    rescaling, and a zero weight gives an exact zero column however
+    large chi_i grows there.  With w = 1 the rows are chi_i itself.
     """
     if n < 0:
         raise UsageError(f"polynomial index {n} is negative")
@@ -189,39 +198,11 @@ def chi_table_scaled(j_op: JacobiOperator, n: int, x):
             f"operator has {j_op.size}"
         )
     flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    s = flat.shape[0]
-    mant = np.empty((n + 1, s))
-    expo = np.zeros((n + 1, s), dtype=np.int64)
-    m_prev = np.ones(s)
-    e = np.zeros(s, dtype=np.int64)
-    mant[0] = m_prev
+    table = np.empty((n + 1, flat.size))
+    table[0] = np.sqrt(w)
     if n >= 1:
         b, j = j_op.b, j_op.j
-        m_curr = (flat - b[0]) / j[0]
-        mant[1] = m_curr
-        expo[1] = e
+        table[1] = (flat - b[0]) * table[0] / j[0]
         for i in range(1, n):
-            m_next = ((flat - b[i]) * m_curr - j[i - 1] * m_prev) / j[i]
-            big = np.abs(m_next) > _RESCALE_LIMIT
-            if big.any():
-                _, ex = np.frexp(m_next[big])
-                m_next[big] = np.ldexp(m_next[big], -ex)
-                m_curr = m_curr.copy()
-                m_curr[big] = np.ldexp(m_curr[big], -ex)
-                e = e.copy()
-                e[big] += ex
-            m_prev, m_curr = m_curr, m_next
-            mant[i + 1] = m_curr
-            expo[i + 1] = e
-    return mant, expo
-
-
-def chi_table(j_op: JacobiOperator, n: int, x):
-    """All chi_0..chi_n at the nodes x, shape (n+1, len(x)).
-
-    Degrees whose values exceed the double range come back as inf, without
-    corrupting lower degrees.
-    """
-    mant, expo = chi_table_scaled(j_op, n, x)
-    with np.errstate(over="ignore"):
-        return np.ldexp(mant, expo.astype(np.int32, copy=False))
+            table[i + 1] = ((flat - b[i]) * table[i] - j[i - 1] * table[i - 1]) / j[i]
+    return table

@@ -29,6 +29,20 @@ def chain_corpus(count: int, seed: int = CORPUS_SEED,
     return [random_rates(rng, sites=sites) for _ in range(count)]
 
 
+def plain_chi(j_op, n: int, x) -> np.ndarray:
+    """chi_0..chi_n at the nodes x, shape (n+1, len(x)), by the plain
+    unweighted three-term recurrence: a reference independent of the
+    package's weighted table."""
+    flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    table = np.empty((n + 1, flat.size))
+    table[0] = 1.0
+    if n >= 1:
+        table[1] = (flat - j_op.b[0]) / j_op.j[0]
+    for i in range(1, n):
+        table[i + 1] = ((flat - j_op.b[i]) * table[i] - j_op.j[i - 1] * table[i - 1]) / j_op.j[i]
+    return table
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(CORPUS_SEED)

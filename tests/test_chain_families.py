@@ -22,7 +22,6 @@ from spectral_walk import (
     bessel_j1,
     build_from_spec,
     characteristic,
-    chi_table,
     classify_return,
     eigendecompose,
     elliptic_context,
@@ -36,6 +35,9 @@ from spectral_walk import (
     symmetrize,
     uniform_chain,
 )
+from spectral_walk.spectral import chi_table_scaled
+
+from conftest import plain_chi
 
 
 def has_birth_death_rates(j_op) -> bool:
@@ -76,8 +78,8 @@ def test_meixner_mass_deficit_is_documented_tail():
 
 def test_meixner_orthonormality():
     _, j_op, measure = meixner_chain(beta=2.5, c=0.5)
-    table = chi_table(j_op, 10, measure.points)
-    gram = (table * measure.masses) @ table.T
+    table = chi_table_scaled(j_op, 10, measure.points, measure.masses)
+    gram = table @ table.T
     assert np.max(np.abs(gram - np.eye(11))) < 1e-10
 
 
@@ -123,7 +125,7 @@ def test_meixner_truncation_moments_converged():
 # their arithmetic: the shared loop must give the same bits.
 
 def _reference_deficit(probe, points, masses) -> float:
-    table = chi_table(probe, 10, points)
+    table = plain_chi(probe, 10, points)
     return float(np.max(1.0 - (table**2) @ masses))
 
 
@@ -362,11 +364,38 @@ def test_sc_atoms_and_mass():
                 math.pi / (2 * ctx.K), rel=1e-12)
 
 
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, [0.5, np.nan]])
+def test_cn_dn_refuse_a_non_finite_argument(z):
+    with pytest.raises(DomainError, match="finite"):
+        jacobi_cn_dn(z, elliptic_context(0.5))
+    with pytest.raises(DomainError, match="finite"):
+        jacobi_cn_dn(z, elliptic_context(1e-6))
+
+
+@pytest.mark.parametrize("variant", ["C", "D"])
+def test_sc_small_modulus_far_atoms_get_zero_mass_without_warning(variant):
+    # at k = 0.01 the nome is ~6e-6, so q^-s leaves the double range
+    # near |s| = 57: those atoms get the exact mass 0 (no overflow
+    # warning under the suite's error filter), their weighted-table
+    # columns are exact zeros, and amplitudes at a far site stay finite
+    # (finite only: no truncation certificate covers that site)
+    j_op, measure = stieltjes_carlitz_chain(variant, 0.01, s_max=60)
+    zero = measure.masses == 0.0
+    assert zero.any() and (measure.masses >= 0.0).all()
+    assert abs(measure.total_mass - 1.0) < 1e-14
+    table = chi_table_scaled(j_op, j_op.size - 1, measure.points, measure.masses)
+    assert not table[:, zero].any()
+    t = np.linspace(0.0, 10.0, 11)
+    far = j_op.size - 1
+    values = quantum_amplitude(measure, far, far, t).values
+    assert np.isfinite(values).all()
+
+
 def test_sc_orthonormality_to_degree_10():
     for variant, k in (("C", 0.5), ("D", 0.5)):
         j_op, measure = stieltjes_carlitz_chain(variant, k)
-        table = chi_table(j_op, 10, measure.points)
-        gram = (table * measure.masses) @ table.T
+        table = chi_table_scaled(j_op, 10, measure.points, measure.masses)
+        gram = table @ table.T
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
 
 

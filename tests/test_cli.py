@@ -379,3 +379,27 @@ def test_verify_subcommand_skips_classical_without_rates(capsys):
     assert code == 0
     assert "skipped" in out
 
+
+
+@pytest.mark.parametrize("argv, calls, code", [
+    (["verify", "--spec", TWO_STATE, "--j", "0", "--j", "1"], 0, 0),
+    (["verify", "--family", "pst-demo", "--n", "6", "--j", "5"], 0, 0),
+    (["simulate", "--spec", TWO_STATE, "--classical", "--verify", "--j", "1"], 0, 0),
+    (["verify", "--family", "meixner", "--beta", "1", "--c", "0.25"], 1, 0),
+    (["simulate", "--family", "sc-d", "--k", "0.5", "--verify", "--tmax", "1"], 1, 0),
+    (["verify", "--family", "meixner", "--beta", "1.3", "--c", "0.9"], 0, 2),
+], ids=["verify-custom", "verify-pst-demo", "simulate-custom", "verify-meixner",
+        "simulate-sc-d", "verify-above-cap"])
+def test_verify_decomposes_at_most_once_and_only_below_the_cap(
+        tmp_path, capsys, monkeypatch, argv, calls, code):
+    # a measure with its own eigenvector table is checked as it is; any
+    # other is eigendecomposed once per command, both modes sharing it,
+    # and an operator above the oracle's cap is refused before that
+    seen = []
+    real = spectral_walk.cli.eigendecompose
+    monkeypatch.setattr(spectral_walk.cli, "eigendecompose",
+                        lambda j_op: seen.append(j_op.size) or real(j_op))
+    got, _, err = run(capsys, *argv, "--output", str(tmp_path))
+    assert (got, len(seen)) == (code, calls)
+    if code == 2:
+        assert "oracle size 1092 above cap 512" in err

@@ -603,6 +603,26 @@ def test_negative_time_rejected_after_a_memo_fill(rng):
         classical_transition(measure, rates, 2, 4, t)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["classical", "quantum", "characteristic", "quadrature"])
+def test_non_finite_time_is_refused_not_summed_to_nan(kind, bad, rng):
+    rates = random_rates(rng, sites=6)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.array([1.0, bad, 2.0])
+    # a memo filled on a finite grid does not serve a non-finite one
+    quantum_amplitude(measure, 2, 3, np.array([1.0, 1.5, 2.0]))
+    calls = {
+        "classical": lambda: classical_transition(measure, rates, 2, 3, t),
+        "quantum": lambda: quantum_amplitude(measure, 2, 3, t),
+        "characteristic": lambda: characteristic(measure, t),
+        "quadrature": lambda: quantum_amplitude(uniform_chain(quad_order=64)[1], 0, 1, t),
+    }
+    # -inf is a negative time first, for the classical kernel
+    message = "t >= 0" if kind == "classical" and bad < 0 else "times must be finite"
+    with pytest.raises(UsageError, match=message):
+        calls[kind]()
+
+
 def test_second_rates_on_one_measure_get_their_own_prefactors(rng):
     # rates whose births are off by 4e-13 pass the provenance check of the
     # first rates' measure, but their pi, so their P, differ in the last bits

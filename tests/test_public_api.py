@@ -33,7 +33,7 @@ def test_package_namespace_is_pinned():
         "ConfigurationError",
         "BirthDeathRates", "GeneratorMatrix", "JacobiOperator", "PiCoefficients",
         "symmetrize", "pi_coefficients", "generator",
-        "SpectralMeasure", "eigendecompose", "chi_table",
+        "SpectralMeasure", "eigendecompose",
         "ProbabilitySeries", "AmplitudeSeries", "classical_transition",
         "quantum_amplitude", "oracle_expm", "bessel_j1",
         "series_csv", "series_filename",

@@ -10,13 +10,13 @@ from spectral_walk import (
     SpectralMeasure,
     UsageError,
     eigendecompose,
-    chi_table,
     pi_coefficients,
     symmetrize,
+    uniform_chain,
 )
 from spectral_walk.spectral import chi_table_scaled
 
-from conftest import random_rates
+from conftest import plain_chi, random_rates
 
 
 def _random_jacobi(rng, size):
@@ -50,8 +50,8 @@ class TestEigendecompose:
     def test_orthonormality_n8_by_recurrence(self, rng):
         j_op = _random_jacobi(rng, 9)
         measure = eigendecompose(j_op)
-        table = chi_table(j_op, 8, measure.points)
-        gram = (table * measure.masses) @ table.T
+        table = chi_table_scaled(j_op, 8, measure.points, measure.masses)
+        gram = table @ table.T
         assert np.max(np.abs(gram - np.eye(9))) < 1e-10
 
     def test_orthonormality_up_to_n32(self, rng):
@@ -70,7 +70,8 @@ class TestEigendecompose:
         measure = eigendecompose(j_op)
         W = measure.weighted_chi
         assert np.max(np.abs(W[0] ** 2 - measure.masses)) < 1e-14
-        chi = chi_table(j_op, 9, measure.points)
+        # unit weights give the unweighted chi_i
+        chi = chi_table_scaled(j_op, 9, measure.points, 1.0)
         assert np.max(np.abs(W / W[0] - chi)) < 1e-8
 
     def test_moments_match_operator_powers(self, rng):
@@ -96,6 +97,17 @@ class TestSpectralMeasure:
         with pytest.raises(UsageError, match="mass"):
             SpectralMeasure(jacobi=j_op, points=np.array([0.0, 1.0]),
                             masses=np.array([1.2, -0.2]))
+        # the weighted table takes sqrt(w): a roundoff-sized negative
+        # value is refused too, and each refusal names its part
+        with pytest.raises(UsageError, match="negative mass -1e-16 in discrete part"):
+            SpectralMeasure(jacobi=j_op, points=np.array([0.0, 1.0]),
+                            masses=np.array([1.0, -1e-16]))
+        with pytest.raises(UsageError,
+                           match="negative quadrature weight -0.25 in continuous part"):
+            SpectralMeasure.continuous([0.0, 1.0], [1.25, -0.25], j_op)
+        # zero masses and weights are admitted
+        SpectralMeasure(jacobi=j_op, points=np.array([0.0, 1.0]), masses=np.array([1.0, 0.0]),
+                        quad_points=np.array([0.5]), quad_weights=np.array([0.0]))
 
     def test_discrete_constructor_sorts(self):
         j_op = JacobiOperator(b=np.zeros(2), j=np.array([1.0]))
@@ -131,59 +143,75 @@ class TestSpectralMeasure:
 
 def test_chi_matches_eigenvector_components(rng):
     # Independent oracle: the s-th normalized eigenvector of J has
-    # components v[i] = sign * sqrt(M_s) * chi_i(x_s).
+    # components v[i] = sign * sqrt(M_s) * chi_i(x_s), which is the
+    # recurrence table W and the measure's own weighted_chi.
     j_op = _random_jacobi(rng, 11)
     measure = eigendecompose(j_op)
     evals, evecs = np.linalg.eigh(j_op.dense())
-    table = chi_table(j_op, 10, measure.points)
+    table = chi_table_scaled(j_op, 10, measure.points, measure.masses)
+    assert np.max(np.abs(table - measure.weighted_chi)) < 1e-9
     for s in range(11):
         v = evecs[:, s] * np.sign(evecs[0, s])
-        assert np.max(np.abs(table[:, s] * np.sqrt(measure.masses[s]) - v)) < 1e-9
+        assert np.max(np.abs(table[:, s] - v)) < 1e-9
 
 
 def test_chi_seeds():
     j_op = JacobiOperator(b=np.array([0.3, -0.2]), j=np.array([0.9]))
     x = np.array([-1.0, 0.0, 2.0])
-    table = chi_table(j_op, 1, x)
-    assert np.all(table[0] == 1.0)
-    # chi_1 = (x - b_0)/j_1 directly from the recurrence seed
-    assert table[1] == pytest.approx((x - 0.3) / 0.9)
+    w = np.array([0.25, 1.0, 4.0])
+    table = chi_table_scaled(j_op, 1, x, w)
+    assert list(table[0]) == [0.5, 1.0, 2.0]
+    # W_1 = sqrt(w) (x - b_0)/j_1 directly from the recurrence seed
+    assert table[1] == pytest.approx(np.sqrt(w) * (x - 0.3) / 0.9)
 
 
 def test_chi_scalar_input(rng):
     j_op = _random_jacobi(rng, 5)
-    assert chi_table(j_op, 3, 0.25).shape == (4, 1)
+    assert chi_table_scaled(j_op, 3, 0.25, 1.0).shape == (4, 1)
 
 
 def test_chi_scaled_survives_growth():
     # Uniform couplings 1/2 with |x| > 1: chi_i grows like the larger
-    # Chebyshev branch and overflows float64 near i ~ 700.  The scaled
-    # pair must stay finite and recombine to inf only in linear space.
+    # Chebyshev branch, 2.54 bits a degree at x = 3, and unweighted it
+    # overflows float64 near degree 400.  The weight seeds the linear
+    # recurrence, so W = sqrt(w) chi with w = 2**-1000 is still finite
+    # at degree 450 and follows the growth law there, and a zero weight
+    # is an exact zero row at every degree, never 0 * inf = NaN.
     j_op = JacobiOperator(b=np.zeros(1200), j=np.full(1199, 0.5))
-    mant, expo = chi_table_scaled(j_op, 1100, np.array([3.0]))
-    assert np.isfinite(mant).all()
     x = 3.0
-    growth = np.log2(x + np.sqrt(x * x - 1.0)) * 1100
-    total = np.log2(np.abs(mant[1100, 0])) + expo[1100, 0]
-    assert total == pytest.approx(growth, rel=1e-3)
-    assert chi_table(j_op, 1100, np.array([3.0]))[1100, 0] == np.inf
+    table = chi_table_scaled(j_op, 450, np.array([x]), np.array([2.0**-1000]))
+    assert np.isfinite(table).all()
+    growth = np.log2(x + np.sqrt(x * x - 1.0)) * 450
+    assert np.log2(np.abs(table[450, 0])) + 500 == pytest.approx(growth, rel=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unweighted = chi_table_scaled(j_op, 450, np.array([x]), 1.0)
+    assert not np.isfinite(unweighted[450, 0])
+    zero = chi_table_scaled(j_op, 1100, np.array([x, -x]), np.zeros(2))
+    assert not zero.any() and not np.signbit(zero[0]).any()
 
 
 def test_chi_scaled_agrees_with_plain(rng):
+    # W = sqrt(w) chi against the independent plain recurrence: bit for
+    # bit where sqrt(w) is a power of two (scaling by it is exact), and
+    # to roundoff for any weights
     j_op = _random_jacobi(rng, 9)
     x = rng.uniform(-2.0, 2.0, size=7)
-    mant, expo = chi_table_scaled(j_op, 8, x)
-    assert np.array_equal(np.ldexp(mant, expo), chi_table(j_op, 8, x))
+    chi = plain_chi(j_op, 8, x)
+    powers = 4.0 ** rng.integers(-20, 20, size=7)
+    assert np.array_equal(chi_table_scaled(j_op, 8, x, powers), np.sqrt(powers) * chi)
+    w = rng.uniform(0.0, 1.0, size=7)
+    assert chi_table_scaled(j_op, 8, x, w) == pytest.approx(np.sqrt(w) * chi, rel=1e-12)
 
 
 def test_chi_table_rows_match_single_evaluations(rng):
     # reference: the plain three-term recurrence, one degree at a time
     j_op = _random_jacobi(rng, 7)
     x = rng.uniform(-2.0, 2.0, size=5)
-    table = chi_table(j_op, 6, x)
+    w = rng.uniform(0.0, 1.0, size=5)
+    table = chi_table_scaled(j_op, 6, x, w)
     prev, curr = np.zeros_like(x), np.ones_like(x)
     for i in range(7):
-        assert table[i] == pytest.approx(list(curr))
+        assert table[i] == pytest.approx(list(np.sqrt(w) * curr))
         if i < 6:
             coupling = j_op.j[i - 1] if i else 0.0
             prev, curr = curr, ((x - j_op.b[i]) * curr - coupling * prev) / j_op.j[i]
@@ -191,16 +219,28 @@ def test_chi_table_rows_match_single_evaluations(rng):
 
 def test_chi_table_scaled_shapes(rng):
     j_op = _random_jacobi(rng, 6)
-    mant, expo = chi_table_scaled(j_op, 5, np.linspace(-1, 1, 4))
-    assert mant.shape == (6, 4)
-    assert expo.shape == (6, 4)
+    w = np.full(4, 0.25)
+    table = chi_table_scaled(j_op, 5, np.linspace(-1, 1, 4), w)
+    assert table.shape == (6, 4)
+    assert list(table[0]) == [0.5] * 4
 
 
 def test_chi_table_caps_degree(rng):
     j_op = _random_jacobi(rng, 5)
-    chi_table(j_op, 4, 0.0)
+    chi_table_scaled(j_op, 4, 0.0, 1.0)
     with pytest.raises(UsageError, match="recurrence rows"):
-        chi_table(j_op, 5, 0.0)
+        chi_table_scaled(j_op, 5, 0.0, 1.0)
+
+
+def test_weighted_table_rows_are_unit_on_a_gauss_rule():
+    # the uniform chain's quadrature of order m is exact to degree
+    # 2m - 1, so rows 0..m-1 of W have sum_s W[i, s]^2 = 1 and every
+    # entry is at most 1 in size, where unweighted chi_i reaches ~i
+    _, measure = uniform_chain(quad_order=128)
+    x, w = measure.nodes_and_weights()
+    table = chi_table_scaled(measure.jacobi, 127, x, w)
+    assert np.max(np.abs((table * table).sum(axis=1) - 1.0)) < 1e-12
+    assert np.abs(table).max() <= 1.0
 
 
 def test_Q_relation_to_chi(rng):
@@ -213,7 +253,7 @@ def test_Q_relation_to_chi(rng):
     x = rng.uniform(0.0, 4.0, size=6)
     q_prev, q = np.zeros_like(x), np.ones_like(x)
     for i in range(7):
-        expected = (-1.0) ** i * chi_table(j_op, i, x)[i] / np.sqrt(pi.value(i))
+        expected = (-1.0) ** i * chi_table_scaled(j_op, i, x, 1.0)[i] / np.sqrt(pi.value(i))
         assert q == pytest.approx(list(expected), abs=1e-11)
         lam, mu = rates.lam(i), rates.mu(i)
         q_prev, q = q, ((lam + mu - x) * q - mu * q_prev) / lam
@@ -225,7 +265,7 @@ def test_Q_at_zero_is_one_when_mu0_vanishes(rng):
     rates = random_rates(rng, sites=9)
     j_op = symmetrize(rates)
     pi = pi_coefficients(rates, 8)
-    chi = chi_table(j_op, 8, 0.0)[:, 0]
+    chi = chi_table_scaled(j_op, 8, 0.0, 1.0)[:, 0]
     for i in range(8):
         q = (-1.0) ** i * chi[i] / np.sqrt(pi.value(i))
         assert q == pytest.approx(1.0, abs=1e-10)
