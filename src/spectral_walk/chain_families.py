@@ -49,10 +49,7 @@ __all__ = [
     "fitted_omega",
     "family_schemas",
     "build_from_spec",
-    "FAMILY_NAMES",
 ]
-
-FAMILY_NAMES = ("custom", "meixner", "sc-c", "sc-d", "uniform", "pst-demo")
 
 _MEIXNER_SITE_CAP = 100_000
 # largest count (n, s_max, quad_order) a spec may give; a 4096-site table is 128 MB
@@ -235,26 +232,17 @@ def fitted_omega(variant: str, context: EllipticContext,
                  measure: SpectralMeasure) -> float:
     """Frequency scale matching the measure lattice to cn/dn.
 
-    cn's fundamental frequency is pi/2K (odd lattice), dn's is pi/K;
-    the fitted omega is the ratio of the measured fundamental to those,
-    so the amplitude equals cn(omega t) resp. dn(omega t).  The
-    construction above makes omega = 1 up to lattice-fit roundoff; the
-    value is computed from the spectrum, not assumed.
+    At omega = 1 both lattices have spacing pi/K (cn's atoms at the odd
+    multiples of pi/2K, dn's at the multiples of pi/K), so the detected
+    period t0 gives omega = 2K / t0 for either variant, and the amplitude
+    equals cn(omega t) resp. dn(omega t).  The construction above makes
+    omega = 1 up to lattice-fit roundoff; the value is computed from the
+    spectrum, not assumed.
     """
-    variant = variant.upper()
-    pts = measure.points
-    if variant == "C":
-        positive = pts[pts > 0]
-        if len(positive) == 0:
-            raise UsageError("no positive spectrum points to fit omega")
-        return float(positive.min() / (math.pi / (2.0 * context.K)))
-    if variant == "D":
-        verdict = detect_lattice(pts, masses=measure.masses)
-        if verdict.kind != "Perfect":
-            raise UsageError(f"variant-D spectrum not a lattice: {verdict.kind}")
-        delta = 2.0 * math.pi / verdict.t0
-        return float(delta / (math.pi / context.K))
-    raise DomainError(f"variant {variant!r} must be 'C' or 'D'")
+    verdict = detect_lattice(measure.points, masses=measure.masses)
+    if verdict.kind != "Perfect":
+        raise UsageError(f"variant-{variant.upper()} spectrum not a lattice: {verdict.kind}")
+    return float(2.0 * context.K / verdict.t0)
 
 
 def uniform_chain(n: int | None = None, quad_order: int = 256
@@ -398,11 +386,12 @@ def build_from_spec(spec: dict) -> FamilyBuild:
     """
     if not isinstance(spec, dict):
         raise UsageError("chain spec must be a JSON object")
+    schemas = family_schemas()
     family = spec.get("family")
-    if family not in FAMILY_NAMES:
+    if not isinstance(family, str) or family not in schemas:
         raise UsageError(
-            f"field 'family' is {family!r}, expected one of {', '.join(FAMILY_NAMES)}")
-    known = {"family"} | set(family_schemas()[family]["params"])
+            f"field 'family' is {family!r}, expected one of {', '.join(schemas)}")
+    known = {"family"} | set(schemas[family]["params"])
     for key in spec:
         if key not in known:
             raise UsageError(f"unknown field '{key}' for family '{family}'")

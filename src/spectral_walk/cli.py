@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .chain_families import FAMILY_NAMES, build_from_spec, family_schemas
+from .chain_families import build_from_spec, family_schemas
 from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _check_oracle_size, _rows,
                        oracle_expm, quantum_amplitude, series_csv, series_filename)
 from .errors import SpectralWalkError, UsageError
@@ -72,18 +72,32 @@ def _json(text: str, what: str):
         raise UsageError(f"{what}: {exc}") from exc
 
 
+def _spec_params() -> dict:
+    """name -> (flag, schema type, {range: families}) of every family
+    parameter, each once, in the order :func:`family_schemas` names it."""
+    params = {}
+    for family, info in family_schemas().items():
+        for name, meta in info["params"].items():
+            flag, kind, ranges = params.setdefault(
+                name, ("--" + name.replace("_", "-"), meta["type"], {}))
+            ranges.setdefault(meta["range"], []).append(family)
+    return params
+
+
 def _load_spec(args) -> dict:
-    """Chain spec from --spec (file path or inline JSON) or --family + flags."""
+    """Chain spec from --spec (file path or inline JSON) or --family + flags;
+    a list parameter's flag carries JSON text."""
     if (args.spec is None) == (args.family is None):
         raise UsageError("exactly one of --spec or --family is required")
     if args.family is not None:
-        params = {
-            "beta": args.beta, "c": args.c, "k": args.k, "n": args.n,
-            "s_max": args.s_max, "quad_order": args.quad_order,
-            "lambdas": _json(args.lambdas, "--lambdas is not valid JSON") if args.lambdas else None,
-            "mus": _json(args.mus, "--mus is not valid JSON") if args.mus else None,
-        }
-        return {"family": args.family} | {k: v for k, v in params.items() if v is not None}
+        spec = {"family": args.family}
+        for name, (flag, kind, _) in _spec_params().items():
+            value = getattr(args, name)
+            if kind == "list[float]":
+                value = _json(value, f"{flag} is not valid JSON") if value else None
+            if value is not None:
+                spec[name] = value
+        return spec
     text = args.spec
     if os.path.exists(args.spec):
         with open(args.spec) as fh:
@@ -127,12 +141,11 @@ def _verify_build(build, check_measure, args, js: list[int], classical: bool, tm
     j_op = check_measure.jacobi
     times = [t for t in _VERIFY_TIMES if t <= max(tmax, _VERIFY_TIMES[0])]
     if classical:
-        operator = generator(build.rates, j_op.size - 1,
-                             boundary="reflecting" if build.family == "custom" else "absorbing-tail")
-        z, pi = -1.0, _bind(check_measure, build.rates)
+        pi, boundary = _bind(check_measure, build.rates)
+        operator = generator(build.rates, j_op.size - 1, boundary=boundary)
     else:
-        operator, z, pi = j_op, -1j, None
-    rows = _rows(check_measure, range(args.i, args.i + 1), js, np.array(times), z, pi)[0]
+        operator, pi = j_op, None
+    rows = _rows(check_measure, range(args.i, args.i + 1), js, np.array(times), pi)[0]
     deviations = []
     for k, t in enumerate(times):
         dense = oracle_expm(operator, t)
@@ -152,11 +165,11 @@ def cmd_simulate(args) -> int:
             f"family '{build.family}' defines no birth-death rates; classical "
             "dynamics is undefined (use --quantum)")
     os.makedirs(args.output, exist_ok=True)
-    z, pi, kind = ((-1.0, _bind(build.measure, build.rates), ProbabilitySeries) if args.classical
-                   else (-1j, None, AmplitudeSeries))
+    pi, kind = ((_bind(build.measure, build.rates)[0], ProbabilitySeries) if args.classical
+                else (None, AmplitudeSeries))
     # all targets in one pass over the grid; the series check each row
     # (NaN, probability band) before any file is written
-    rows = _rows(build.measure, range(args.i, args.i + 1), js, times, z, pi)[0]
+    rows = _rows(build.measure, range(args.i, args.i + 1), js, times, pi)[0]
     all_series = [kind(i=args.i, j=jj, times=times, values=row) for jj, row in zip(js, rows)]
     written = []
     for series in all_series:
@@ -222,8 +235,7 @@ def cmd_families(as_json: bool) -> int:
     if as_json:
         print(json.dumps(schemas, indent=2, sort_keys=True))
         return EXIT_OK
-    for name in FAMILY_NAMES:
-        info = schemas[name]
+    for name, info in schemas.items():
         print(f"{name}: {info['notes']}")
         for pname, meta in info["params"].items():
             req = "required" if meta.get("required") else "optional"
@@ -255,16 +267,12 @@ def cmd_verify(args) -> int:
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="chain spec: path to a JSON file, or inline JSON")
-    p.add_argument("--family", choices=FAMILY_NAMES, help="named family instead of --spec")
-    p.add_argument("--beta", type=float, help="meixner: beta > 0")
-    p.add_argument("--c", type=float, help="meixner: c in (0,1)")
-    p.add_argument("--k", type=float, help="sc-c/sc-d: modulus in (0,1)")
-    p.add_argument("--n", type=int, help="family-dependent truncation / size")
-    p.add_argument("--s-max", dest="s_max", type=int, help="sc: half support override")
-    p.add_argument("--quad-order", dest="quad_order", type=int,
-                   help="uniform continuous mode: quadrature order (default 256)")
-    p.add_argument("--lambdas", help="custom: JSON array of birth rates")
-    p.add_argument("--mus", help="custom: JSON array of death rates")
+    p.add_argument("--family", choices=[*family_schemas()], help="named family instead of --spec")
+    for name, (flag, kind, ranges) in _spec_params().items():
+        # a list parameter is given as JSON text
+        p.add_argument(flag, dest=name, type={"float": float, "int": int}.get(kind),
+                       help="; ".join(f"{'/'.join(fams)}: {r}" for r, fams in ranges.items())
+                       + (" (JSON array)" if kind == "list[float]" else ""))
     p.add_argument("--output", default=".", help="output directory (default .)")
 
 

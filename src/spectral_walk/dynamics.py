@@ -26,19 +26,17 @@ product overflows.
 
 Per-entry calls are served from finished stacks of whole rows.  When
 n S T <= 2**14 for n sites, S nodes and T times, a call takes the rows
-of k = floor(2**14 / (n S T)) sources around i from :func:`_rows` and
-remembers the last stack of each kind through a weak reference to the
-measure; a larger entry is a stack of one row and one target, and
-nothing is kept.  A value depends neither on the rest of the grid, nor
-on the other entries of its stack, nor on the order of calls: it is
-the double a call for that entry alone gives.
+of k = floor(2**14 / (n S T)) sources around i from :func:`_rows`; a
+larger entry is a stack of one row and one target.  A value depends
+neither on the rest of the grid, nor on the other entries of its stack,
+nor on the order of calls: it is the double a call for that entry alone
+gives.
 
-The measure and the potential coefficients pi belong to the chain, not
-to the entry (i, j): :func:`classical_transition` checks that a measure
-was built from its rates, and computes pi over all of the measure's
-sites, once per (measure, rates) pair.  Only the last pair is
-remembered, by identity and through weak references, so neither object
-is kept alive.
+A call is classical exactly when it carries pi.  One record per kind
+binds the last (measure, rates) pair through weak references, so
+neither is kept alive: it holds the pair's pi, computed over all of the
+measure's sites once :func:`_bind` has checked that the measure came
+from the rates, and the pair's last stack, if one fits.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .jacobi_core import (BirthDeathRates, GeneratorMatrix, JacobiOperator, PiCoefficients,
-                          _gather, _pi_of, symmetrize)
+from .jacobi_core import (BOUNDARIES, BirthDeathRates, GeneratorMatrix, JacobiOperator,
+                          PiCoefficients, _gather, _pi_of, symmetrize)
 from .errors import DomainError, NumericError, UsageError
 from .spectral import SpectralMeasure, chi_table_scaled
 
@@ -72,12 +70,10 @@ _ORACLE_TIME_CAP = 1e3
 # _spectral_sum: terms per block of the time x node grid
 _BLOCK_TERMS = 2 ** 14
 
-# (weakref to measure, weakref to rates, pi) of the last pair _bind checked;
-# one tuple, read and replaced whole, so concurrent callers never pair one
-# chain's objects with another chain's pi
-_last_bound = None
-# z -> (weakref to measure, pi or None, sources, times key, stack) of the last
-# stack _entry kept for that kind; read and replaced whole, as _last_bound is
+# classical (a bool) -> (weakref to measure, weakref to rates or None, pi or
+# None, sources, times key, stack or None): the last pair _entry bound for
+# that kind and its last stack; one tuple, read and replaced whole, so
+# concurrent callers never pair one chain's objects with another's pi
 _last_stack = {}
 
 
@@ -207,46 +203,54 @@ def _spectral_sum(x, coeff, times, z):
     return out.reshape(coeff.shape[:-1] + times.shape)
 
 
-def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray, z,
+def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
           pi: PiCoefficients | None = None) -> np.ndarray:
-    """sum_s c_s e^{z x_s t} for each source i and target j over times (a
-    float array), shaped (len(sources), len(targets)) + times.shape, all
-    rows sharing each block of phases; with pi, the classical P_ij, sign
-    and prefactor applied and t >= 0 checked.  Every finished P_ij and
-    f_ij is made here, and an entry is the same double in any stack."""
+    """P_ij with pi (kernel e^{-xt}, sign and prefactor applied, t >= 0
+    checked), else f_ij (kernel e^{-ixt}), for each source i and target
+    j over times (a float array), shaped (len(sources), len(targets)) +
+    times.shape, all rows sharing each block of phases.  Every finished
+    P_ij and f_ij is made here, and an entry is the same double in any
+    stack."""
     if pi is not None and (times < 0).any():
         raise UsageError("classical evolution needs t >= 0")
     x, coeff = _chi_product_coefficients(measure, sources, targets)
-    rows = _spectral_sum(x, coeff, times, z)
+    rows = _spectral_sum(x, coeff, times, -1j if pi is None else -1.0)
     if pi is not None:
         rows *= _prefactors(pi, sources, targets).reshape(coeff.shape[:2] + (1,) * times.ndim)
     return rows
 
 
-def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray, z,
-           pi: PiCoefficients | None = None) -> np.ndarray:
+def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
+           rates: BirthDeathRates | None = None) -> np.ndarray:
     """The entry (i, j) of :func:`_rows` over times, in an array of the
-    caller's own.  When n S T <= _BLOCK_TERMS, the rows of the aligned
-    sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are
-    evaluated and kept as the last stack of their z, keyed by a weak
-    reference to the measure, pi by identity, the sources and times; a
-    larger entry is evaluated alone and nothing is kept.
+    caller's own: P_ij with rates, f_ij without, pi read from the kind's
+    record or bound anew.  When n S T <= _BLOCK_TERMS, the rows of the
+    aligned sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T),
+    are evaluated and kept in the record, keyed by sources and times; a
+    larger entry is evaluated alone and the record keeps no stack.
     """
     size = measure.jacobi.size
     key = (times.shape, times.tobytes())
-    last = _last_stack.get(z)
-    if (last is not None and last[0]() is measure and last[1] is pi and i in last[2]
-            and 0 <= j < size and last[3] == key):
-        return last[4][i - last[2].start, j, ...].copy()
+    last = _last_stack.get(rates is not None)
+    bound = last is not None and last[0]() is measure and (rates is None or last[1]() is rates)
+    if bound and i in last[3] and 0 <= j < size and last[4] == key:
+        return last[5][i - last[3].start, j, ...].copy()
+    pi = last[2] if bound else None
+    if rates is not None and not bound:
+        pi = _bind(measure, rates)[0]
     _check_sites(measure, min(i, j), max(i, j))
     per_row = size * measure.nodes_and_weights()[0].size * times.size
     if per_row > _BLOCK_TERMS:
-        return _rows(measure, range(i, i + 1), [j], times, z, pi)[0, 0, ...]
-    k = _BLOCK_TERMS // max(per_row, 1)
-    sources = range(i - i % k, min(i - i % k + k, size))
-    stack = _rows(measure, sources, range(size), times, z, pi)
-    _last_stack[z] = (weakref.ref(measure), pi, sources, key, stack)
-    return stack[i - sources.start, j, ...].copy()
+        sources, stack = range(0), None
+        values = _rows(measure, range(i, i + 1), [j], times, pi)[0, 0, ...]
+    else:
+        k = _BLOCK_TERMS // max(per_row, 1)
+        sources = range(i - i % k, min(i - i % k + k, size))
+        stack = _rows(measure, sources, range(size), times, pi)
+        values = stack[i - sources.start, j, ...].copy()
+    rates_ref = None if rates is None else weakref.ref(rates)
+    _last_stack[rates is not None] = (weakref.ref(measure), rates_ref, pi, sources, key, stack)
+    return values
 
 
 def _prefactors(pi: PiCoefficients, sources: range, targets) -> np.ndarray:
@@ -258,27 +262,18 @@ def _prefactors(pi: PiCoefficients, sources: range, targets) -> np.ndarray:
     return ratio
 
 
-def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> PiCoefficients:
-    """pi_0..pi_n of the rates over the measure's n + 1 sites, after
-    checking once per (measure, rates) pair that the measure came from
-    the symmetrization of the rates (either boundary convention), else
-    the pi-prefactor formula is silently wrong.
+def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> tuple[PiCoefficients, str]:
+    """pi_0..pi_n of the rates over the measure's n + 1 sites, and the
+    boundary convention ("reflecting" first) under which the measure
+    came from the symmetrization of the rates; any other measure raises
+    UsageError, as the pi-prefactor formula would be silently wrong.
 
-    The rates are read once per pair: both candidate operators and pi
-    come from one absorbing-tail gather, since the reflecting operator
-    differs only in b[n], mu_n in place of lambda_n + mu_n.
-
-    A repeated pair is recognized by identity (both objects are frozen),
-    through weak references: a strong one would keep a big measure and
-    its N x N eigenvector table alive.  The prefixes of pi do not depend
-    on n (log_values is a cumsum), so any entry equals the one a shorter
-    pi_coefficients call gives.
+    The rates are read once: both candidate operators and pi come from
+    one absorbing-tail gather, since the reflecting operator differs only
+    in b[n], mu_n in place of lambda_n + mu_n.  The prefixes of pi do not
+    depend on n (log_values is a cumsum), so any entry equals the one a
+    shorter pi_coefficients call gives.
     """
-    global _last_bound
-    if _last_bound is not None:
-        measure_ref, rates_ref, pi = _last_bound
-        if measure_ref() is measure and rates_ref() is rates:
-            return pi
     j_op = measure.jacobi
     n = j_op.size - 1
     try:
@@ -289,14 +284,14 @@ def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> PiCoefficients:
     b, coupling = lam + mu, np.sqrt(lam[:-1] * mu[1:])
     scale = max(1.0, float(np.max(np.abs(j_op.b))))
     close = functools.partial(np.allclose, rtol=1e-12, atol=1e-13 * scale)
-    if not (close(coupling, j_op.j) and (close(np.r_[b[:-1], mu[n]], j_op.b) or close(b, j_op.b))):
+    matched = [boundary for boundary, diagonal in zip(BOUNDARIES, (np.r_[b[:-1], mu[n]], b))
+               if close(diagonal, j_op.b)]
+    if not (matched and close(coupling, j_op.j)):
         raise UsageError(
             "measure was not built from these rates: symmetrized operator "
             "disagrees beyond roundoff (provenance mismatch)"
         )
-    pi = _pi_of(lam, mu)
-    _last_bound = (weakref.ref(measure), weakref.ref(rates), pi)
-    return pi
+    return _pi_of(lam, mu), matched[0]
 
 
 def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
@@ -308,8 +303,8 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
     measure : SpectralMeasure
         Orthogonality measure of ``symmetrize(rates)``; provenance is
         checked once per (measure, rates) pair and a mismatch raises
-        UsageError.  The pair is remembered through weak references, so
-        neither object is kept alive.
+        UsageError.  The last pair is remembered through weak references,
+        so neither object is kept alive.
     rates : BirthDeathRates
         Supplies the potential coefficients pi for the prefactor.
     i, j : int
@@ -318,7 +313,7 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
         Nonnegative time grid.
     """
     times_arr = np.asarray(times, dtype=float)
-    values = _entry(measure, i, j, times_arr, -1.0, _bind(measure, rates))
+    values = _entry(measure, i, j, times_arr, rates)
     return ProbabilitySeries(i=i, j=j, times=times_arr, values=values)
 
 
@@ -330,7 +325,7 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
     """
     times_arr = np.asarray(times, dtype=float)
     return AmplitudeSeries(i=i, j=j, times=times_arr,
-                           values=_entry(measure, i, j, times_arr, -1j))
+                           values=_entry(measure, i, j, times_arr))
 
 
 def _check_oracle_size(size: int) -> None:

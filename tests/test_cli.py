@@ -98,22 +98,22 @@ def test_simulate_verify_exit_3_when_tolerance_unmeetable(tmp_path, capsys):
     assert "FAILED" in err
 
 
-def nan_rows(kind):
-    """The row path with NaN values for one kind of z: -1j (quantum) or
-    -1.0 (classical)."""
+def nan_rows(classical):
+    """The row path with NaN values for one kind: classical (a call with
+    pi) or quantum (without)."""
     real = spectral_walk.cli._rows
 
-    def rows(measure, sources, targets, times, z, pi=None):
-        values = real(measure, sources, targets, times, z, pi)
-        return np.full_like(values, np.nan) if z == kind else values
+    def rows(measure, sources, targets, times, pi=None):
+        values = real(measure, sources, targets, times, pi)
+        return np.full_like(values, np.nan) if (pi is not None) == classical else values
     return rows
 
 
 @pytest.mark.parametrize("stub, argv", [
-    (nan_rows(-1j), ["simulate", "--family", "pst-demo", "--n", "8",
-                     "--verify", "--j", "0", "--j", "3"]),
-    (nan_rows(-1j), ["verify", "--spec", TWO_STATE, "--j", "1"]),
-    (nan_rows(-1.0), ["verify", "--spec", TWO_STATE, "--j", "1"]),
+    (nan_rows(False), ["simulate", "--family", "pst-demo", "--n", "8",
+                       "--verify", "--j", "0", "--j", "3"]),
+    (nan_rows(False), ["verify", "--spec", TWO_STATE, "--j", "1"]),
+    (nan_rows(True), ["verify", "--spec", TWO_STATE, "--j", "1"]),
 ], ids=["simulate-quantum", "verify-quantum", "verify-classical"])
 def test_nan_values_fail_verification(tmp_path, capsys, monkeypatch, stub, argv):
     # NaN compares false with the tolerance and max() drops it; either way
@@ -403,3 +403,56 @@ def test_verify_decomposes_at_most_once_and_only_below_the_cap(
     assert (got, len(seen)) == (code, calls)
     if code == 2:
         assert "oracle size 1092 above cap 512" in err
+
+
+# -- the command-line surface ----------------------------------------------------------
+
+FAMILIES = ["custom", "meixner", "sc-c", "sc-d", "uniform", "pst-demo"]
+SPEC_OPTIONS = {
+    ("--spec",): ("spec", None, None, None),
+    ("--family",): ("family", None, None, FAMILIES),
+    ("--beta",): ("beta", float, None, None),
+    ("--c",): ("c", float, None, None),
+    ("--k",): ("k", float, None, None),
+    ("--n",): ("n", int, None, None),
+    ("--s-max",): ("s_max", int, None, None),
+    ("--quad-order",): ("quad_order", int, None, None),
+    ("--lambdas",): ("lambdas", None, None, None),
+    ("--mus",): ("mus", None, None, None),
+    ("--output",): ("output", None, ".", None),
+    ("--tmin",): ("tmin", float, 0.0, None),
+    ("--tmax",): ("tmax", float, 10.0, None),
+    ("--steps",): ("steps", int, 201, None),
+    ("--i",): ("i", int, 0, None),
+}
+HELP = {("-h", "--help"): ("help", None, "==SUPPRESS==", None)}
+CLI_SURFACE = {
+    "simulate": HELP | SPEC_OPTIONS | {
+        ("--j",): ("j", int, None, None),
+        ("--classical",): ("classical", None, False, None),
+        ("--quantum",): ("quantum", None, False, None),
+        ("--verify",): ("verify", None, False, None),
+        ("--verify-tol",): ("verify_tol", float, 1e-10, None),
+    },
+    "return": HELP | SPEC_OPTIONS | {
+        ("--tol",): ("tol", float, 1e-9, None),
+        ("--scan",): ("scan", None, False, None),
+    },
+    "families": HELP | {("--json",): ("json", None, False, None)},
+    "verify": HELP | SPEC_OPTIONS | {
+        ("--j",): ("j", int, None, None),
+        ("--verify-tol",): ("verify_tol", float, 1e-10, None),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    # each subcommand's option strings with their dest, type, default and
+    # choices; help text is free to change
+    parser = spectral_walk.cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    got = {name: {tuple(a.option_strings): (a.dest, a.type, a.default,
+                                            None if a.choices is None else list(a.choices))
+                  for a in sub._actions}
+           for name, sub in commands.items()}
+    assert got == CLI_SURFACE

@@ -288,18 +288,18 @@ def test_any_sequence_of_targets_gives_the_single_target_rows(kind, rng):
         measure = eigendecompose(symmetrize(random_rates(rng, sites=9)))
     t = np.linspace(0.0, 30.0, 301)
     rows_of = spectral_walk.dynamics._rows
-    single = [rows_of(measure, range(2, 3), [j], t, -1j)[0, 0] for j in (0, 3, 7)]
+    single = [rows_of(measure, range(2, 3), [j], t)[0, 0] for j in (0, 3, 7)]
     for js in ([0, 3, 7], (0, 3, 7), np.array([0, 3, 7])):
-        rows = rows_of(measure, range(2, 3), js, t, -1j)
+        rows = rows_of(measure, range(2, 3), js, t)
         assert rows.shape == (1, len(js), t.size)
         for row, want in zip(rows[0], single):
             assert same_bits(row, want), js
-    assert same_bits(rows_of(measure, range(2, 3), [np.int64(3)], t, -1j)[0, 0], single[1])
+    assert same_bits(rows_of(measure, range(2, 3), [np.int64(3)], t)[0, 0], single[1])
     with pytest.raises(UsageError, match="nonnegative"):
-        rows_of(measure, range(2, 3), (0, -1), t, -1j)
+        rows_of(measure, range(2, 3), (0, -1), t)
     if kind == "eigenvectors":
         with pytest.raises(UsageError, match="beyond"):
-            rows_of(measure, range(2, 3), np.array([0, 9]), t, -1j)
+            rows_of(measure, range(2, 3), np.array([0, 9]), t)
 
 
 def test_near_degenerate_spectrum_keeps_eigenvector_table():
@@ -380,7 +380,9 @@ def test_binding_accepts_either_boundary_and_gives_pi_bitwise():
     want = pi_coefficients(semi, 9).log_values
     for boundary in ("reflecting", "absorbing-tail"):
         measure = eigendecompose(symmetrize(semi, 9, boundary=boundary))
-        assert same_bits(spectral_walk.dynamics._bind(measure, semi).log_values, want)
+        pi, matched = spectral_walk.dynamics._bind(measure, semi)
+        assert same_bits(pi.log_values, want)
+        assert matched == boundary
     # a last diagonal entry that is neither mu_9 nor lambda_9 + mu_9
     j_op = symmetrize(semi, 9, boundary="absorbing-tail")
     b = j_op.b.copy()
@@ -485,8 +487,9 @@ def test_entries_equal_direct_evaluation_in_any_call_order(calls):
         i, j = i % measure.jacobi.size, j % measure.jacobi.size
         got = entry(rates, measure, i, j, t.copy() if fresh else t, z)
         assert same_bits(got, direct_entry(rates, measure, i, j, t, z)), (chain, z, i, j)
+    # a record of an entry beyond one block holds pi but no stack
     for *_, stack in spectral_walk.dynamics._last_stack.values():
-        assert stack.size <= spectral_walk.dynamics._BLOCK_TERMS
+        assert stack is None or stack.size <= spectral_walk.dynamics._BLOCK_TERMS
 
 
 def test_entries_follow_times_mutated_in_place(rng):
@@ -576,7 +579,7 @@ def test_memo_holds_at_most_one_block_of_values(two_state, monkeypatch):
     for z in (-1.0, -1j):
         assert entry_is_direct(rates, measure, 0, 1, t, z)
     for *_, stack in spectral_walk.dynamics._last_stack.values():
-        assert stack.size <= block
+        assert stack is None
 
 
 def test_full_sweep_runs_one_kernel_pass_per_kind(rng, monkeypatch):
