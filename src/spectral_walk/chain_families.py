@@ -38,7 +38,8 @@ from .elliptic import EllipticContext, elliptic_context
 from .errors import ConfigurationError, DomainError, UsageError
 from .jacobi_core import BirthDeathRates, JacobiOperator, symmetrize
 from .return_analysis import detect_lattice
-from .spectral import SpectralMeasure, chi_table_scaled, eigendecompose
+from .spectral import (_SITE_TAIL_TOL, SpectralMeasure, _site_deficits, chi_table_scaled,
+                       eigendecompose)
 
 __all__ = [
     "FamilyBuild",
@@ -65,7 +66,6 @@ _SC_MIN_HALF_SUPPORT = 12
 # up to the probe order.
 _TAIL_TOL = 1e-12
 _SITE_PROBE_ORDER = 10
-_SITE_TAIL_TOL = 1e-10
 
 
 def _truncated(support, size: int, probe: JacobiOperator, cap: int):
@@ -80,7 +80,7 @@ def _truncated(support, size: int, probe: JacobiOperator, cap: int):
     points, masses = support(size)
     while True:
         table = chi_table_scaled(probe, probe.size - 1, points, masses)
-        if not np.max(1.0 - (table * table).sum(axis=1)) > _SITE_TAIL_TOL:
+        if not np.max(_site_deficits(table)) > _SITE_TAIL_TOL:
             return points, masses
         if 2 * size > cap:
             raise ConfigurationError(
@@ -239,9 +239,12 @@ def fitted_omega(variant: str, context: EllipticContext,
     omega = 1 up to lattice-fit roundoff; the value is computed from the
     spectrum, not assumed.
     """
+    variant = variant.upper()
+    if variant not in ("C", "D"):
+        raise DomainError(f"variant {variant!r} must be 'C' or 'D'")
     verdict = detect_lattice(measure.points, masses=measure.masses)
     if verdict.kind != "Perfect":
-        raise UsageError(f"variant-{variant.upper()} spectrum not a lattice: {verdict.kind}")
+        raise UsageError(f"variant-{variant} spectrum not a lattice: {verdict.kind}")
     return float(2.0 * context.K / verdict.t0)
 
 

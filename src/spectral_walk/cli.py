@@ -8,7 +8,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid spec or arguments (wrong JSON types,
 malformed JSON, non-finite rates and grid bounds included; the message
-names the offending field or flag), 3 oracle mismatch above tolerance.
+names the offending field or flag), 3 a result failed a check: an oracle
+mismatch above tolerance, or a NumericError (a value that cannot be
+trusted, such as a recurrence row that lost its value; the message names
+the site).
 
 Every run is deterministic: each time point is an ordered reduction over
 the spectral nodes, so the same inputs give byte-identical CSV files.
@@ -27,7 +30,7 @@ import numpy as np
 from .chain_families import build_from_spec, family_schemas
 from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _check_oracle_size, _rows,
                        oracle_expm, quantum_amplitude, series_csv, series_filename)
-from .errors import SpectralWalkError, UsageError
+from .errors import NumericError, SpectralWalkError, UsageError
 from .jacobi_core import generator
 from .return_analysis import (LATTICE_TOL, classify_return, modified_measure,
                               return_probability_scan)
@@ -35,6 +38,7 @@ from .spectral import eigendecompose
 
 EXIT_OK = 0
 EXIT_INVALID = 2
+# a result failed a check: oracle mismatch or NumericError
 EXIT_MISMATCH = 3
 
 _VERIFY_TOL = 1e-10
@@ -332,7 +336,7 @@ def main(argv=None) -> int:
         return cmd_verify(args)
     except SpectralWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return EXIT_MISMATCH if isinstance(exc, NumericError) else EXIT_INVALID
 
 
 if __name__ == "__main__":

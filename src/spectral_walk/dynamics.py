@@ -41,6 +41,7 @@ from the rates, and the pair's last stack, if one fits.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import weakref
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ import scipy.linalg
 from .jacobi_core import (BOUNDARIES, BirthDeathRates, GeneratorMatrix, JacobiOperator,
                           PiCoefficients, _gather, _pi_of, symmetrize)
 from .errors import DomainError, NumericError, UsageError
-from .spectral import SpectralMeasure, chi_table_scaled
+from .spectral import _SITE_TAIL_TOL, SpectralMeasure, _site_deficits, chi_table_scaled
 
 __all__ = [
     "ProbabilitySeries",
@@ -147,7 +148,10 @@ def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets)
     Eigendecomposed measures carry their orthonormal W; this keeps the
     sum-rule identities (rows of P, unitarity) at eigensolver accuracy
     even for chains whose chi recurrence is unstable at edge nodes.
-    Every other measure takes W from the weighted recurrence.
+    Every other measure takes W from the weighted recurrence, and a
+    source or target row whose deficit 1 - sum_s W[i, s]^2 is below
+    -1e-10 (or NaN) raises NumericError: the recurrence lost that row's
+    value.
     """
     # a list indexes rows, where a tuple would index axes
     targets = [int(j) for j in targets]
@@ -158,6 +162,13 @@ def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets)
         table = measure.weighted_chi
     else:
         table = chi_table_scaled(measure.jacobi, last, x, w)
+        used = np.r_[sources.start:sources.stop, targets]
+        deficits = _site_deficits(table[used])
+        worst = int(np.argmin(deficits))
+        if not deficits[worst] >= -_SITE_TAIL_TOL:  # NaN fails
+            raise NumericError(
+                f"site {used[worst]}: deficit 1 - sum_s W[i, s]^2 = {deficits[worst]:.3e} "
+                f"below -{_SITE_TAIL_TOL:g}; the chi recurrence lost its value there")
     return x, table[sources.start:sources.stop, None] * table[targets]
 
 
@@ -227,7 +238,8 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     record or bound anew.  When n S T <= _BLOCK_TERMS, the rows of the
     aligned sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T),
     are evaluated and kept in the record, keyed by sources and times; a
-    larger entry is evaluated alone and the record keeps no stack.
+    larger entry, or one whose stack holds a row the recurrence lost, is
+    evaluated alone and the record keeps no stack.
     """
     size = measure.jacobi.size
     key = (times.shape, times.tobytes())
@@ -240,13 +252,19 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
         pi = _bind(measure, rates)[0]
     _check_sites(measure, min(i, j), max(i, j))
     per_row = size * measure.nodes_and_weights()[0].size * times.size
-    if per_row > _BLOCK_TERMS:
-        sources, stack = range(0), None
-        values = _rows(measure, range(i, i + 1), [j], times, pi)[0, 0, ...]
-    else:
+    stack = None
+    # a stack holds every row as a target, so one that failed for this pair
+    # and these times (a row the recurrence lost) fails again: not retried
+    if per_row <= _BLOCK_TERMS and not (bound and last[5] is None and last[4] == key):
         k = _BLOCK_TERMS // max(per_row, 1)
         sources = range(i - i % k, min(i - i % k + k, size))
-        stack = _rows(measure, sources, range(size), times, pi)
+        # a lost row fails the entries that use it, not the others of its stack
+        with contextlib.suppress(NumericError):
+            stack = _rows(measure, sources, range(size), times, pi)
+    if stack is None:
+        sources = range(0)
+        values = _rows(measure, range(i, i + 1), [j], times, pi)[0, 0, ...]
+    else:
         values = stack[i - sources.start, j, ...].copy()
     rates_ref = None if rates is None else weakref.ref(rates)
     _last_stack[rates is not None] = (weakref.ref(measure), rates_ref, pi, sources, key, stack)
@@ -284,14 +302,15 @@ def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> tuple[PiCoefficie
     b, coupling = lam + mu, np.sqrt(lam[:-1] * mu[1:])
     scale = max(1.0, float(np.max(np.abs(j_op.b))))
     close = functools.partial(np.allclose, rtol=1e-12, atol=1e-13 * scale)
-    matched = [boundary for boundary, diagonal in zip(BOUNDARIES, (np.r_[b[:-1], mu[n]], b))
-               if close(diagonal, j_op.b)]
-    if not (matched and close(coupling, j_op.j)):
+    diagonals = zip(BOUNDARIES, (np.r_[b[:-1], mu[n]], b))
+    matched = close(coupling, j_op.j) and next(
+        (boundary for boundary, diagonal in diagonals if close(diagonal, j_op.b)), None)
+    if not matched:
         raise UsageError(
             "measure was not built from these rates: symmetrized operator "
             "disagrees beyond roundoff (provenance mismatch)"
         )
-    return _pi_of(lam, mu), matched[0]
+    return _pi_of(lam, mu), matched
 
 
 def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,

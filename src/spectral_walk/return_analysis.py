@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import _chi_product_coefficients, _spectral_sum
 from .errors import UsageError
 from .jacobi_core import JacobiOperator
-from .spectral import SpectralMeasure
+from .spectral import SpectralMeasure, _check_finite
 
 __all__ = [
     "ReturnVerdict",
@@ -187,10 +187,12 @@ def detect_lattice(points, tol: float = LATTICE_TOL, masses=None) -> ReturnVerdi
 
     Exactly two surviving points always fit a lattice trivially; that
     verdict is flagged ``degenerate`` in evidence.  A ``tol`` that is
-    not finite and nonnegative is refused (UsageError).
+    not finite and nonnegative, and a NaN or infinite point or mass, are
+    refused (UsageError).
     """
     _check_tol(tol)
     points = np.asarray(points, dtype=float).ravel()
+    _check_finite("points", points)
     order = np.argsort(points)
     points = points[order]
     ignored = 0.0
@@ -198,6 +200,7 @@ def detect_lattice(points, tol: float = LATTICE_TOL, masses=None) -> ReturnVerdi
         masses = np.asarray(masses, dtype=float).ravel()
         if masses.shape != points.shape:
             raise UsageError("masses and points differ in length")
+        _check_finite("masses", masses)
         masses = masses[order]
         keep = masses > MASS_FLOOR
         ignored = float(masses[~keep].sum())

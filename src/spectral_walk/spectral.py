@@ -37,6 +37,16 @@ __all__ = [
     "eigendecompose",
 ]
 
+# scale of a site deficit (see _site_deficits) that is roundoff or an
+# accepted truncation tail, not a lost value
+_SITE_TAIL_TOL = 1e-10
+
+
+def _check_finite(name: str, values: np.ndarray) -> None:
+    """Refuse (UsageError) an array holding a NaN or inf, by its name."""
+    if not np.isfinite(values).all():
+        raise UsageError(f"non-finite {name}: NaN or inf given")
+
 
 @dataclass(frozen=True)
 class SpectralMeasure:
@@ -50,6 +60,7 @@ class SpectralMeasure:
     points, masses : ndarray
         Discrete atoms (points in increasing order, nonnegative masses;
         a negative mass is refused, since the table takes its square root).
+        Every point, mass, quadrature point and weight must be finite.
         Equal consecutive points are allowed: an operator can have
         eigenvalues that coincide in floating point, each with its own
         eigenvector column.
@@ -83,6 +94,8 @@ class SpectralMeasure:
         object.__setattr__(self, "masses", ms)
         if pts.shape != ms.shape:
             raise UsageError("points and masses differ in length")
+        _check_finite("points", pts)
+        _check_finite("masses", ms)
         if len(pts) > 1 and not (np.diff(pts) >= 0).all():
             raise UsageError("discrete points must be in increasing order")
         if (ms < 0).any():
@@ -95,6 +108,8 @@ class SpectralMeasure:
             if qp.shape != qw.shape:
                 raise UsageError(
                     f"{qp.size} quadrature points but {qw.size} quadrature weights")
+            _check_finite("quadrature points", qp)
+            _check_finite("quadrature weights", qw)
             if (qw < 0).any():
                 raise UsageError(f"negative quadrature weight {qw.min()} in continuous part")
             object.__setattr__(self, "quad_points", qp)
@@ -206,3 +221,13 @@ def chi_table_scaled(j_op: JacobiOperator, n: int, x, w):
         for i in range(1, n):
             table[i + 1] = ((flat - b[i]) * table[i] - j[i - 1] * table[i - 1]) / j[i]
     return table
+
+
+def _site_deficits(table: np.ndarray) -> np.ndarray:
+    """d_i = 1 - sum_s W[i, s]^2 for each row i of a weighted table W:
+    the mass of site i's modified measure that the nodes leave out, 0 on
+    the full support.  Below -_SITE_TAIL_TOL no truncation explains it:
+    the forward recurrence lost row i in its recessive regime.  A square
+    beyond the double range gives -inf, which says the same, unwarned."""
+    with np.errstate(over="ignore"):
+        return 1.0 - (table * table).sum(axis=1)

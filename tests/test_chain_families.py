@@ -18,9 +18,11 @@ from spectral_walk import (
     ConfigurationError,
     DomainError,
     JacobiOperator,
+    NumericError,
     UsageError,
     bessel_j1,
     build_from_spec,
+    classical_transition,
     characteristic,
     classify_return,
     eigendecompose,
@@ -29,12 +31,14 @@ from spectral_walk import (
     fitted_omega,
     jacobi_cn_dn,
     meixner_chain,
+    modified_measure,
     pst_demo_chain,
     quantum_amplitude,
     stieltjes_carlitz_chain,
     symmetrize,
     uniform_chain,
 )
+from spectral_walk.dynamics import _spectral_sum
 from spectral_walk.spectral import chi_table_scaled
 
 from conftest import plain_chi
@@ -376,9 +380,11 @@ def test_cn_dn_refuse_a_non_finite_argument(z):
 def test_sc_small_modulus_far_atoms_get_zero_mass_without_warning(variant):
     # at k = 0.01 the nome is ~6e-6, so q^-s leaves the double range
     # near |s| = 57: those atoms get the exact mass 0 (no overflow
-    # warning under the suite's error filter), their weighted-table
-    # columns are exact zeros, and amplitudes at a far site stay finite
-    # (finite only: no truncation certificate covers that site)
+    # warning under the suite's error filter), and their weighted-table
+    # columns are exact zeros.  No truncation certificate covers a far
+    # site, and there the recurrence lost its value (1 - sum_s W^2 is
+    # about -1e198), so its amplitude raises instead of returning a
+    # finite number with no accuracy
     j_op, measure = stieltjes_carlitz_chain(variant, 0.01, s_max=60)
     zero = measure.masses == 0.0
     assert zero.any() and (measure.masses >= 0.0).all()
@@ -387,8 +393,48 @@ def test_sc_small_modulus_far_atoms_get_zero_mass_without_warning(variant):
     assert not table[:, zero].any()
     t = np.linspace(0.0, 10.0, 11)
     far = j_op.size - 1
-    values = quantum_amplitude(measure, far, far, t).values
-    assert np.isfinite(values).all()
+    with pytest.raises(NumericError, match=f"site {far}: deficit"):
+        quantum_amplitude(measure, far, far, t)
+
+
+def test_rows_the_recurrence_lost_raise_wherever_they_are_used():
+    # sc-d at k = 0.01 with s_max = 60 loses sites 13, 15, 16, ...; at
+    # site 120, 1 - sum_s W^2 = -1.4e198
+    j_op, measure = stieltjes_carlitz_chain("D", 0.01, s_max=60)
+    t = np.array([0.0, 1.0])
+    with pytest.raises(NumericError, match=r"site 120: deficit .* = -1\.4\d*e\+198"):
+        quantum_amplitude(measure, 120, 120, t)
+    with pytest.raises(NumericError, match="site 120"):
+        quantum_amplitude(measure, 0, 120, t)
+    with pytest.raises(NumericError, match="site 120"):
+        modified_measure(measure, j_op, 120)
+    # the Meixner chain of beta = 1, c = 0.5 loses sites 121 to 159
+    rates, _, meixner = meixner_chain(1.0, 0.5)
+    with pytest.raises(NumericError, match="site 159"):
+        quantum_amplitude(meixner, 159, 159, t)
+    with pytest.raises(NumericError, match="site 159"):
+        classical_transition(meixner, rates, 0, 159, t)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: meixner_chain(1.0, 0.25)[2], lambda: meixner_chain(2.5, 0.5)[2],
+    lambda: stieltjes_carlitz_chain("C", 0.01)[1], lambda: stieltjes_carlitz_chain("D", 0.01)[1],
+    lambda: stieltjes_carlitz_chain("C", 0.9)[1], lambda: stieltjes_carlitz_chain("D", 0.5)[1],
+    lambda: uniform_chain(quad_order=256)[1],
+], ids=["meixner-1-0.25", "meixner-2.5-0.5", "sc-c-0.01", "sc-d-0.01", "sc-c-0.9", "sc-d-0.5",
+        "uniform-256"])
+def test_sites_up_to_10_of_default_builds_keep_their_values(build):
+    # the sc builds at k = 0.01 lose their sites from 12 or 13 on, inside
+    # the stacks per-entry calls would take: an entry of sites <= 10 is
+    # still the plain product sum of its two table rows, not a refusal
+    measure = build()
+    x, w = measure.nodes_and_weights()
+    table = chi_table_scaled(measure.jacobi, 10, x, w)
+    t = np.array([0.0, 0.7, 2 * math.pi])
+    for i in range(11):
+        for j in (0, 3, i, 10):
+            want = _spectral_sum(x, table[i] * table[j], t, -1j)
+            assert np.array_equal(quantum_amplitude(measure, i, j, t).values, want), (i, j)
 
 
 def test_sc_orthonormality_to_degree_10():

@@ -220,6 +220,17 @@ def test_bad_lattice_tolerance_rejected(tol):
             classify_return(measure, tol=tol)
 
 
+@pytest.mark.parametrize("points, masses, part", [
+    ([0.0, math.nan, 1.0, 2.0], None, "points"),
+    ([0.0, 1.0, math.inf], None, "points"),
+    ([0.0, 1.0, 2.0], [0.25, math.nan, 0.75], "masses"),
+], ids=["nan-point", "inf-point", "nan-mass"])
+def test_non_finite_spectrum_rejected(points, masses, part):
+    # a NaN point raised a bare ValueError and an inf point OverflowError
+    with pytest.raises(UsageError, match=f"non-finite {part}"):
+        detect_lattice(points, masses=masses)
+
+
 def test_single_point_rejected():
     with pytest.raises(UsageError, match=">= 2"):
         detect_lattice(np.array([1.0]))

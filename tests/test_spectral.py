@@ -109,6 +109,21 @@ class TestSpectralMeasure:
         SpectralMeasure(jacobi=j_op, points=np.array([0.0, 1.0]), masses=np.array([1.0, 0.0]),
                         quad_points=np.array([0.5]), quad_weights=np.array([0.0]))
 
+    @pytest.mark.parametrize("part, bad", [
+        ("points", {"points": [0.0, np.inf]}),
+        ("masses", {"masses": [0.5, np.nan]}),
+        ("quadrature points", {"quad_points": [np.nan]}),
+        ("quadrature weights", {"quad_weights": [np.inf]}),
+    ], ids=["inf-point", "nan-mass", "nan-quadrature-point", "inf-quadrature-weight"])
+    def test_rejects_non_finite_values(self, part, bad):
+        # a NaN mass passed the nonnegativity test: classify_return called
+        # the measure Perfect and quantum_amplitude returned NaN
+        j_op = JacobiOperator(b=np.zeros(2), j=np.array([1.0]))
+        fields = {"points": [0.0, 1.0], "masses": [0.5, 0.25],
+                  "quad_points": [0.5], "quad_weights": [0.25]} | bad
+        with pytest.raises(UsageError, match=f"non-finite {part}"):
+            SpectralMeasure(jacobi=j_op, **{k: np.array(v) for k, v in fields.items()})
+
     def test_discrete_constructor_sorts(self):
         j_op = JacobiOperator(b=np.zeros(2), j=np.array([1.0]))
         m = SpectralMeasure.discrete([2.0, -1.0], [0.25, 0.75], j_op)
