@@ -253,12 +253,12 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     _check_sites(measure, min(i, j), max(i, j))
     per_row = size * measure.nodes_and_weights()[0].size * times.size
     stack = None
-    # a stack holds every row as a target, so one that failed for this pair
-    # and these times (a row the recurrence lost) fails again: not retried
+    # a stack holds every row as a target, so a row the recurrence lost fails
+    # it (for this pair and these times, for good: not retried), and then
+    # only the entries that use that row
     if per_row <= _BLOCK_TERMS and not (bound and last[5] is None and last[4] == key):
         k = _BLOCK_TERMS // max(per_row, 1)
         sources = range(i - i % k, min(i - i % k + k, size))
-        # a lost row fails the entries that use it, not the others of its stack
         with contextlib.suppress(NumericError):
             stack = _rows(measure, sources, range(size), times, pi)
     if stack is None:

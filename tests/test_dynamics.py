@@ -41,6 +41,7 @@ from spectral_walk import (
     quantum_amplitude,
     series_csv,
     series_filename,
+    stieltjes_carlitz_chain,
     symmetrize,
     uniform_chain,
 )
@@ -375,6 +376,22 @@ def test_full_sweep_checks_provenance_once(rng, monkeypatch):
     assert len(calls) == 1
 
 
+def test_big_chain_binds_once_without_a_stack(rng, monkeypatch):
+    # at 300 sites and 65 times no stack fits: the pair's record keeps
+    # only pi, and quantum calls in between leave it in place
+    calls = []
+    real = spectral_walk.dynamics._bind
+    monkeypatch.setattr(spectral_walk.dynamics, "_bind", lambda m, r: calls.append(r) or real(m, r))
+    rates = random_rates(rng, sites=300)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.linspace(0.0, 3.0, 65)
+    for i, j in ((0, 0), (7, 250), (299, 3), (150, 151)):
+        classical_transition(measure, rates, i, j, t)
+        quantum_amplitude(measure, j, i, t)
+    assert len(calls) == 1
+    assert spectral_walk.dynamics._last_stack[True][5] is None
+
+
 def test_binding_accepts_either_boundary_and_gives_pi_bitwise():
     semi = BirthDeathRates(lam=lambda i: 1.0 + 0.1 * i, mu=lambda i: float(i))
     want = pi_coefficients(semi, 9).log_values
@@ -580,6 +597,22 @@ def test_memo_holds_at_most_one_block_of_values(two_state, monkeypatch):
         assert entry_is_direct(rates, measure, 0, 1, t, z)
     for *_, stack in spectral_walk.dynamics._last_stack.values():
         assert stack is None
+
+
+def test_a_stack_that_lost_a_row_is_not_retried(monkeypatch):
+    # sc-c at k = 0.01 loses its sites from 12 on, so no stack of its 24
+    # rows can be kept: one stack fails, then each entry builds one table
+    _, measure = stieltjes_carlitz_chain("C", 0.01)
+    calls = []
+    real = spectral_walk.dynamics.chi_table_scaled
+    monkeypatch.setattr(spectral_walk.dynamics, "chi_table_scaled",
+                        lambda j_op, n, x, w: calls.append(n) or real(j_op, n, x, w))
+    t = np.array([0.0, 1.0])
+    for i in range(11):
+        for j in range(11):
+            quantum_amplitude(measure, i, j, t)
+    assert calls.count(measure.jacobi.size - 1) == 1
+    assert len(calls) == 1 + 11 * 11
 
 
 def test_full_sweep_runs_one_kernel_pass_per_kind(rng, monkeypatch):
