@@ -168,13 +168,13 @@ def cmd_simulate(args) -> int:
         raise UsageError(
             f"family '{build.family}' defines no birth-death rates; classical "
             "dynamics is undefined (use --quantum)")
-    os.makedirs(args.output, exist_ok=True)
     pi, kind = ((_bind(build.measure, build.rates)[0], ProbabilitySeries) if args.classical
                 else (None, AmplitudeSeries))
     # all targets in one pass over the grid; the series check each row
-    # (NaN, probability band) before any file is written
+    # (NaN, probability band) before the output directory is made
     rows = _rows(build.measure, range(args.i, args.i + 1), js, times, pi)[0]
     all_series = [kind(i=args.i, j=jj, times=times, values=row) for jj, row in zip(js, rows)]
+    os.makedirs(args.output, exist_ok=True)
     written = []
     for series in all_series:
         name = series_filename(series)

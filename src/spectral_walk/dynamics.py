@@ -30,7 +30,9 @@ of k = floor(2**14 / (n S T)) sources around i from :func:`_rows`; a
 larger entry is a stack of one row and one target.  A value depends
 neither on the rest of the grid, nor on the other entries of its stack,
 nor on the order of calls: it is the double a call for that entry alone
-gives.
+gives.  A classical stack is checked once, when it is made, and a hit
+is a key compare, a copy and a wrap; P entries of a stack that failed
+go through the checking constructor, so each raises as it would alone.
 
 A call is classical exactly when it carries pi.  One record per kind
 binds the last (measure, rates) pair through weak references, so
@@ -72,9 +74,10 @@ _ORACLE_TIME_CAP = 1e3
 _BLOCK_TERMS = 2 ** 14
 
 # classical (a bool) -> (weakref to measure, weakref to rates or None, pi or
-# None, sources, times key, stack or None): the last pair _entry bound for
-# that kind and its last stack; one tuple, read and replaced whole, so
-# concurrent callers never pair one chain's objects with another's pi
+# None, sources (empty without a stack), times key, passed (the whole stack
+# passed _in_band), stack or None): the last pair _entry bound for that kind
+# and its last stack; one tuple, read and replaced whole, so concurrent
+# callers never pair one chain's objects with another's pi
 _last_stack = {}
 
 
@@ -94,23 +97,21 @@ class ProbabilitySeries:
         object.__setattr__(self, "values", v)
         if t.shape != v.shape:
             raise UsageError("times and values differ in shape")
-        # catches sign/prefactor bugs (order-1 excursions), while leaving
-        # room for tail leakage of truncated exact measures, which enters
-        # as tail mass amplified by chi_i chi_j at the dropped atoms.
-        # Python's min/max/sum over a list cost less than numpy reductions
-        # on short series (corpus benchmark wall time -10 %).  min/max skip
-        # a NaN that is not first in the list, so NaN is found by the sum,
-        # which is NaN for a NaN value (or for +inf and -inf together,
-        # which the band check rejects anyway)
-        listed = v.ravel().tolist()
-        total = sum(listed)
-        if total != total and np.isnan(v).any():
-            raise NumericError(f"probability series P_{self.i}{self.j} holds NaN")
-        if listed and (min(listed) < -1e-6 or max(listed) > 1 + 1e-6):
+        if not _in_band(v):
+            if np.isnan(v).any():
+                raise NumericError(f"probability series P_{self.i}{self.j} holds NaN")
             raise NumericError(
                 f"probability outside [0,1] beyond truncation leakage: range "
                 f"[{v.min()}, {v.max()}] for P_{self.i}{self.j}"
             )
+
+
+def _in_band(values: np.ndarray) -> bool:
+    """No value is NaN (min and max return it, and it fails both tests)
+    and all lie in [-1e-6, 1 + 1e-6]: the band catches sign/prefactor
+    bugs (order-1 excursions), while leaving room for tail leakage of
+    truncated exact measures (tail mass amplified by chi_i chi_j)."""
+    return values.size == 0 or bool(values.min() >= -1e-6 and values.max() <= 1 + 1e-6)
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,14 @@ class AmplitudeSeries:
         object.__setattr__(self, "values", v)
         if t.shape != v.shape:
             raise UsageError("times and values differ in shape")
+
+
+def _series(kind, i: int, j: int, times: np.ndarray, values: np.ndarray):
+    """The constructor without its conversions and checks, for float
+    times and values of their shape and kind's dtype, P passing _in_band."""
+    series = object.__new__(kind)
+    series.__dict__.update(i=i, j=j, times=times, values=values)
+    return series
 
 
 def _check_sites(measure: SpectralMeasure, low: int, high: int) -> None:
@@ -232,43 +241,46 @@ def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
 
 
 def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
-           rates: BirthDeathRates | None = None) -> np.ndarray:
+           rates: BirthDeathRates | None = None) -> tuple[np.ndarray, bool]:
     """The entry (i, j) of :func:`_rows` over times, in an array of the
-    caller's own: P_ij with rates, f_ij without, pi read from the kind's
-    record or bound anew.  When n S T <= _BLOCK_TERMS, the rows of the
-    aligned sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T),
-    are evaluated and kept in the record, keyed by sources and times; a
-    larger entry, or one whose stack holds a row the recurrence lost, is
-    evaluated alone and the record keeps no stack.
+    caller's own, and whether its stack passed _in_band (every f stack
+    does): P_ij with rates, f_ij without, pi read from the kind's record
+    or bound anew.  When n S T <= _BLOCK_TERMS, the rows of the aligned
+    sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are
+    evaluated, checked and kept in the record, keyed by sources and
+    times; a larger entry, or one whose stack holds a row the recurrence
+    lost, is evaluated alone and the record keeps no stack.
     """
-    size = measure.jacobi.size
     key = (times.shape, times.tobytes())
     last = _last_stack.get(rates is not None)
     bound = last is not None and last[0]() is measure and (rates is None or last[1]() is rates)
-    if bound and i in last[3] and 0 <= j < size and last[4] == key:
-        return last[5][i - last[3].start, j, ...].copy()
+    if bound and i in last[3] and 0 <= j < last[-1].shape[1] and last[4] == key:
+        return last[-1][i - last[3].start, j, ...].copy(), last[5]
     pi = last[2] if bound else None
     if rates is not None and not bound:
         pi = _bind(measure, rates)[0]
     _check_sites(measure, min(i, j), max(i, j))
+    size = measure.jacobi.size
     per_row = size * measure.nodes_and_weights()[0].size * times.size
     stack = None
     # a stack holds every row as a target, so a row the recurrence lost fails
     # it (for this pair and these times, for good: not retried), and then
     # only the entries that use that row
-    if per_row <= _BLOCK_TERMS and not (bound and last[5] is None and last[4] == key):
+    if per_row <= _BLOCK_TERMS and not (bound and last[-1] is None and last[4] == key):
         k = _BLOCK_TERMS // max(per_row, 1)
         sources = range(i - i % k, min(i - i % k + k, size))
         with contextlib.suppress(NumericError):
             stack = _rows(measure, sources, range(size), times, pi)
     if stack is None:
-        sources = range(0)
+        sources, passed = range(0), False
         values = _rows(measure, range(i, i + 1), [j], times, pi)[0, 0, ...]
     else:
+        passed = pi is None or _in_band(stack)
         values = stack[i - sources.start, j, ...].copy()
     rates_ref = None if rates is None else weakref.ref(rates)
-    _last_stack[rates is not None] = (weakref.ref(measure), rates_ref, pi, sources, key, stack)
-    return values
+    _last_stack[rates is not None] = (weakref.ref(measure), rates_ref, pi, sources, key, passed,
+                                      stack)
+    return values, passed
 
 
 def _prefactors(pi: PiCoefficients, sources: range, targets) -> np.ndarray:
@@ -330,9 +342,13 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
         Sites, within the truncated operator.
     times : array_like
         Nonnegative time grid.
+
+    Every P returned holds no NaN and lies in [-1e-6, 1 + 1e-6], else NumericError.
     """
     times_arr = np.asarray(times, dtype=float)
-    values = _entry(measure, i, j, times_arr, rates)
+    values, passed = _entry(measure, i, j, times_arr, rates)
+    if passed:
+        return _series(ProbabilitySeries, i, j, times_arr, values)
     return ProbabilitySeries(i=i, j=j, times=times_arr, values=values)
 
 
@@ -340,11 +356,11 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
     """f_ij(t) = <i| exp(-iJt) |j> over a time grid.
 
     The sign convention is f(t) = exp(-iJt), so the spectral kernel is
-    e^{-i x t} and f_ij(-t) = conj(f_ij(t)).
+    e^{-i x t} and f_ij(-t) = conj(f_ij(t)).  Unlike P, f is not checked
+    against [-1e-6, 1 + 1e-6]; a lost chi row raises NumericError.
     """
     times_arr = np.asarray(times, dtype=float)
-    return AmplitudeSeries(i=i, j=j, times=times_arr,
-                           values=_entry(measure, i, j, times_arr))
+    return _series(AmplitudeSeries, i, j, times_arr, _entry(measure, i, j, times_arr)[0])
 
 
 def _check_oracle_size(size: int) -> None:

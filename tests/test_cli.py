@@ -98,19 +98,28 @@ def test_simulate_verify_exit_3_when_tolerance_unmeetable(tmp_path, capsys):
     assert "FAILED" in err
 
 
-def test_numeric_error_exits_3_and_writes_no_series(tmp_path, capsys):
+def test_numeric_error_exits_3_and_writes_no_series(tmp_path, capsys, monkeypatch):
     # the recurrence lost site 159 of this build (|f_159,159(0)| read 2e11
     # where the exact value is 1, and the truncated-operator oracle
-    # passed it): a result that failed a check exits 3, invalid usage 2
+    # passed it): a result that failed a check exits 3, invalid usage 2,
+    # and neither makes the output directory
+    output = tmp_path / "out"
     argv = ["simulate", "--family", "meixner", "--beta", "1", "--c", "0.5", "--verify",
-            "--output", str(tmp_path)]
+            "--output", str(output)]
     code, out, err = run(capsys, *argv, "--i", "159", "--j", "159")
     assert code == 3
     assert "site 159: deficit" in err and out == ""
-    assert not list(tmp_path.iterdir())
+    assert not output.exists()
     code, _, err = run(capsys, *argv, "--i", "160")
     assert code == 2
     assert "outside the chain's 160 sites" in err
+    # a probability series that fails the NaN/band check
+    monkeypatch.setattr(spectral_walk.cli, "_rows", nan_rows(True))
+    code, out, err = run(capsys, "simulate", "--spec", TWO_STATE, "--classical", "--j", "1",
+                         "--output", str(output))
+    assert code == 3
+    assert "holds NaN" in err and out == ""
+    assert not output.exists()
 
 
 def nan_rows(classical):

@@ -18,7 +18,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectral_walk.dynamics
@@ -389,7 +389,7 @@ def test_big_chain_binds_once_without_a_stack(rng, monkeypatch):
         classical_transition(measure, rates, i, j, t)
         quantum_amplitude(measure, j, i, t)
     assert len(calls) == 1
-    assert spectral_walk.dynamics._last_stack[True][5] is None
+    assert spectral_walk.dynamics._last_stack[True][-1] is None
 
 
 def test_binding_accepts_either_boundary_and_gives_pi_bitwise():
@@ -462,10 +462,22 @@ def direct_entry(rates, measure, i, j, t, z):
     return values
 
 
-def entry(rates, measure, i, j, t, z):
+def series(rates, measure, i, j, t, z):
     if z == -1.0:
-        return classical_transition(measure, rates, i, j, t).values
-    return quantum_amplitude(measure, i, j, t).values
+        return classical_transition(measure, rates, i, j, t)
+    return quantum_amplitude(measure, i, j, t)
+
+
+def entry(rates, measure, i, j, t, z):
+    return series(rates, measure, i, j, t, z).values
+
+
+def outcome(call, *args):
+    """The series a call returns, or the message of the NumericError it raises."""
+    try:
+        return call(*args)
+    except NumericError as exc:
+        return str(exc)
 
 
 def entry_is_direct(rates, measure, i, j, t, z) -> bool:
@@ -476,8 +488,11 @@ def memo_chains():
     """Chains served from one stack of all rows (12 sites and 5 times),
     from stacks of 10 rows (18 sites and 5 times), of one row (20 sites
     and 30 times), of 6 rows of a quadrature rule (8 nodes and 40 times)
-    and of one row of a 16-node rule (40 times), and chains evaluated
-    entry by entry (300 sites and 30 times, a 64-node rule and 40 times)."""
+    and of one row of a 16-node rule (40 times), chains evaluated entry
+    by entry (300 sites and 30 times, a 64-node rule and 40 times), and a
+    graded stiff chain (lambda_i = 1.8^i, mu_i = 1.05^i, 18 sites at the
+    corpus times) whose first stack of 10 rows holds P_i,17 outside the
+    probability band for i = 3..6, while its second stack passes."""
     gen = np.random.default_rng(7)
     chains = []
     for sites, steps in ((12, 5), (18, 5), (20, 30), (300, 30)):
@@ -485,6 +500,9 @@ def memo_chains():
         chains.append((rates, eigendecompose(symmetrize(rates)), np.linspace(0.0, 3.0, steps)))
     for order in (8, 16, 64):
         chains.append((None, uniform_chain(quad_order=order)[1], np.linspace(0.0, 30.0, 40)))
+    stiff = BirthDeathRates.from_arrays(1.8 ** np.arange(17.0),
+                                        np.r_[0.0, 1.05 ** np.arange(1.0, 18)])
+    chains.append((stiff, eigendecompose(symmetrize(stiff)), np.array([0.01, 0.1, 0.5, 1.0, 3.0])))
     return chains
 
 
@@ -492,18 +510,33 @@ MEMO_CHAINS = memo_chains()
 
 
 @settings(max_examples=60, deadline=None)
-@given(calls=st.lists(st.tuples(st.integers(0, 6), st.booleans(), st.integers(0, 299),
+@given(calls=st.lists(st.tuples(st.integers(0, 7), st.booleans(), st.integers(0, 299),
                                 st.integers(0, 299), st.booleans()),
                       min_size=1, max_size=30))
+# the stiff chain's refused entries from a miss and from hits on the stack
+# that failed, its passing entries from both stacks, in both orders
+@example(calls=[(7, True, 4, 17, False), (7, True, 4, 16, False), (7, True, 5, 17, True),
+                (7, True, 12, 17, False), (7, True, 3, 17, False)])
+@example(calls=[(7, True, 0, 0, False), (7, False, 6, 17, False), (7, True, 6, 17, False),
+                (7, True, 6, 17, True), (7, True, 9, 17, False)])
 def test_entries_equal_direct_evaluation_in_any_call_order(calls):
-    # random (i, j) order, classical and quantum calls interleaved, seven
-    # measures interleaved, and times passed as the same or as an equal array
+    # random (i, j) order, classical and quantum calls interleaved, eight
+    # measures interleaved, and times passed as the same or as an equal
+    # array: each call returns what the checking constructor makes of the
+    # entry evaluated alone, or raises its NumericError
     for chain, classical, i, j, fresh in calls:
         rates, measure, t = MEMO_CHAINS[chain]
         z = -1.0 if classical and rates is not None else -1j
         i, j = i % measure.jacobi.size, j % measure.jacobi.size
-        got = entry(rates, measure, i, j, t.copy() if fresh else t, z)
-        assert same_bits(got, direct_entry(rates, measure, i, j, t, z)), (chain, z, i, j)
+        kind = spectral_walk.dynamics.ProbabilitySeries if z == -1.0 else AmplitudeSeries
+        want = outcome(kind, i, j, t, direct_entry(rates, measure, i, j, t, z))
+        got = outcome(series, rates, measure, i, j, t.copy() if fresh else t, z)
+        if isinstance(want, str):
+            assert got == want, (chain, z, i, j)
+            continue
+        assert type(got) is kind and (got.i, got.j) == (i, j), (chain, z, i, j)
+        assert same_bits(got.times, t), (chain, z, i, j)
+        assert same_bits(got.values, want.values), (chain, z, i, j)
     # a record of an entry beyond one block holds pi but no stack
     for *_, stack in spectral_walk.dynamics._last_stack.values():
         assert stack is None or stack.size <= spectral_walk.dynamics._BLOCK_TERMS
@@ -625,6 +658,23 @@ def test_full_sweep_runs_one_kernel_pass_per_kind(rng, monkeypatch):
             classical_transition(measure, rates, i, j, t)
             quantum_amplitude(measure, i, j, t)
     assert [shape for shape, _ in calls] == [(8, 8, 8)] * 2
+
+
+def test_full_sweep_checks_the_classical_stack_once(rng, monkeypatch):
+    # the probability band check runs once per finished classical stack,
+    # never per hit, and never for amplitudes
+    calls = []
+    real = spectral_walk.dynamics._in_band
+    monkeypatch.setattr(spectral_walk.dynamics, "_in_band",
+                        lambda values: calls.append(values.shape) or real(values))
+    rates = random_rates(rng, sites=12)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.linspace(0.0, 3.0, 5)
+    for i in range(12):
+        for j in range(12):
+            classical_transition(measure, rates, i, j, t)
+            quantum_amplitude(measure, i, j, t)
+    assert calls == [(12, 12, 5)]
 
 
 def test_negative_time_rejected_after_a_memo_fill(rng):
