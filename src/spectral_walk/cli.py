@@ -213,7 +213,7 @@ def cmd_return(args) -> int:
     build = build_from_spec(_load_spec(args))
     site = args.i
     measure = build.measure
-    _check_site("site", site, measure.jacobi.size)
+    _check_site("i", site, measure.jacobi.size)
     verdict = classify_return(modified_measure(measure, measure.jacobi, site), tol=args.tol)
     payload = verdict.to_json_dict()
     if build.info:

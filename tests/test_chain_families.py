@@ -1,13 +1,15 @@
 """Named chain families: construction, measures, closed-form checks.
 
-scipy.special supplies the elliptic oracles (ellipk, ellipj); the
-in-repo evaluations must match them well below the stated tolerances.
+scipy.special supplies the elliptic oracles (ellipk, ellipj) and mpmath
+the references at large arguments; the evaluations must match them well
+below the stated tolerances.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -343,6 +345,18 @@ def test_cn_dn_small_modulus_series_branch():
     assert cn == pytest.approx(list(np.cos(u)), abs=1e-12)
     assert dn == pytest.approx(list(np.ones_like(u)), abs=1e-12)
 
+
+
+@pytest.mark.parametrize("k", [0.01, 0.5, 0.9, 0.999])
+def test_cn_dn_large_argument_against_mpmath(k):
+    u = np.linspace(-1e4, 1e4, 57)
+    with mpmath.workdps(30):
+        m = mpmath.mpf(k) ** 2
+        cn_ref = [float(mpmath.ellipfun("cn", mpmath.mpf(v), m=m)) for v in u]
+        dn_ref = [float(mpmath.ellipfun("dn", mpmath.mpf(v), m=m)) for v in u]
+    cn, dn = jacobi_cn_dn(u, elliptic_context(k))
+    assert np.max(np.abs(cn - cn_ref)) < 1e-10
+    assert np.max(np.abs(dn - dn_ref)) < 1e-10
 
 # == Stieltjes-Carlitz ===========================================================
 

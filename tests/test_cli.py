@@ -7,6 +7,10 @@ the offending field), 3 oracle mismatch above tolerance.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +256,13 @@ def test_exit_2_for_site_out_of_range(capsys):
     assert "'i'" in err
 
 
+def test_exit_2_names_field_i_for_return_site_out_of_range(capsys):
+    spec = '{"family": "custom", "lambdas": [1.0, 1.0, 1.0], "mus": [0.0, 1.0, 1.0, 1.0]}'
+    code, _, err = run(capsys, "return", "--spec", spec, "--i", "9")
+    assert code == 2
+    assert "field 'i'" in err
+
+
 def test_exit_2_for_negative_classical_time(capsys):
     code, _, err = run(capsys, "simulate", "--spec", TWO_STATE,
                        "--classical", "--tmin", "-1", "--tmax", "1")
@@ -480,3 +491,24 @@ def test_cli_surface_is_pinned():
                   for a in sub._actions}
            for name, sub in commands.items()}
     assert got == CLI_SURFACE
+
+
+def loads_scipy_special(code: str) -> bool:
+    """Whether a fresh interpreter that runs ``code`` ends with
+    scipy.special imported."""
+    env = dict(os.environ)
+    src = str(Path(spectral_walk.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = f"import sys\n{code}\nprint('scipy.special' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_cli_commands_do_not_import_scipy_special():
+    # bessel_j1 and jacobi_cn_dn import it on first call; importing it at
+    # start-up would slow every command, and no command calls them
+    cli_run = ("import spectral_walk.cli\n"
+               "assert spectral_walk.cli.main(['families']) == 0\n"
+               "assert spectral_walk.cli.main(['return', '--family', 'sc-d', '--k', '0.7']) == 0")
+    assert loads_scipy_special(cli_run) == loads_scipy_special("import scipy.linalg")
