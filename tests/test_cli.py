@@ -415,6 +415,13 @@ def test_verify_subcommand_skips_classical_without_rates(capsys):
     assert "skipped" in out
 
 
+def test_verify_checks_the_uniform_closed_form_at_the_oracle_cap(capsys):
+    # 512 sites, the dense oracle's cap: the closed-form table against eigh
+    code, out, _ = run(capsys, "verify", "--family", "uniform", "--n", "511")
+    assert code == 0
+    assert "ok" in out
+
+
 
 @pytest.mark.parametrize("argv, calls, code", [
     (["verify", "--spec", TWO_STATE, "--j", "0", "--j", "1"], 0, 0),

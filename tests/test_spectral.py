@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spectral_walk import (
     JacobiOperator,
@@ -83,6 +84,61 @@ class TestEigendecompose:
         for k in range(7):
             assert np.sum(w * x**k) == pytest.approx(acc[0, 0], abs=1e-9)
             acc = acc @ dense
+
+
+def _lapack_reference(j_op):
+    """Points and sign-fixed eigenvector table from the tridiagonal
+    eigensolver, the path every non-constant operator takes."""
+    vals, vecs = scipy.linalg.eigh_tridiagonal(j_op.b, j_op.j)
+    return vals, vecs * np.where(vecs[0] < 0, -1.0, 1.0)
+
+
+class TestConstantChain:
+    """Operators with one diagonal value a and one coupling c take the
+    closed form a + 2c cos(k pi/(n+1)), sqrt(2/(n+1)) sin((i+1) k pi/(n+1))."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 64, 513])
+    @pytest.mark.parametrize("a, c", [(0.0, 0.5), (-1.3, 0.37), (2.5, 1.75)])
+    def test_matches_eigensolver(self, size, a, c):
+        j_op = JacobiOperator(b=np.full(size, a), j=np.full(size - 1, c))
+        measure = eigendecompose(j_op)
+        vals, table = _lapack_reference(j_op)
+        W = measure.weighted_chi
+        assert np.max(np.abs(measure.points - vals)) <= 1e-14 * max(1.0, abs(a) + 2 * c)
+        assert np.max(np.abs(W - table)) <= 1e-12
+        assert np.max(np.abs(measure.masses - table[0] ** 2)) <= 1e-12
+        assert np.max(np.abs(W.T @ W - np.eye(size))) <= 1e-14
+        assert (W[0] > 0).all()
+        assert (np.diff(measure.points) > 0).all()
+
+    def test_one_ulp_off_takes_the_eigensolver(self, monkeypatch):
+        j = np.full(63, 0.5)
+        j[17] = np.nextafter(0.5, 1.0)
+        j_op = JacobiOperator(b=np.zeros(64), j=j)
+        calls = []
+        solve = scipy.linalg.eigh_tridiagonal
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                            lambda *args: calls.append(1) or solve(*args))
+        measure = eigendecompose(j_op)
+        assert calls == [1]
+        closed = eigendecompose(JacobiOperator(b=np.zeros(64), j=np.full(63, 0.5)))
+        assert np.max(np.abs(measure.points - closed.points)) < 1e-14
+        assert np.max(np.abs(measure.weighted_chi - closed.weighted_chi)) < 1e-12
+
+    @pytest.mark.parametrize("b", [np.full(3, 1e308), np.array([1e308, 1e308, 0.0])],
+                             ids=["closed-form", "eigensolver"])
+    def test_overflow_is_refused_by_name(self, b):
+        with pytest.raises(UsageError, match="non-finite points"):
+            eigendecompose(JacobiOperator(b=b, j=np.full(2, 1e308)))
+
+    def test_uniform_chain_needs_no_eigensolve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh_tridiagonal called for a constant chain")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        j_op, measure = uniform_chain(n=2047)
+        assert measure.weighted_chi.shape == (2048, 2048)
+        assert measure.total_mass == pytest.approx(1.0, abs=1e-14)
 
 
 class TestSpectralMeasure:
