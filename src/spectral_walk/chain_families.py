@@ -38,8 +38,8 @@ from .elliptic import EllipticContext, elliptic_context
 from .errors import ConfigurationError, DomainError, UsageError
 from .jacobi_core import BirthDeathRates, JacobiOperator, symmetrize
 from .return_analysis import detect_lattice
-from .spectral import (_SITE_TAIL_TOL, SpectralMeasure, _site_deficits, chi_table_scaled,
-                       eigendecompose)
+from .spectral import (_SITE_TAIL_TOL, SpectralMeasure, _constant_points, _site_deficits,
+                       chi_table_scaled, eigendecompose)
 
 __all__ = [
     "FamilyBuild",
@@ -270,7 +270,8 @@ def uniform_chain(n: int | None = None, quad_order: int = 256
         raise UsageError(f"quadrature order {m} must be >= 2")
     j_op = JacobiOperator(b=np.zeros(m), j=np.full(m - 1, 0.5))
     idx = np.arange(1, m + 1, dtype=float)
-    nodes = np.cos(idx * math.pi / (m + 1))[::-1].copy()
+    # the finite m-site chain's points: cos(k pi/(m+1)) ascending, exactly mirrored
+    nodes = _constant_points(0.0, 0.5, m)
     weights = (2.0 / (m + 1)) * np.sin(idx * math.pi / (m + 1))[::-1] ** 2
     return j_op, SpectralMeasure.continuous(nodes, weights, j_op)
 

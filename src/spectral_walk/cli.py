@@ -20,6 +20,7 @@ the spectral nodes, so the same inputs give byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -287,7 +288,10 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--i", type=int, default=0, help="source site (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args leaves it unchanged, and
+    an in-process main() call does not rebuild it."""
     parser = argparse.ArgumentParser(
         prog="spectral-walk",
         description="Birth-death processes and quantum walks from spectral measures",

@@ -207,6 +207,20 @@ def _spectral_sum(x, coeff, times, z):
     Phases are complex exp for every z.  Forming e^{-ixt} from real
     cos/sin gives the same doubles at a lower cost per term, but showed
     no end-to-end gain on the long-grid benchmark, so one form is kept.
+
+    On a mirrored spectrum (x[::-1] == -x exactly, as for a chain with
+    zero diagonal built from a closed form) and an imaginary z, exp is
+    taken on the upper half x[S//2:] only (the middle node of an odd S
+    included), and the lower columns are the conjugates of the reversed
+    upper ones, in the same (block, S) phase array.  At -x the phase
+    angle z x t has a zero real part and the exact negative of the
+    imaginary part b it has at x, and exp(ib) = cos b + i sin b with cos
+    even and sin odd, so each phase is the one the direct form gives,
+    but for the sign of a zero imaginary part where x t is zero (t = +-0,
+    or an underflowing product).  That sign reaches a term only as the
+    sign of a zero real part, and np.add.reduce starts from +0 and never
+    returns -0, so every value is the same double the direct form gives.
+    Real z and any other spectrum take the direct form.
     """
     coeff = np.ascontiguousarray(coeff)
     times = np.asarray(times, dtype=float)
@@ -215,10 +229,21 @@ def _spectral_sum(x, coeff, times, z):
     flat = times.reshape(-1)
     dtype = complex if isinstance(z, complex) else float
     out = np.empty(coeff.shape[:-1] + flat.shape, dtype=dtype)
-    step = max(1, _BLOCK_TERMS // max(x.shape[0], 1))
+    size = x.shape[0]
+    step = max(1, _BLOCK_TERMS // max(size, 1))
     zx = z * x
+    # the O(1) end test first, then the O(S) one
+    mirrored = (dtype is complex and not z.real and size > 1 and x[0] == -x[-1]
+                and np.array_equal(x[::-1], -x))
+    low = size // 2
     for start in range(0, flat.size, step):
-        phase = np.exp(zx * flat[start:start + step, None])
+        block = flat[start:start + step, None]
+        if mirrored:
+            phase = np.empty((block.shape[0], size), dtype=complex)
+            np.exp(zx[low:] * block, out=phase[:, low:])
+            np.conjugate(phase[:, :size - low - 1:-1], out=phase[:, :low])
+        else:
+            phase = np.exp(zx * block)
         np.add.reduce(coeff[..., None, :] * phase, axis=-1, out=out[..., start:start + step])
     return out.reshape(coeff.shape[:-1] + times.shape)
 

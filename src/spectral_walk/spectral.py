@@ -17,7 +17,10 @@ weights" uniformly.
 An operator with one diagonal value a and one coupling c (the finite
 uniform chain) needs no eigensolve: its eigenvalues a + 2c cos(k pi/(n+1))
 and sine eigenvectors are known in closed form, and eigendecompose
-builds them directly, to within about 1e-12 of the LAPACK table.
+builds them directly, to within about 1e-12 of the LAPACK table.  The
+Gauss quadrature of the continuous uniform chain (chain_families) takes
+its nodes from the same closed form, :func:`_constant_points`, so both
+spectra are exactly mirrored about 0.
 
 The polynomials are evaluated as one weighted table W[i, s] =
 sqrt(w_s) chi_i(x_s) at the nodes x_s with weights w_s: the eigenvector
@@ -230,12 +233,7 @@ def _constant_chain(a: float, c: float, n: int) -> tuple[np.ndarray, np.ndarray]
     """
     m = n + 1
     k = np.arange(n, 0, -1)
-    # cos(k pi/m) = sin((m - 2k) pi/(2m)): exactly 0 at the middle node.
-    # A coupling near the double range overflows to inf (inf * 0 is NaN
-    # at that node), which SpectralMeasure refuses by name, as it does
-    # the eigensolver's non-finite points.
-    with np.errstate(over="ignore", invalid="ignore"):
-        points = a + 2.0 * c * np.sin((m - 2 * k) * (np.pi / (2 * m)))
+    points = _constant_points(a, c, n)
     r = np.arange(m + 1)
     half = math.sqrt(2.0 / m) * np.sin(np.minimum(r, m - r) * (np.pi / m))
     sines = np.concatenate([half, -half[1:-1]])
@@ -247,6 +245,23 @@ def _constant_chain(a: float, c: float, n: int) -> tuple[np.ndarray, np.ndarray]
         np.remainder(index, 2 * m, out=index)
         np.take(sines, index, out=table[i0:i0 + step])
     return points, table
+
+
+def _constant_points(a: float, c: float, n: int) -> np.ndarray:
+    """Points a + 2c cos(k pi/(n+1)), k = n, ..., 1 (ascending), of the
+    n-site operator with every diagonal entry a and every coupling c,
+    computed as a + 2c sin((n+1-2k) pi/(2(n+1))).  The sine's arguments
+    are exact negatives of each other about the middle, so with a = 0
+    the points are exactly mirrored (x[::-1] == -x) and the middle node
+    of an odd n is exactly 0; cos(k pi/(n+1)) itself is not mirrored.
+    """
+    m = n + 1
+    k = np.arange(n, 0, -1)
+    # A coupling near the double range overflows to inf (inf * 0 is NaN
+    # at the middle node), which SpectralMeasure refuses by name, as it
+    # does the eigensolver's non-finite points.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a + 2.0 * c * np.sin((m - 2 * k) * (np.pi / (2 * m)))
 
 
 def chi_table_scaled(j_op: JacobiOperator, n: int, x, w):

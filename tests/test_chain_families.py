@@ -536,6 +536,34 @@ def test_uniform_truncated_matches_continuous_at_short_times():
     assert np.max(np.abs(fc.values - fd.values)) < 1e-8
 
 
+UNIFORM_ORDERS = [2, 3, 4, 5, 64, 127, 256, 524, 1024, 4096]
+
+
+@pytest.mark.parametrize("m", UNIFORM_ORDERS)
+def test_uniform_quadrature_nodes_are_the_finite_chain_points(m):
+    # one closed form for both: exactly mirrored (the mirrored kernel path
+    # applies), an exact 0 in the middle of an odd order
+    _, measure = uniform_chain(quad_order=m)
+    x = measure.quad_points
+    assert np.array_equal(x[::-1], -x)
+    assert x.tobytes() == uniform_chain(n=m - 1)[1].points.tobytes()
+    if m % 2:
+        assert x[m // 2] == 0.0 and not np.signbit(x[m // 2])
+
+
+@pytest.mark.parametrize("m", UNIFORM_ORDERS)
+def test_uniform_quadrature_nodes_and_weights_against_cosine_form(m):
+    _, measure = uniform_chain(quad_order=m)
+    idx = np.arange(1, m + 1, dtype=float)
+    # the weights as the cosine-node build computed them, byte for byte
+    weights = (2.0 / (m + 1)) * np.sin(idx * math.pi / (m + 1))[::-1] ** 2
+    assert measure.quad_weights.tobytes() == weights.tobytes()
+    with mpmath.workdps(30):
+        exact = [mpmath.cos(k * mpmath.pi / (m + 1)) for k in range(m, 0, -1)]
+        worst = max(abs(mpmath.mpf(float(v)) - e) for v, e in zip(measure.quad_points, exact))
+    assert worst <= 2 * np.spacing(1.0)
+
+
 def test_uniform_rejects_degenerate_orders():
     with pytest.raises(UsageError):
         uniform_chain(n=0)

@@ -82,6 +82,21 @@ def test_simulate_many_targets_writes_the_files_of_single_runs(tmp_path, capsys)
     assert combined["times"] == worst[0]["times"]
 
 
+def test_back_to_back_runs_write_only_their_own_targets(tmp_path, capsys):
+    # the process builds one parser; an "append" default must not carry one
+    # run's --j list into the next
+    assert spectral_walk.cli.build_parser() is spectral_walk.cli.build_parser()
+    for name, js in (("a", ["1", "2"]), ("b", ["3"]), ("c", [])):
+        out = tmp_path / name
+        argv = [a for j in js for a in ("--j", j)]
+        code, _, _ = run(capsys, "simulate", "--family", "uniform", "--n", "6", "--steps", "5",
+                         *argv, "--output", str(out))
+        assert code == 0
+        want = [f"f_0_{j}.csv" for j in js or ["0"]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(want + ["manifest.json"])
+        assert json.loads((out / "manifest.json").read_text())["files"] == want
+
+
 def test_simulate_verify_passes(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate", "--spec", TWO_STATE,
                        "--classical", "--verify", "--j", "0", "--j", "1",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import types
+import unittest.mock
 import weakref
 
 import numpy as np
@@ -264,6 +265,65 @@ def test_spectral_sum_equals_whole_grid_form_bitwise(z, nodes, steps):
     stacked = spectral_walk.dynamics._spectral_sum(x, rows, t, z)
     for row, got in zip(rows, stacked):
         assert same_bits(got, whole_grid_sum(x, row, t, z))
+
+
+def per_time_sum(x, coeff, t, z):
+    # the kernel's sum one time point at a time, every exponential taken
+    out = np.empty(coeff.shape[:-1] + t.shape, dtype=complex if isinstance(z, complex) else float)
+    for k in range(t.size):
+        out[..., k] = np.add.reduce(coeff[..., None, :] * np.exp(z * x * t[k:k + 1, None]),
+                                    axis=-1)[..., 0]
+    return out
+
+
+def kernel_with_exp_terms(x, coeff, t, z):
+    """_spectral_sum's values and the number of exponentials it took."""
+    terms = []
+    exp = np.exp
+
+    def counting(arg, *args, **kwargs):
+        terms.append(np.size(arg))
+        return exp(arg, *args, **kwargs)
+
+    with unittest.mock.patch.object(np, "exp", counting):
+        values = spectral_walk.dynamics._spectral_sum(x, coeff, t, z)
+    return values, sum(terms)
+
+
+@st.composite
+def mirrored_cases(draw):
+    """Nodes with x[::-1] == -x (an exact 0 in the middle of an odd count,
+    S = 1 and 2 included), a stack of coefficient rows with zeros of
+    either sign, and times holding +-0, negative and subnormal values."""
+    half = np.sort(draw(st.lists(st.floats(0.0, 10.0, exclude_min=True), max_size=40)))
+    odd = draw(st.booleans()) or half.size == 0
+    x = np.concatenate([-half[::-1], np.zeros(int(odd)), half])
+    coeff = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=x.size,
+                                            max_size=x.size), min_size=1, max_size=3)))
+    t = np.array([0.0, -0.0] + draw(st.lists(st.floats(-60.0, 60.0), max_size=40)))
+    return x, coeff, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mirrored_cases(), z=st.sampled_from([1j, -1j]), index=st.integers(0, 80))
+@example(case=(np.array([0.0]), np.array([[-0.0]]), np.array([0.0, -0.0, -1.5])), z=1j, index=0)
+@example(case=(np.array([-5e-324, 5e-324]), np.array([[-0.0, -0.0], [1.0, -0.0]]),
+               np.array([0.0, -0.0, 0.5, -5e-324, 3.0])), z=-1j, index=1)
+def test_mirrored_spectra_take_half_the_exponentials_and_give_the_same_bits(case, z, index):
+    x, coeff, t = case
+    values, terms = kernel_with_exp_terms(x, coeff, t, z)
+    assert same_bits(values, per_time_sum(x, coeff, t, z))
+    assert terms == t.size * (x.size - x.size // 2)
+    # one node 1 ulp off the mirror: every exponential, the same bits
+    off = x.copy()
+    off[index % x.size] = np.nextafter(off[index % x.size], np.inf)
+    values, terms = kernel_with_exp_terms(off, coeff, t, z)
+    assert same_bits(values, per_time_sum(off, coeff, t, z))
+    assert terms == t.size * x.size
+    # the classical kernel never takes the mirrored path
+    values, terms = kernel_with_exp_terms(x, coeff, t, -1.0)
+    assert same_bits(values, per_time_sum(x, coeff, t, -1.0))
+    assert terms == t.size * x.size
 
 
 def test_one_amplitude_call_stays_within_one_block_of_memory():

@@ -131,6 +131,15 @@ class TestConstantChain:
         with pytest.raises(UsageError, match="non-finite points"):
             eigendecompose(JacobiOperator(b=b, j=np.full(2, 1e308)))
 
+    @pytest.mark.parametrize("b, k", [
+        ([np.inf] * 3, 0), ([np.nan] * 3, 0),
+        ([np.inf, 0.0, 0.0], 0), ([0.0, 0.0, -np.inf], 2), ([0.0, np.nan, 0.0], 1),
+    ], ids=["closed-form-inf", "closed-form-nan", "eigensolver-inf", "eigensolver-minus-inf",
+            "eigensolver-nan"])
+    def test_non_finite_diagonal_is_refused_by_name(self, b, k):
+        with pytest.raises(UsageError, match=rf"b\[{k}\] = .* is not finite"):
+            eigendecompose(JacobiOperator(b=b, j=np.full(2, 0.5)))
+
     def test_uniform_chain_needs_no_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigh_tridiagonal called for a constant chain")
