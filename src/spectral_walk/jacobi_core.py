@@ -163,7 +163,7 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class JacobiOperator:
-    """Symmetric tridiagonal operator: finite diagonal b, positive couplings j.
+    """Symmetric tridiagonal operator: finite diagonal b, finite positive couplings j.
 
     ``b[i]`` sits at position (i, i); ``j[i-1]`` couples sites i-1 and i
     (the coupling indexed J_i in three-term recurrence conventions, with
@@ -183,6 +183,9 @@ class JacobiOperator:
         if not np.isfinite(b).all():
             k = int(np.argmin(np.isfinite(b)))
             raise UsageError(f"diagonal entry b[{k}] = {b[k]} is not finite")
+        if not np.isfinite(j).all():
+            k = int(np.argmin(np.isfinite(j)))
+            raise UsageError(f"coupling j[{k + 1}] = {j[k]} is not finite")
         if len(j) and not (j > 0).all():
             k = int(np.argmin(j > 0))
             raise DomainError(f"coupling j[{k + 1}] = {j[k]} is not positive")

@@ -22,6 +22,12 @@ Gauss quadrature of the continuous uniform chain (chain_families) takes
 its nodes from the same closed form, :func:`_constant_points`, so both
 spectra are exactly mirrored about 0.
 
+An operator that reads the same reversed (persymmetric, as the
+perfect-transfer chain is) is still solved by LAPACK, as a symmetric and
+a skew half-size block; with a zero diagonal and an even size one block
+gives both, and the points are exactly mirrored about 0 too.  Any other
+operator takes one full-size LAPACK solve.
+
 The polynomials are evaluated as one weighted table W[i, s] =
 sqrt(w_s) chi_i(x_s) at the nodes x_s with weights w_s: the eigenvector
 matrix for an eigendecomposed measure, the three-term recurrence seeded
@@ -194,25 +200,104 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     chain) needs no eigensolve: its points and table are built from
     their closed form by :func:`_constant_chain`.  At 2048 sites that
     table is within 6e-13 of the LAPACK one and its Gram deviation
-    max |W^T W - I| is 5e-15 (LAPACK's: 4.5e-15).  Every other operator
-    goes to ``scipy.linalg.eigh_tridiagonal``.
+    max |W^T W - I| is 5e-15 (LAPACK's: 4.5e-15).
+
+    Any other operator that reads the same reversed (b[::-1] == b and
+    j[::-1] == j exactly, as for the perfect-transfer chain) is solved
+    by ``scipy.linalg.eigh_tridiagonal`` as half-size symmetric and skew
+    blocks (:func:`_mirrored_chain`), and with a zero diagonal and an
+    even size as one block whose points mirror exactly.  Every other
+    operator goes to ``scipy.linalg.eigh_tridiagonal`` whole.
     """
     b = np.asarray(j_op.b, dtype=float)
     e = np.asarray(j_op.j, dtype=float)
     c = e[0] if e.size else 0.0
     if (b == b[0]).all() and (e == c).all():
         vals, table = _constant_chain(b[0], c, b.size)
+    elif np.array_equal(b, b[::-1]) and np.array_equal(e, e[::-1]):
+        vals, table = _mirrored_chain(b, e)
     else:
-        try:
-            vals, table = scipy.linalg.eigh_tridiagonal(b, e)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
-        sign = np.where(table[0, :] < 0, -1.0, 1.0)
-        np.multiply(table, sign, out=table)
+        vals, table = _eigh(b, e)
     masses = table[0, :] ** 2
     masses = masses / masses.sum()
     return SpectralMeasure(jacobi=j_op, points=vals, masses=masses,
                            weighted_chi=table)
+
+
+def _eigh(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and eigenvector table of the tridiagonal operator with
+    diagonal b and couplings e from ``scipy.linalg.eigh_tridiagonal``,
+    each column's sign fixed in place so row 0 is nonnegative.  A LAPACK
+    failure is raised as NumericError."""
+    try:
+        vals, table = scipy.linalg.eigh_tridiagonal(b, e)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NumericError(f"tridiagonal eigensolver failed: {exc}") from exc
+    np.multiply(table, np.where(table[0, :] < 0, -1.0, 1.0), out=table)
+    return vals, table
+
+
+def _mirrored_chain(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and table of a persymmetric operator (b and e read the same
+    reversed) of n >= 2 sites from half-size eigenproblems (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976), with R the reversal:
+
+      * n = 2m: eigenvectors [u; +-Ru]/sqrt(2), u an eigenvector of the
+        leading m x m block with last diagonal entry b[m-1] +- e[m-1];
+      * n = 2m+1: symmetric [y[:m]/sqrt(2); y[m]; R y[:m]/sqrt(2)], y of
+        the leading (m+1) x (m+1) block with last coupling sqrt(2) e[m-1],
+        and skew [u; 0; -Ru]/sqrt(2), u of the leading m x m block.
+
+    With a zero diagonal and even n the minus block is -D (plus block) D,
+    D = diag((-1)^i), so one solve gives both: its points negated and
+    reversed, and its columns reversed with odd rows negated.  The
+    points are then exactly mirrored (x[::-1] == -x).
+
+    Ascending, the eigenvectors alternate between skew and symmetric and
+    the largest is symmetric, so each half's points and columns are
+    written to every second slot with no sort.  If the interleaved
+    points do not ascend (rounding on a pair closer than roundoff, as
+    the mirror-image localized states of a disordered chain are), or a
+    modified block entry overflows, the full operator is solved instead.
+    The table is Fortran-ordered, as LAPACK's is.
+    """
+    n = b.size
+    m = n // 2
+    with np.errstate(over="ignore"):
+        if n % 2:
+            sym, skew = slice(0, None, 2), slice(1, None, 2)
+            plus_b, plus_e, minus_b = b[:m + 1], e[:m].copy(), b[:m]
+            plus_e[-1] *= math.sqrt(2.0)
+        else:
+            sym, skew = slice(1, None, 2), slice(0, None, 2)
+            plus_b, plus_e, minus_b = b[:m].copy(), e[:m - 1], b[:m].copy()
+            plus_b[-1] += e[m - 1]
+            minus_b[-1] -= e[m - 1]
+    if not (np.isfinite(plus_b).all() and np.isfinite(minus_b).all()
+            and np.isfinite(plus_e).all()):
+        return _eigh(b, e)
+    s = math.sqrt(0.5)
+    vp, up = _eigh(plus_b, plus_e)
+    if n % 2 or b.any():
+        vm, um = _eigh(minus_b, e[:m - 1])
+        skew_rows = s
+    else:
+        vm, um = -vp[::-1], up[:, ::-1]
+        skew_rows = np.where(np.arange(m) % 2, -s, s)[:, None]
+    vals = np.empty(n)
+    vals[sym] = vp
+    vals[skew] = vm
+    if not (np.diff(vals) >= 0).all():  # NaN fails
+        return _eigh(b, e)
+    table = np.empty((n, n), order="F")
+    np.multiply(up[:m], s, out=table[:m, sym])
+    np.multiply(um, skew_rows, out=table[:m, skew])
+    if n % 2:
+        table[m, sym] = up[m]
+        table[m, skew] = 0.0
+    table[n - m:, sym] = table[m - 1::-1, sym]
+    np.negative(table[m - 1::-1, skew], out=table[n - m:, skew])
+    return vals, table
 
 
 def _constant_chain(a: float, c: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from diagonalizing A = [[-1, 1], [2, -2]] directly.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import tracemalloc
 import types
@@ -39,6 +40,7 @@ from spectral_walk import (
     modified_measure,
     oracle_expm,
     pi_coefficients,
+    pst_demo_chain,
     quantum_amplitude,
     series_csv,
     series_filename,
@@ -276,8 +278,9 @@ def per_time_sum(x, coeff, t, z):
     return out
 
 
-def kernel_with_exp_terms(x, coeff, t, z):
-    """_spectral_sum's values and the number of exponentials it took."""
+@contextlib.contextmanager
+def counted_exp():
+    """Record the size of each np.exp argument made inside."""
     terms = []
     exp = np.exp
 
@@ -286,6 +289,12 @@ def kernel_with_exp_terms(x, coeff, t, z):
         return exp(arg, *args, **kwargs)
 
     with unittest.mock.patch.object(np, "exp", counting):
+        yield terms
+
+
+def kernel_with_exp_terms(x, coeff, t, z):
+    """_spectral_sum's values and the number of exponentials it took."""
+    with counted_exp() as terms:
         values = spectral_walk.dynamics._spectral_sum(x, coeff, t, z)
     return values, sum(terms)
 
@@ -324,6 +333,22 @@ def test_mirrored_spectra_take_half_the_exponentials_and_give_the_same_bits(case
     values, terms = kernel_with_exp_terms(x, coeff, t, -1.0)
     assert same_bits(values, per_time_sum(x, coeff, t, -1.0))
     assert terms == t.size * x.size
+
+
+@pytest.mark.parametrize("sites", [1024, 2047, 2048])
+def test_perfect_state_transfer_at_scale(sites):
+    # the transfer chain J_i = sqrt(i (N - i))/2 sends site 0 to site
+    # N-1 at t = pi; it reads the same reversed, so it is solved as half
+    # blocks, and with an even N its points are exactly mirrored and a
+    # quantum call takes the exponentials of the upper half only
+    measure = eigendecompose(pst_demo_chain(sites))
+    t = np.linspace(0.0, np.pi, 5)
+    with counted_exp() as terms:
+        f = quantum_amplitude(measure, 0, sites - 1, t).values
+    assert abs(f[-1]) >= 1.0 - 1e-12
+    if sites % 2 == 0:
+        assert np.array_equal(measure.points[::-1], -measure.points)
+        assert sum(terms) == t.size * (sites - sites // 2)
 
 
 def test_one_amplitude_call_stays_within_one_block_of_memory():

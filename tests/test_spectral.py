@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import unittest.mock
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_walk import (
     JacobiOperator,
@@ -15,7 +20,8 @@ from spectral_walk import (
     symmetrize,
     uniform_chain,
 )
-from spectral_walk.spectral import chi_table_scaled
+from spectral_walk.dynamics import oracle_expm
+from spectral_walk.spectral import _mirrored_chain, chi_table_scaled
 
 from conftest import plain_chi, random_rates
 
@@ -140,6 +146,15 @@ class TestConstantChain:
         with pytest.raises(UsageError, match=rf"b\[{k}\] = .* is not finite"):
             eigendecompose(JacobiOperator(b=b, j=np.full(2, 0.5)))
 
+    @pytest.mark.parametrize("j, k", [
+        ([np.inf, 0.5], 1), ([0.5, -np.inf], 2), ([np.nan, 0.5], 1), ([np.inf, np.inf], 1),
+    ], ids=["inf", "minus-inf", "nan", "constant-shape-inf"])
+    def test_non_finite_coupling_is_refused_by_name(self, j, k):
+        # an infinite coupling passed j > 0 and reached scipy's bare
+        # "array must not contain infs or NaNs"
+        with pytest.raises(UsageError, match=rf"coupling j\[{k}\] = .* is not finite"):
+            eigendecompose(JacobiOperator(b=np.zeros(3), j=j))
+
     def test_uniform_chain_needs_no_eigensolve(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigh_tridiagonal called for a constant chain")
@@ -148,6 +163,162 @@ class TestConstantChain:
         j_op, measure = uniform_chain(n=2047)
         assert measure.weighted_chi.shape == (2048, 2048)
         assert measure.total_mass == pytest.approx(1.0, abs=1e-14)
+
+
+def _mirrored(half_b, half_j, n):
+    """The n-site operator reading the same reversed whose first
+    ceil(n/2) diagonal entries and floor(n/2) couplings are given."""
+    half_b, half_j = np.asarray(half_b, dtype=float), np.asarray(half_j, dtype=float)
+    b = np.r_[half_b[:(n + 1) // 2], half_b[:n // 2][::-1]]
+    j = np.r_[half_j[:n // 2], half_j[:(n - 1) // 2][::-1]]
+    return JacobiOperator(b=b, j=j)
+
+
+@st.composite
+def mirrored_operators(draw):
+    """Persymmetric operators of 2 to 200 sites, even and odd, with a
+    zero diagonal or a drawn one, and couplings 1 +- spread.  A wide
+    spread localizes eigenvectors, so mirror-image pairs come closer
+    than roundoff and the split falls back to the full solve; a narrow
+    one keeps the split."""
+    n = draw(st.integers(2, 200))
+    spread = draw(st.sampled_from([0.1, 0.9]))
+    unit = st.floats(-1.0, 1.0)
+    half_b = np.zeros(n) if draw(st.booleans()) else 2.0 * spread * np.array(
+        draw(st.lists(unit, min_size=n, max_size=n)))
+    half_j = 1.0 + spread * np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    return _mirrored(half_b, half_j, n)
+
+
+@contextlib.contextmanager
+def _solve_sizes():
+    """Record the size of each tridiagonal eigensolve made inside."""
+    sizes = []
+    solve = scipy.linalg.eigh_tridiagonal
+    with unittest.mock.patch.object(scipy.linalg, "eigh_tridiagonal",
+                                    lambda b, e: sizes.append(len(b)) or solve(b, e)):
+        yield sizes
+
+
+class TestMirroredChain:
+    """An operator with b[::-1] == b and j[::-1] == j is solved as a
+    symmetric and a skew half-size block, or with a zero diagonal and an
+    even size as one block whose points mirror exactly."""
+
+    def check(self, j_op, vals, W):
+        """The split table against dense eigh, the full tridiagonal solve
+        and the dense unitary."""
+        n = j_op.size
+        dense = j_op.dense()
+        evals = np.linalg.eigh(dense)[0]
+        full_vals, full_W = _lapack_reference(j_op)
+        scale = max(1.0, np.abs(evals).max())
+        assert np.max(np.abs(vals - evals)) <= 1e-13 * scale
+        assert np.max(np.abs(vals - full_vals)) <= 1e-13 * scale
+        assert np.max(np.abs(W.T @ W - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(dense @ W - W * vals)) <= 1e-13 * scale
+        assert (W[0] >= 0).all()
+        # products W[i, s] W[j, s] of each atom whose eigenvector is
+        # determined to roundoff (gap to its neighbours above 1e-2) ...
+        gaps = np.diff(full_vals)
+        isolated = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf]) > 1e-2
+        for j in (0, n // 2, n - 1):
+            assert (np.abs(W * W[j] - full_W * full_W[j])[:, isolated] <= 1e-12).all()
+        # ... and every amplitude f_ij(t) = sum_s W[i, s] W[j, s] e^{-i x_s t}
+        for t in (0.7, 3.0):
+            f = (W * np.exp(-1j * vals * t)) @ W.T
+            assert np.max(np.abs(f - oracle_expm(j_op, t))) <= 1e-12
+            assert np.max(np.abs(f - (full_W * np.exp(-1j * full_vals * t)) @ full_W.T)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(j_op=mirrored_operators())
+    def test_matches_dense_and_full_solves(self, j_op):
+        with _solve_sizes() as sizes:
+            measure = eigendecompose(j_op)
+        self.check(j_op, measure.points, measure.weighted_chi)
+        assert np.array_equal(measure.masses, measure.weighted_chi[0] ** 2
+                              / (measure.weighted_chi[0] ** 2).sum())
+        n, m = j_op.size, j_op.size // 2
+        if sizes in ([], [m + n % 2, m, n], [m, m, n], [m, n]):
+            return  # a constant operator (closed form), or the fallback
+        if n % 2:
+            assert sizes == [m + 1, m]
+        elif j_op.b.any():
+            assert sizes == [m, m]
+        else:
+            assert sizes == [m]
+            assert np.array_equal(measure.points[::-1], -measure.points)
+
+    @pytest.mark.parametrize("size, zero, blocks", [
+        (64, True, [32]), (64, False, [32, 32]), (65, True, [33, 32]), (65, False, [33, 32]),
+    ], ids=["even-zero", "even", "odd-zero", "odd"])
+    def test_takes_half_size_solves(self, rng, size, zero, blocks):
+        # weak disorder: no mirror-image pair closer than roundoff
+        half_b = np.zeros(size) if zero else rng.uniform(-0.2, 0.2, size)
+        j_op = _mirrored(half_b, rng.uniform(0.9, 1.1, size), size)
+        with _solve_sizes() as sizes:
+            measure = eigendecompose(j_op)
+        assert sizes == blocks
+        self.check(j_op, measure.points, measure.weighted_chi)
+
+    @pytest.mark.parametrize("b, j", [
+        ([0.3, 0.3], [0.7]), ([1.0, -0.5, 1.0], [0.4, 0.4]), ([0.0, 0.0, 0.0], [0.4, 0.4]),
+    ], ids=["n2", "n3", "n3-zero"])
+    def test_smallest_sizes(self, b, j):
+        # a 2-site mirrored operator is constant and takes the closed
+        # form in eigendecompose, so the split is checked directly
+        j_op = JacobiOperator(b=b, j=j)
+        self.check(j_op, *_mirrored_chain(j_op.b, j_op.j))
+
+    def test_wilkinson_w21(self):
+        # W21+: b_i = |10 - i|, unit couplings; its top pair is 7e-14 apart
+        j_op = JacobiOperator(b=np.abs(10.0 - np.arange(21)), j=np.ones(20))
+        with _solve_sizes() as sizes:
+            measure = eigendecompose(j_op)
+        assert sizes in ([11, 10], [11, 10, 21])
+        self.check(j_op, measure.points, measure.weighted_chi)
+        assert np.max(np.abs(measure.points - np.linalg.eigh(j_op.dense())[0])) <= 1e-14
+
+    def test_one_ulp_off_the_mirror_takes_the_full_solve(self, rng):
+        j_op = _mirrored(np.zeros(64), rng.uniform(0.9, 1.1, 64), 64)
+        with _solve_sizes() as sizes:
+            split = eigendecompose(j_op)
+        assert sizes == [32]
+        j = j_op.j.copy()
+        j[5] = np.nextafter(j[5], np.inf)
+        with _solve_sizes() as sizes:
+            measure = eigendecompose(JacobiOperator(b=j_op.b, j=j))
+        assert sizes == [64]
+        assert np.max(np.abs(measure.points - split.points)) <= 1e-13
+        W, Ws = measure.weighted_chi, split.weighted_chi
+        assert np.max(np.abs(W * W[0] - Ws * Ws[0])) <= 1e-12
+        assert np.max(np.abs(W * W[63] - Ws * Ws[63])) <= 1e-12
+
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_crossing_half_points_fall_back_to_the_full_solve(self, monkeypatch, rng, size):
+        j_op = _mirrored(rng.uniform(-0.2, 0.2, size), rng.uniform(0.9, 1.1, size), size)
+        want_vals, want_W = _lapack_reference(j_op)
+        sizes = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def crossing(b, e):
+            # the first block's points pushed past every other point
+            sizes.append(len(b))
+            vals, vecs = solve(b, e)
+            return (vals + 100.0 if len(sizes) == 1 else vals), vecs
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", crossing)
+        measure = eigendecompose(j_op)
+        assert sizes[-1] == size and len(sizes) == 3
+        assert np.array_equal(measure.points, want_vals)
+        assert np.array_equal(measure.weighted_chi, want_W)
+
+    def test_overflowing_block_entry_falls_back_to_the_full_solve(self):
+        # sqrt(2) j[m-1] of the odd symmetric block overflows; the full
+        # solve's non-finite points are refused by name
+        with _solve_sizes() as sizes, pytest.raises(UsageError, match="non-finite points"):
+            eigendecompose(JacobiOperator(b=[1e308, 0.0, 1e308], j=[1.5e308, 1.5e308]))
+        assert sizes == [3]
 
 
 class TestSpectralMeasure:
