@@ -22,11 +22,11 @@ Gauss quadrature of the continuous uniform chain (chain_families) takes
 its nodes from the same closed form, :func:`_constant_points`, so both
 spectra are exactly mirrored about 0.
 
-An operator that reads the same reversed (persymmetric, as the
-perfect-transfer chain is) is still solved by LAPACK, as a symmetric and
-a skew half-size block; with a zero diagonal and an even size one block
-gives both, and the points are exactly mirrored about 0 too.  Any other
-operator takes one full-size LAPACK solve.
+An operator with a zero diagonal whose couplings read the same
+reversed (persymmetric, as the perfect-transfer chain is) is still
+solved by LAPACK, as a symmetric and a skew half-size block; with an
+even size one block gives both, and the points are exactly mirrored
+about 0 too.  Any other operator takes one full-size LAPACK solve.
 
 The polynomials are evaluated as one weighted table W[i, s] =
 sqrt(w_s) chi_i(x_s) at the nodes x_s with weights w_s: the eigenvector
@@ -202,20 +202,21 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     table is within 6e-13 of the LAPACK one and its Gram deviation
     max |W^T W - I| is 5e-15 (LAPACK's: 4.5e-15).
 
-    Any other operator that reads the same reversed (b[::-1] == b and
-    j[::-1] == j exactly, as for the perfect-transfer chain) is solved
-    by ``scipy.linalg.eigh_tridiagonal`` as half-size symmetric and skew
-    blocks (:func:`_mirrored_chain`), and with a zero diagonal and an
+    Any other operator with a zero diagonal whose couplings read the
+    same reversed (j[::-1] == j exactly, as for the perfect-transfer
+    chain) is solved by ``scipy.linalg.eigh_tridiagonal`` as half-size
+    symmetric and skew blocks (:func:`_mirrored_chain`), and with an
     even size as one block whose points mirror exactly.  Every other
-    operator goes to ``scipy.linalg.eigh_tridiagonal`` whole.
+    operator, a mirror-symmetric one with a nonzero diagonal included,
+    goes to ``scipy.linalg.eigh_tridiagonal`` whole.
     """
     b = np.asarray(j_op.b, dtype=float)
     e = np.asarray(j_op.j, dtype=float)
     c = e[0] if e.size else 0.0
     if (b == b[0]).all() and (e == c).all():
         vals, table = _constant_chain(b[0], c, b.size)
-    elif np.array_equal(b, b[::-1]) and np.array_equal(e, e[::-1]):
-        vals, table = _mirrored_chain(b, e)
+    elif not b.any() and np.array_equal(e, e[::-1]):
+        vals, table = _mirrored_chain(e)
     else:
         vals, table = _eigh(b, e)
     masses = table[0, :] ** 2
@@ -237,58 +238,53 @@ def _eigh(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, table
 
 
-def _mirrored_chain(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points and table of a persymmetric operator (b and e read the same
-    reversed) of n >= 2 sites from half-size eigenproblems (Cantoni &
-    Butler, Linear Algebra Appl. 13, 1976), with R the reversal:
+def _mirrored_chain(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and table of the operator of n >= 2 sites with a zero
+    diagonal and couplings e that read the same reversed, from half-size
+    eigenproblems (Cantoni & Butler, Linear Algebra Appl. 13, 1976), with
+    R the reversal:
 
       * n = 2m: eigenvectors [u; +-Ru]/sqrt(2), u an eigenvector of the
-        leading m x m block with last diagonal entry b[m-1] +- e[m-1];
+        leading m x m block with last diagonal entry +-e[m-1].  The minus
+        block is -D (plus block) D, D = diag((-1)^i), so one solve gives
+        both: its points negated and reversed, and its columns reversed
+        with odd rows negated.  The points are exactly mirrored
+        (x[::-1] == -x).
       * n = 2m+1: symmetric [y[:m]/sqrt(2); y[m]; R y[:m]/sqrt(2)], y of
         the leading (m+1) x (m+1) block with last coupling sqrt(2) e[m-1],
         and skew [u; 0; -Ru]/sqrt(2), u of the leading m x m block.
 
-    With a zero diagonal and even n the minus block is -D (plus block) D,
-    D = diag((-1)^i), so one solve gives both: its points negated and
-    reversed, and its columns reversed with odd rows negated.  The
-    points are then exactly mirrored (x[::-1] == -x).
-
     Ascending, the eigenvectors alternate between skew and symmetric and
     the largest is symmetric, so each half's points and columns are
-    written to every second slot with no sort.  If the interleaved
-    points do not ascend (rounding on a pair closer than roundoff, as
-    the mirror-image localized states of a disordered chain are), or a
-    modified block entry overflows, the full operator is solved instead.
-    The table is Fortran-ordered, as LAPACK's is.
+    written to every second slot with no sort.  Where rounding puts a
+    pair closer than roundoff out of that order (the mirror-image
+    localized states of a disordered chain), the points are sorted and
+    only the columns that change place are moved: each is still its
+    point's eigenvector.  If sqrt(2) e[m-1] overflows, the full operator
+    is solved instead.  The table is Fortran-ordered, as LAPACK's is.
     """
-    n = b.size
+    n = e.size + 1
     m = n // 2
-    with np.errstate(over="ignore"):
-        if n % 2:
-            sym, skew = slice(0, None, 2), slice(1, None, 2)
-            plus_b, plus_e, minus_b = b[:m + 1], e[:m].copy(), b[:m]
-            plus_e[-1] *= math.sqrt(2.0)
-        else:
-            sym, skew = slice(1, None, 2), slice(0, None, 2)
-            plus_b, plus_e, minus_b = b[:m].copy(), e[:m - 1], b[:m].copy()
-            plus_b[-1] += e[m - 1]
-            minus_b[-1] -= e[m - 1]
-    if not (np.isfinite(plus_b).all() and np.isfinite(minus_b).all()
-            and np.isfinite(plus_e).all()):
-        return _eigh(b, e)
     s = math.sqrt(0.5)
-    vp, up = _eigh(plus_b, plus_e)
-    if n % 2 or b.any():
-        vm, um = _eigh(minus_b, e[:m - 1])
+    if n % 2:
+        sym, skew = slice(0, None, 2), slice(1, None, 2)
+        with np.errstate(over="ignore"):
+            plus_e = np.r_[e[:m - 1], math.sqrt(2.0) * e[m - 1]]
+        if not np.isfinite(plus_e[-1]):
+            return _eigh(np.zeros(n), e)
+        vp, up = _eigh(np.zeros(m + 1), plus_e)
+        vm, um = _eigh(np.zeros(m), e[:m - 1])
         skew_rows = s
     else:
+        sym, skew = slice(1, None, 2), slice(0, None, 2)
+        plus_b = np.zeros(m)
+        plus_b[-1] = e[m - 1]
+        vp, up = _eigh(plus_b, e[:m - 1])
         vm, um = -vp[::-1], up[:, ::-1]
         skew_rows = np.where(np.arange(m) % 2, -s, s)[:, None]
     vals = np.empty(n)
     vals[sym] = vp
     vals[skew] = vm
-    if not (np.diff(vals) >= 0).all():  # NaN fails
-        return _eigh(b, e)
     table = np.empty((n, n), order="F")
     np.multiply(up[:m], s, out=table[:m, sym])
     np.multiply(um, skew_rows, out=table[:m, skew])
@@ -297,6 +293,11 @@ def _mirrored_chain(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarra
         table[m, skew] = 0.0
     table[n - m:, sym] = table[m - 1::-1, sym]
     np.negative(table[m - 1::-1, skew], out=table[n - m:, skew])
+    if not (np.diff(vals) >= 0).all():
+        order = np.argsort(vals, kind="stable")
+        moved = np.flatnonzero(order != np.arange(n))
+        vals = vals[order]
+        table[:, moved] = table[:, order[moved]]
     return vals, table
 
 

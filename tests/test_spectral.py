@@ -94,7 +94,8 @@ class TestEigendecompose:
 
 def _lapack_reference(j_op):
     """Points and sign-fixed eigenvector table from the tridiagonal
-    eigensolver, the path every non-constant operator takes."""
+    eigensolver, the full-size solve that operators which are neither
+    constant nor mirror-symmetric with a zero diagonal take."""
     vals, vecs = scipy.linalg.eigh_tridiagonal(j_op.b, j_op.j)
     return vals, vecs * np.where(vecs[0] < 0, -1.0, 1.0)
 
@@ -179,8 +180,7 @@ def mirrored_operators(draw):
     """Persymmetric operators of 2 to 200 sites, even and odd, with a
     zero diagonal or a drawn one, and couplings 1 +- spread.  A wide
     spread localizes eigenvectors, so mirror-image pairs come closer
-    than roundoff and the split falls back to the full solve; a narrow
-    one keeps the split."""
+    than roundoff and the interleaved half points leave their order."""
     n = draw(st.integers(2, 200))
     spread = draw(st.sampled_from([0.1, 0.9]))
     unit = st.floats(-1.0, 1.0)
@@ -200,10 +200,18 @@ def _solve_sizes():
         yield sizes
 
 
+def _disordered(n, seed):
+    """A zero-diagonal operator of n sites with couplings uniform in
+    [0.2, 2] that read the same reversed."""
+    g = np.random.default_rng(seed).uniform(0.2, 2.0, n)
+    return _mirrored(np.zeros(n), g, n)
+
+
 class TestMirroredChain:
-    """An operator with b[::-1] == b and j[::-1] == j is solved as a
-    symmetric and a skew half-size block, or with a zero diagonal and an
-    even size as one block whose points mirror exactly."""
+    """An operator with a zero diagonal and j[::-1] == j is solved as a
+    symmetric and a skew half-size block, or with an even size as one
+    block whose points mirror exactly.  A mirror-symmetric operator with
+    a nonzero diagonal takes the full solve."""
 
     def check(self, j_op, vals, W):
         """The split table against dense eigh, the full tridiagonal solve
@@ -213,6 +221,7 @@ class TestMirroredChain:
         evals = np.linalg.eigh(dense)[0]
         full_vals, full_W = _lapack_reference(j_op)
         scale = max(1.0, np.abs(evals).max())
+        assert (np.diff(vals) >= 0).all()
         assert np.max(np.abs(vals - evals)) <= 1e-13 * scale
         assert np.max(np.abs(vals - full_vals)) <= 1e-13 * scale
         assert np.max(np.abs(W.T @ W - np.eye(n))) <= 1e-13
@@ -239,21 +248,21 @@ class TestMirroredChain:
         assert np.array_equal(measure.masses, measure.weighted_chi[0] ** 2
                               / (measure.weighted_chi[0] ** 2).sum())
         n, m = j_op.size, j_op.size // 2
-        if sizes in ([], [m + n % 2, m, n], [m, m, n], [m, n]):
-            return  # a constant operator (closed form), or the fallback
-        if n % 2:
-            assert sizes == [m + 1, m]
-        elif j_op.b.any():
-            assert sizes == [m, m]
-        else:
-            assert sizes == [m]
-            assert np.array_equal(measure.points[::-1], -measure.points)
+        if j_op.b.any():
+            assert sizes == [n]
+            vals, W = _lapack_reference(j_op)
+            assert np.array_equal(measure.points, vals)
+            assert np.array_equal(measure.weighted_chi, W)
+        elif sizes:  # an empty list is a constant operator (closed form)
+            # the split is taken at every spread: no full-size solve
+            assert sizes == ([m + 1, m] if n % 2 else [m])
+            if n % 2 == 0:
+                assert np.array_equal(measure.points[::-1], -measure.points)
 
     @pytest.mark.parametrize("size, zero, blocks", [
-        (64, True, [32]), (64, False, [32, 32]), (65, True, [33, 32]), (65, False, [33, 32]),
+        (64, True, [32]), (64, False, [64]), (65, True, [33, 32]), (65, False, [65]),
     ], ids=["even-zero", "even", "odd-zero", "odd"])
-    def test_takes_half_size_solves(self, rng, size, zero, blocks):
-        # weak disorder: no mirror-image pair closer than roundoff
+    def test_takes_half_size_solves_on_a_zero_diagonal(self, rng, size, zero, blocks):
         half_b = np.zeros(size) if zero else rng.uniform(-0.2, 0.2, size)
         j_op = _mirrored(half_b, rng.uniform(0.9, 1.1, size), size)
         with _solve_sizes() as sizes:
@@ -261,21 +270,21 @@ class TestMirroredChain:
         assert sizes == blocks
         self.check(j_op, measure.points, measure.weighted_chi)
 
-    @pytest.mark.parametrize("b, j", [
-        ([0.3, 0.3], [0.7]), ([1.0, -0.5, 1.0], [0.4, 0.4]), ([0.0, 0.0, 0.0], [0.4, 0.4]),
-    ], ids=["n2", "n3", "n3-zero"])
-    def test_smallest_sizes(self, b, j):
-        # a 2-site mirrored operator is constant and takes the closed
-        # form in eigendecompose, so the split is checked directly
-        j_op = JacobiOperator(b=b, j=j)
-        self.check(j_op, *_mirrored_chain(j_op.b, j_op.j))
+    @pytest.mark.parametrize("j", [[0.7], [0.4, 0.4], [0.4, 1.3, 0.4], [0.3, 0.9, 0.9, 0.3]],
+                             ids=["n2", "n3", "n4", "n5"])
+    def test_smallest_sizes(self, j):
+        # 2- and 3-site mirrored operators are constant and take the
+        # closed form in eigendecompose, so the split is checked directly
+        j_op = JacobiOperator(b=np.zeros(len(j) + 1), j=j)
+        self.check(j_op, *_mirrored_chain(j_op.j))
 
-    def test_wilkinson_w21(self):
-        # W21+: b_i = |10 - i|, unit couplings; its top pair is 7e-14 apart
+    def test_wilkinson_w21_takes_the_full_solve(self):
+        # W21+: b_i = |10 - i|, unit couplings; mirrored, but its
+        # diagonal is not zero.  Its top pair is 7e-14 apart.
         j_op = JacobiOperator(b=np.abs(10.0 - np.arange(21)), j=np.ones(20))
         with _solve_sizes() as sizes:
             measure = eigendecompose(j_op)
-        assert sizes in ([11, 10], [11, 10, 21])
+        assert sizes == [21]
         self.check(j_op, measure.points, measure.weighted_chi)
         assert np.max(np.abs(measure.points - np.linalg.eigh(j_op.dense())[0])) <= 1e-14
 
@@ -294,10 +303,24 @@ class TestMirroredChain:
         assert np.max(np.abs(W * W[0] - Ws * Ws[0])) <= 1e-12
         assert np.max(np.abs(W * W[63] - Ws * Ws[63])) <= 1e-12
 
+    @pytest.mark.parametrize("size, seed", [(64, 6), (65, 18), (200, 0), (201, 0)])
+    def test_disordered_chain_is_put_in_order_without_another_solve(self, size, seed):
+        # mirror-image localized states pair up closer than roundoff, so
+        # the interleaved half points leave their order; they are sorted
+        # with their columns, and no full-size solve is paid
+        j_op = _disordered(size, seed)
+        m = size // 2
+        with _solve_sizes() as sizes, unittest.mock.patch.object(
+                np, "argsort", wraps=np.argsort) as argsort:
+            vals, W = _mirrored_chain(j_op.j)
+        assert sizes == ([m + 1, m] if size % 2 else [m])
+        assert argsort.called
+        self.check(j_op, vals, W)
+
     @pytest.mark.parametrize("size", [64, 65])
-    def test_crossing_half_points_fall_back_to_the_full_solve(self, monkeypatch, rng, size):
-        j_op = _mirrored(rng.uniform(-0.2, 0.2, size), rng.uniform(0.9, 1.1, size), size)
-        want_vals, want_W = _lapack_reference(j_op)
+    def test_crossing_half_points_are_sorted_with_their_columns(self, monkeypatch, rng, size):
+        j_op = _mirrored(np.zeros(size), rng.uniform(0.9, 1.1, size), size)
+        m = size // 2
         sizes = []
         solve = scipy.linalg.eigh_tridiagonal
 
@@ -308,17 +331,28 @@ class TestMirroredChain:
             return (vals + 100.0 if len(sizes) == 1 else vals), vecs
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", crossing)
-        measure = eigendecompose(j_op)
-        assert sizes[-1] == size and len(sizes) == 3
-        assert np.array_equal(measure.points, want_vals)
-        assert np.array_equal(measure.weighted_chi, want_W)
+        vals, W = _mirrored_chain(j_op.j)
+        monkeypatch.undo()
+        assert sizes == ([m + 1, m] if size % 2 else [m])
+        assert (np.diff(vals) >= 0).all()
+        # each column is still the eigenvector of its own point, shifted
+        # by 100: up in the symmetric block, and with an even size down
+        # in the skew block derived from it
+        sym = vals > 50.0
+        shift = np.where(sym, 100.0, np.where(vals < -50.0, -100.0, 0.0))
+        dense = j_op.dense()
+        assert np.max(np.abs(dense @ W - W * (vals - shift))) <= 1e-13
+        assert np.max(np.abs(W.T @ W - np.eye(size))) <= 1e-13
+        assert sym.sum() == size - m
+        assert np.array_equal(W[::-1, sym], W[:, sym])
+        assert np.array_equal(W[::-1, ~sym], -W[:, ~sym])
 
     def test_overflowing_block_entry_falls_back_to_the_full_solve(self):
         # sqrt(2) j[m-1] of the odd symmetric block overflows; the full
         # solve's non-finite points are refused by name
         with _solve_sizes() as sizes, pytest.raises(UsageError, match="non-finite points"):
-            eigendecompose(JacobiOperator(b=[1e308, 0.0, 1e308], j=[1.5e308, 1.5e308]))
-        assert sizes == [3]
+            eigendecompose(JacobiOperator(b=np.zeros(5), j=[1.0, 1.5e308, 1.5e308, 1.0]))
+        assert sizes == [5]
 
 
 class TestSpectralMeasure:
