@@ -55,6 +55,9 @@ __all__ = [
 _MEIXNER_SITE_CAP = 100_000
 # largest count (n, s_max, quad_order) a spec may give; a 4096-site table is 128 MB
 _SPEC_COUNT_CAP = 4096
+# largest --steps of a command's time grid: one series over it holds 16 MB
+# of complex values and about 80 MB of CSV
+_STEPS_CAP = 1_000_000
 _SC_S_CAP = 10_000
 _SC_MIN_HALF_SUPPORT = 12
 

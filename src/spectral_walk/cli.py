@@ -28,9 +28,10 @@ import sys
 
 import numpy as np
 
-from .chain_families import build_from_spec, family_schemas
-from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _check_oracle_size, _rows,
-                       oracle_expm, quantum_amplitude, series_csv, series_filename)
+from .chain_families import _STEPS_CAP, build_from_spec, family_schemas
+from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _check_oracle_size,
+                       _oracle_evolutions, _rows, quantum_amplitude, series_csv,
+                       series_filename)
 from .errors import NumericError, SpectralWalkError, UsageError
 from .jacobi_core import generator
 from .return_analysis import (LATTICE_TOL, classify_return, modified_measure,
@@ -59,6 +60,8 @@ def _time_grid(args) -> np.ndarray:
         return np.array([args.tmin])
     if args.steps < 2:
         raise UsageError(f"field 'steps' is {args.steps}, need >= 2 for a grid")
+    if args.steps > _STEPS_CAP:
+        raise UsageError(f"field 'steps' is {args.steps}, above the cap {_STEPS_CAP}")
     return np.linspace(args.tmin, args.tmax, args.steps)
 
 
@@ -152,8 +155,7 @@ def _verify_build(build, check_measure, args, js: list[int], classical: bool, tm
         operator, pi = j_op, None
     rows = _rows(check_measure, range(args.i, args.i + 1), js, np.array(times), pi)[0]
     deviations = []
-    for k, t in enumerate(times):
-        dense = oracle_expm(operator, t)
+    for k, dense in enumerate(_oracle_evolutions(operator, times)):
         deviations += [abs(row[k] - dense[args.i, jj]) for row, jj in zip(rows, js)]
     # np.max keeps a NaN deviation, which max() would drop
     return float(np.max(deviations)), times

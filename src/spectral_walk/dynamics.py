@@ -39,6 +39,20 @@ binds the last (measure, rates) pair through weak references, so
 neither is kept alive: it holds the pair's pi, computed over all of the
 measure's sites once :func:`_bind` has checked that the measure came
 from the rates, and the pair's last stack, if one fits.
+
+The phases e^{z x_s t} of a large entry depend on the measure and the
+times, not on (i, j).  When the measure carries its eigenvector table
+(no quadrature rule) and 2 T <= n, a second record per kind keeps the
+whole (T, S) phase table of the last such entry, and later large
+entries of that kind on the same measure and times reduce their row
+against it, block by block, instead of taking the exponentials again:
+the same doubles.  A complex table takes 16 T S <= 8 n S bytes, no
+more than the measure's own table (a real one for P, half that).  It
+is released when the measure is freed (a weak-reference callback
+empties that record alone) or when another such entry of the kind, on
+another measure or other times, replaces it.  Quadrature and
+recurrence-table measures, longer grids and stack-sized entries keep
+no phases.
 """
 
 from __future__ import annotations
@@ -79,6 +93,10 @@ _BLOCK_TERMS = 2 ** 14
 # and its last stack; one tuple, read and replaced whole, so concurrent
 # callers never pair one chain's objects with another's pi
 _last_stack = {}
+# classical (a bool) -> (weakref to measure, times key, [phases] or [] once
+# the measure is freed): the (T, S) phase table of the last large entry of
+# that kind on a measure with its eigenvector table; see _kept_phases
+_last_phases = {}
 
 
 @dataclass(frozen=True)
@@ -181,7 +199,7 @@ def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets)
     return x, table[sources.start:sources.stop, None] * table[targets]
 
 
-def _spectral_sum(x, coeff, times, z):
+def _spectral_sum(x, coeff, times, z, table=None):
     """values[..., k] = sum_s coeff[..., s] * exp(z * x[s] * times[k]),
     shaped coeff.shape[:-1] + times.shape: coeff is one row of S
     coefficients or a stack of rows.  z is -1 (classical) or +-1j.
@@ -196,31 +214,16 @@ def _spectral_sum(x, coeff, times, z):
     2**14 terms (256 KB complex) per coefficient row, however long the
     grid: one row over 2001 times and 1024 nodes peaks below 1 MB, where
     a whole (T, S) table needs 33 MB per temporary.  A block's phases
-    are computed once and reduced against every row.
+    are computed once by :func:`_phases` and reduced against every row;
+    with a table, the (T, S) phases :func:`_phases` gave for these x,
+    times and z, its rows are read in place of the exponentials and the
+    values are the same doubles.
 
     Each row of a block is reduced by numpy's pairwise sum over the
     contiguous node axis, never a shape-dependent matmul, so the value
     at a given t depends neither on the rest of the grid, nor on the
     block it falls in, nor on the other rows: output is bitwise
     reproducible.
-
-    Phases are complex exp for every z.  Forming e^{-ixt} from real
-    cos/sin gives the same doubles at a lower cost per term, but showed
-    no end-to-end gain on the long-grid benchmark, so one form is kept.
-
-    On a mirrored spectrum (x[::-1] == -x exactly, as for a chain with
-    zero diagonal built from a closed form) and an imaginary z, exp is
-    taken on the upper half x[S//2:] only (the middle node of an odd S
-    included), and the lower columns are the conjugates of the reversed
-    upper ones, in the same (block, S) phase array.  At -x the phase
-    angle z x t has a zero real part and the exact negative of the
-    imaginary part b it has at x, and exp(ib) = cos b + i sin b with cos
-    even and sin odd, so each phase is the one the direct form gives,
-    but for the sign of a zero imaginary part where x t is zero (t = +-0,
-    or an underflowing product).  That sign reaches a term only as the
-    sign of a zero real part, and np.add.reduce starts from +0 and never
-    returns -0, so every value is the same double the direct form gives.
-    Real z and any other spectrum take the direct form.
     """
     coeff = np.ascontiguousarray(coeff)
     times = np.asarray(times, dtype=float)
@@ -229,40 +232,102 @@ def _spectral_sum(x, coeff, times, z):
     flat = times.reshape(-1)
     dtype = complex if isinstance(z, complex) else float
     out = np.empty(coeff.shape[:-1] + flat.shape, dtype=dtype)
-    size = x.shape[0]
-    step = max(1, _BLOCK_TERMS // max(size, 1))
-    zx = z * x
-    # the O(1) end test first, then the O(S) one
-    mirrored = (dtype is complex and not z.real and size > 1 and x[0] == -x[-1]
-                and np.array_equal(x[::-1], -x))
-    low = size // 2
+    step = max(1, _BLOCK_TERMS // max(x.shape[0], 1))
+    zx, mirrored = z * x, _mirrored(x, z)
     for start in range(0, flat.size, step):
-        block = flat[start:start + step, None]
-        if mirrored:
-            phase = np.empty((block.shape[0], size), dtype=complex)
-            np.exp(zx[low:] * block, out=phase[:, low:])
-            np.conjugate(phase[:, :size - low - 1:-1], out=phase[:, :low])
-        else:
-            phase = np.exp(zx * block)
-        np.add.reduce(coeff[..., None, :] * phase, axis=-1, out=out[..., start:start + step])
+        stop = start + step
+        phase = (_phases(zx, flat[start:stop, None], mirrored) if table is None
+                 else table[start:stop])
+        np.add.reduce(coeff[..., None, :] * phase, axis=-1, out=out[..., start:stop])
     return out.reshape(coeff.shape[:-1] + times.shape)
 
 
+def _mirrored(x, z) -> bool:
+    """Whether :func:`_phases` takes the half-exponential form: an
+    imaginary z on a mirrored spectrum, x[::-1] == -x exactly (as for a
+    chain with zero diagonal built from a closed form)."""
+    # the O(1) end test first, then the O(S) one
+    return (isinstance(z, complex) and not z.real and x.shape[0] > 1 and x[0] == -x[-1]
+            and np.array_equal(x[::-1], -x))
+
+
+def _phases(zx, block, mirrored: bool) -> np.ndarray:
+    """exp(zx[s] * block[k]) for a column of times block, shaped
+    (block.size, S): the phases of :func:`_spectral_sum`.
+
+    Phases are complex exp for every imaginary z.  Forming e^{-ixt} from
+    real cos/sin gives the same doubles at a lower cost per term, but
+    showed no end-to-end gain on the long-grid benchmark, so one form is
+    kept.
+
+    When mirrored (see :func:`_mirrored`), exp is taken on the upper
+    half zx[S//2:] only (the middle node of an odd S included), and the
+    lower columns are the conjugates of the reversed upper ones.  At -x
+    the phase angle z x t has a zero real part and the exact negative of
+    the imaginary part b it has at x, and exp(ib) = cos b + i sin b with
+    cos even and sin odd, so each phase is the one the direct form
+    gives, but for the sign of a zero imaginary part where x t is zero
+    (t = +-0, or an underflowing product).  That sign reaches a term
+    only as the sign of a zero real part, and np.add.reduce starts from
+    +0 and never returns -0, so every value is the same double the
+    direct form gives.  Real z and any other spectrum take the direct
+    form.
+    """
+    if not mirrored:
+        return np.exp(zx * block)
+    size = zx.shape[0]
+    low = size // 2
+    phase = np.empty((block.shape[0], size), dtype=complex)
+    np.exp(zx[low:] * block, out=phase[:, low:])
+    np.conjugate(phase[:, :size - low - 1:-1], out=phase[:, :low])
+    return phase
+
+
 def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
-          pi: PiCoefficients | None = None) -> np.ndarray:
+          pi: PiCoefficients | None = None, table: np.ndarray | None = None) -> np.ndarray:
     """P_ij with pi (kernel e^{-xt}, sign and prefactor applied, t >= 0
     checked), else f_ij (kernel e^{-ixt}), for each source i and target
     j over times (a float array), shaped (len(sources), len(targets)) +
-    times.shape, all rows sharing each block of phases.  Every finished
-    P_ij and f_ij is made here, and an entry is the same double in any
-    stack."""
+    times.shape, all rows sharing each block of phases, or the rows of
+    a table of the measure's phases over these times (see
+    :func:`_kept_phases`).  Every finished P_ij and f_ij is made here,
+    and an entry is the same double in any stack, with or without a
+    table."""
     if pi is not None and (times < 0).any():
         raise UsageError("classical evolution needs t >= 0")
     x, coeff = _chi_product_coefficients(measure, sources, targets)
-    rows = _spectral_sum(x, coeff, times, -1j if pi is None else -1.0)
+    z = -1j if pi is None else -1.0
+    rows = (_spectral_sum(x, coeff, times, z) if table is None
+            else _spectral_sum(x, coeff, times, z, table))
     if pi is not None:
         rows *= _prefactors(pi, sources, targets).reshape(coeff.shape[:2] + (1,) * times.ndim)
     return rows
+
+
+def _kept_phases(measure: SpectralMeasure, times: np.ndarray, key, classical: bool):
+    """The (T, S) phases of the measure's nodes over times for the kind,
+    from the kind's phase record when it holds this measure and times
+    key, else computed by :func:`_phases` and kept in the record; None
+    for times that :func:`_rows` refuses (a NaN or infinite time, or a
+    negative classical one), so the refusal stays there.
+
+    The record holds the measure through a weak reference whose callback
+    empties the record's own list of phases, so the table is released
+    with its measure; a record that a newer one replaced is dropped with
+    its reference, and no callback touches another record.
+    """
+    last = _last_phases.get(classical)
+    # a live measure's record still holds its phases
+    if last is not None and last[0]() is measure and last[1] == key:
+        return last[2][0]
+    if not np.isfinite(times).all() or (classical and (times < 0).any()):
+        return None
+    x = measure.nodes_and_weights()[0]
+    z = -1.0 if classical else -1j
+    table = _phases(z * x, times.reshape(-1)[:, None], _mirrored(x, z))
+    kept = [table]
+    _last_phases[classical] = (weakref.ref(measure, lambda _, kept=kept: kept.clear()), key, kept)
+    return table
 
 
 def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
@@ -275,6 +340,14 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     evaluated, checked and kept in the record, keyed by sources and
     times; a larger entry, or one whose stack holds a row the recurrence
     lost, is evaluated alone and the record keeps no stack.
+
+    Such an entry on a measure that carries its eigenvector table (and
+    no quadrature rule), over T times with 2 T <= n, is reduced against
+    the kind's kept phase table (:func:`_kept_phases`): made by the
+    first such call on this measure and times, it serves every later one
+    until such an entry of the kind on another measure or other times
+    replaces it, or the measure is freed.  A complex table of T S terms
+    then takes no more memory than the measure's own n x S table.
     """
     key = (times.shape, times.tobytes())
     last = _last_stack.get(rates is not None)
@@ -298,7 +371,11 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
             stack = _rows(measure, sources, range(size), times, pi)
     if stack is None:
         sources, passed = range(0), False
-        values = _rows(measure, range(i, i + 1), [j], times, pi)[0, 0, ...]
+        table = None
+        if (measure.weighted_chi is not None and measure.quad_points is None
+                and 2 * times.size <= size):
+            table = _kept_phases(measure, times, key, rates is not None)
+        values = _rows(measure, range(i, i + 1), [j], times, pi, table)[0, 0, ...]
     else:
         passed = pi is None or _in_band(stack)
         values = stack[i - sources.start, j, ...].copy()
@@ -403,17 +480,26 @@ def oracle_expm(operator, t: float) -> np.ndarray:
     sizes above 512 or |t| > 1e3 are refused rather than returned
     inaccurate.
     """
+    return _oracle_evolutions(operator, [t])[0]
+
+
+def _oracle_evolutions(operator, times) -> list[np.ndarray]:
+    """:func:`oracle_expm` at each of the times, in order, each the same
+    array a call for that time alone gives: the operator is checked, made
+    dense and (a JacobiOperator) eigendecomposed once, then exponentiated
+    per time."""
     if not isinstance(operator, (GeneratorMatrix, JacobiOperator)):
         raise UsageError(
             f"oracle needs a GeneratorMatrix or a JacobiOperator, got {type(operator).__name__}")
     _check_oracle_size(operator.size)
-    if abs(t) > _ORACLE_TIME_CAP:
-        raise UsageError(f"oracle |t| = {abs(t)} above cap {_ORACLE_TIME_CAP}")
+    for t in times:
+        if abs(t) > _ORACLE_TIME_CAP:
+            raise UsageError(f"oracle |t| = {abs(t)} above cap {_ORACLE_TIME_CAP}")
     mat = operator.dense()
     if isinstance(operator, GeneratorMatrix):
-        return scipy.linalg.expm(mat * float(t))
+        return [scipy.linalg.expm(mat * float(t)) for t in times]
     vals, vecs = np.linalg.eigh(mat)
-    return (vecs * np.exp(-1j * vals * float(t))) @ vecs.T
+    return [(vecs * np.exp(-1j * vals * float(t))) @ vecs.T for t in times]
 
 
 def series_filename(series) -> str:

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import spectral_walk.cli
-from spectral_walk import build_from_spec, classical_transition, dynamics, series_csv
-from spectral_walk.cli import main
+from spectral_walk import (build_from_spec, classical_transition, dynamics, oracle_expm,
+                           series_csv)
+from spectral_walk.chain_families import _STEPS_CAP
+from spectral_walk.cli import build_parser, main
 
 TWO_STATE = '{"family": "custom", "lambdas": [1.0], "mus": [0.0, 2.0]}'
 
@@ -348,6 +350,43 @@ def test_exit_2_for_bad_verify_grid(capsys, tmax, message):
                        "--tmax", tmax)
     assert code == 2
     assert "'tmax'" in err and message in err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["return", "--scan"], ["verify"]])
+def test_exit_2_for_steps_above_the_cap(tmp_path, capsys, command):
+    # 2**62 steps: numpy refuses so large a grid, and no command gets to make it
+    code, _, err = run(capsys, *command, "--family", "pst-demo", "--n", "4",
+                       "--steps", str(2 ** 62), "--output", str(tmp_path))
+    assert code == 2
+    assert "'steps'" in err and "above the cap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_steps_at_the_cap_make_a_grid():
+    args = build_parser().parse_args(["simulate", "--family", "pst-demo", "--tmax", "1",
+                                      "--steps", str(_STEPS_CAP)])
+    times = spectral_walk.cli._time_grid(args)
+    assert times.size == _STEPS_CAP and times[-1] == 1.0
+
+
+@pytest.mark.parametrize("spec", [TWO_STATE, '{"family": "pst-demo", "n": 9}'])
+def test_verify_decomposes_the_dense_operator_once(capsys, monkeypatch, spec):
+    # one dense eigendecomposition of J serves all five check times, and
+    # each evolution is the array a decomposition per time gives
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: calls.append(mat.shape) or eigh(mat))
+    code, out, _ = run(capsys, "verify", "--spec", spec, "--j", "1")
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    build = build_from_spec(json.loads(spec))
+    j_op = build.measure.jacobi
+    times = [0.1, 0.5, 1.0, 2.0, 5.0]
+    for t, dense in zip(times, dynamics._oracle_evolutions(j_op, times)):
+        vals, vecs = np.linalg.eigh(j_op.dense())
+        assert dense.tobytes() == ((vecs * np.exp(-1j * vals * t)) @ vecs.T).tobytes()
+        assert dense.tobytes() == oracle_expm(j_op, t).tobytes()
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])

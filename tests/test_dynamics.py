@@ -832,6 +832,171 @@ def test_scalar_time_shape(two_state):
     assert quantum_amplitude(measure, 0, 1, np.empty((2, 0))).values.shape == (2, 0)
 
 
+# -- phases kept across large entries ---------------------------------------------
+
+def kept_tables() -> list:
+    """The phase tables the records hold."""
+    return [record[2][0] for record in spectral_walk.dynamics._last_phases.values() if record[2]]
+
+
+def entry_alone(rates, measure, i, j, t, classical):
+    """_rows for the entry alone, or the message of the error it raises."""
+    dynamics = spectral_walk.dynamics
+    try:
+        pi = dynamics._bind(measure, rates)[0] if classical else None
+        return dynamics._rows(measure, range(i, i + 1), [j], t, pi)[0, 0, ...]
+    except (UsageError, NumericError) as exc:
+        return str(exc)
+
+
+def entry_called(rates, measure, i, j, t, classical):
+    """The values of the public call, or the message of the error it raises."""
+    try:
+        return entry(rates, measure, i, j, t, -1.0 if classical else -1j)
+    except (UsageError, NumericError) as exc:
+        return str(exc)
+
+
+def phase_chains():
+    """Measures with their eigenvector tables whose large entries keep
+    phases on 20 and 65 times (150 random-rate sites, and a 150-site
+    transfer chain with exactly mirrored points), one that keeps them on
+    20 times but not on 65 (120 sites), and a quadrature rule that never
+    keeps them."""
+    gen = np.random.default_rng(11)
+    chains = []
+    for sites in (150, 120):
+        rates = random_rates(gen, sites=sites)
+        chains.append((rates, eigendecompose(symmetrize(rates))))
+    chains.append((None, eigendecompose(pst_demo_chain(150))))
+    chains.append((None, uniform_chain(quad_order=512)[1]))
+    return chains
+
+
+PHASE_CHAINS = phase_chains()
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 4),
+                                st.integers(0, 149), st.integers(0, 149), st.integers(0, 2)),
+                      min_size=1, max_size=25))
+# a kept quantum table over negative times, then a classical call on them;
+# a kept table, then its grid poisoned with NaN or -inf in place, then restored
+@example(calls=[(0, False, 3, 5, 6, 0), (0, True, 3, 5, 6, 0), (0, True, 3, 7, 8, 0)])
+@example(calls=[(2, False, 4, 0, 149, 0), (2, False, 4, 3, 5, 2), (0, True, 4, 0, 1, 0),
+                (2, False, 4, 1, 2, 2), (2, False, 4, 0, 4, 2), (0, False, 4, 0, 1, 0),
+                (0, True, 4, 0, 1, 2), (2, False, 4, 0, 149, 1), (0, True, 4, 0, 1, 0)])
+def test_kept_phases_give_the_entry_alone_in_any_order(calls):
+    # large entries on several measures, grids and both kinds, in random
+    # order, with one grid mutated in place between calls (to a NaN or -inf
+    # time, and back): each value is the double _rows gives for the entry
+    # alone, and each refusal its error, never an overflow on the way
+    moving = np.linspace(0.0, 2.0, 20)
+    grids = [np.linspace(0.0, 3.0, 20), np.linspace(0.5, 1.5, 20), np.linspace(0.0, 5.0, 65),
+             np.r_[np.linspace(-2.0, 2.0, 19), -800.0], moving]
+    for chain, classical, grid, i, j, change in calls:
+        rates, measure = PHASE_CHAINS[chain]
+        classical = classical and rates is not None
+        size = measure.jacobi.size
+        i, j, t = i % size, j % size, grids[grid]
+        if change == 1:
+            moving[i % moving.size] += 0.125
+        elif change == 2 and not np.isfinite(moving).all():
+            moving[~np.isfinite(moving)] = 0.75
+        elif change == 2:
+            moving[j % moving.size] = np.nan if j % 2 else -np.inf
+        want = entry_alone(rates, measure, i, j, t, classical)
+        got = entry_called(rates, measure, i, j, t, classical)
+        if isinstance(want, str):
+            assert got == want, (chain, classical, grid, i, j)
+        else:
+            assert same_bits(got, want), (chain, classical, grid, i, j)
+    for table in kept_tables():
+        assert 2 * table.shape[0] <= table.shape[1]
+
+
+@pytest.mark.parametrize("chain, classical", [("mirrored", False), ("random", False),
+                                              ("random", True)])
+def test_large_entries_on_one_grid_take_one_tables_exponentials(chain, classical, rng):
+    rates = random_rates(rng, sites=300)
+    measure = eigendecompose(pst_demo_chain(300) if chain == "mirrored" else symmetrize(rates))
+    t = np.linspace(0.0, 3.0, 65)
+    if classical:
+        classical_transition(measure, rates, 0, 0, 1.0)  # bind pi first
+    with counted_exp() as terms:
+        for i, j in ((0, 299), (7, 250), (299, 3), (150, 150)):
+            series(rates, measure, i, j, t, -1.0 if classical else -1j)
+    sites = measure.points.size
+    if chain == "mirrored":
+        assert np.array_equal(measure.points[::-1], -measure.points)
+        assert sum(terms) == t.size * (sites - sites // 2)
+    else:
+        # and one exponential per classical call, for its prefactor
+        assert sum(terms) == t.size * sites + 4 * classical
+
+
+def test_kept_phases_are_released_with_their_measure(rng):
+    rates = random_rates(rng, sites=300)
+    measure = eigendecompose(symmetrize(rates))
+    t = np.linspace(0.0, 3.0, 65)
+    classical_transition(measure, rates, 3, 4, t)
+    quantum_amplitude(measure, 3, 4, t)
+    table_refs = [weakref.ref(table) for table in kept_tables()]
+    assert len(table_refs) == 2
+    measure_ref = weakref.ref(measure)
+    del measure
+    gc.collect()
+    assert measure_ref() is None
+    assert [ref() for ref in table_refs] == [None, None]
+    assert kept_tables() == []
+
+
+def test_a_freed_measure_leaves_the_newer_record_in_place(rng):
+    # a reader still holding the old record keeps its weak reference, so
+    # its callback runs when the old measure is freed: it empties only the
+    # old record, and the newer measure's phases stay kept
+    t = np.linspace(0.0, 3.0, 65)
+    old = eigendecompose(symmetrize(random_rates(rng, sites=200)))
+    new = eigendecompose(symmetrize(random_rates(rng, sites=200)))
+    quantum_amplitude(old, 0, 1, t)
+    held = spectral_walk.dynamics._last_phases[False]
+    quantum_amplitude(new, 0, 1, t)
+    del old
+    gc.collect()
+    assert held[2] == []
+    with counted_exp() as terms:
+        values = quantum_amplitude(new, 5, 6, t).values
+    assert terms == []
+    assert same_bits(values, entry_alone(None, new, 5, 6, t, False))
+
+
+@pytest.mark.parametrize("case", ["quadrature", "long grid"])
+def test_no_phases_are_kept_beyond_the_eigenvector_tables_memory(case, rng):
+    # a quadrature rule carries no eigenvector table, and 2 T > n would
+    # make the (T, S) complex table larger than the measure's n x S one:
+    # either way a large entry stays within one block and keeps nothing
+    if case == "quadrature":
+        _, measure = uniform_chain(quad_order=1024)
+        t = np.linspace(0.0, 50.0, 2001)
+    else:
+        measure = eigendecompose(symmetrize(random_rates(rng, sites=300)))
+        t = np.linspace(0.0, 5.0, 151)
+    spectral_walk.dynamics._last_phases.clear()
+    quantum_amplitude(measure, 0, 0, t)  # warm: first-call allocations
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        for j in range(3):
+            quantum_amplitude(measure, 1, j, t)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a kept table would be 33 MB (quadrature) or 720 KB (151 x 300)
+    assert peak < 2e6, peak
+    assert current < 1e5, current
+    assert kept_tables() == []
+
+
 # -- oracle_expm dispatch --------------------------------------------------------
 
 def test_oracle_dispatch_generator(two_state):
