@@ -307,15 +307,20 @@ def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
 def _kept_phases(measure: SpectralMeasure, times: np.ndarray, key, classical: bool):
     """The (T, S) phases of the measure's nodes over times for the kind,
     from the kind's phase record when it holds this measure and times
-    key, else computed by :func:`_phases` and kept in the record; None
-    for times that :func:`_rows` refuses (a NaN or infinite time, or a
-    negative classical one), so the refusal stays there.
+    key, else computed by :func:`_phases` and kept in the record.  None
+    (nothing kept) unless the measure carries its eigenvector table, has
+    no quadrature rule and n >= 2 T sites, and for times that
+    :func:`_rows` refuses (a NaN or infinite time, or a negative
+    classical one), so the refusal stays there.
 
     The record holds the measure through a weak reference whose callback
     empties the record's own list of phases, so the table is released
     with its measure; a record that a newer one replaced is dropped with
     its reference, and no callback touches another record.
     """
+    if (measure.weighted_chi is None or measure.quad_points is not None
+            or 2 * times.size > measure.jacobi.size):
+        return None
     last = _last_phases.get(classical)
     # a live measure's record still holds its phases
     if last is not None and last[0]() is measure and last[1] == key:
@@ -371,10 +376,7 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
             stack = _rows(measure, sources, range(size), times, pi)
     if stack is None:
         sources, passed = range(0), False
-        table = None
-        if (measure.weighted_chi is not None and measure.quad_points is None
-                and 2 * times.size <= size):
-            table = _kept_phases(measure, times, key, rates is not None)
+        table = _kept_phases(measure, times, key, rates is not None)
         values = _rows(measure, range(i, i + 1), [j], times, pi, table)[0, 0, ...]
     else:
         passed = pi is None or _in_band(stack)
@@ -480,14 +482,14 @@ def oracle_expm(operator, t: float) -> np.ndarray:
     sizes above 512 or |t| > 1e3 are refused rather than returned
     inaccurate.
     """
-    return _oracle_evolutions(operator, [t])[0]
+    return next(_oracle_evolutions(operator, [t]))
 
 
-def _oracle_evolutions(operator, times) -> list[np.ndarray]:
+def _oracle_evolutions(operator, times):
     """:func:`oracle_expm` at each of the times, in order, each the same
-    array a call for that time alone gives: the operator is checked, made
-    dense and (a JacobiOperator) eigendecomposed once, then exponentiated
-    per time."""
+    array a call for that time alone gives, one at a time: the operator
+    is checked, made dense and (a JacobiOperator) eigendecomposed once,
+    here, then exponentiated per time as the iterator is read."""
     if not isinstance(operator, (GeneratorMatrix, JacobiOperator)):
         raise UsageError(
             f"oracle needs a GeneratorMatrix or a JacobiOperator, got {type(operator).__name__}")
@@ -497,9 +499,9 @@ def _oracle_evolutions(operator, times) -> list[np.ndarray]:
             raise UsageError(f"oracle |t| = {abs(t)} above cap {_ORACLE_TIME_CAP}")
     mat = operator.dense()
     if isinstance(operator, GeneratorMatrix):
-        return [scipy.linalg.expm(mat * float(t)) for t in times]
+        return (scipy.linalg.expm(mat * float(t)) for t in times)
     vals, vecs = np.linalg.eigh(mat)
-    return [(vecs * np.exp(-1j * vals * float(t))) @ vecs.T for t in times]
+    return ((vecs * np.exp(-1j * vals * float(t))) @ vecs.T for t in times)
 
 
 def series_filename(series) -> str:
