@@ -214,10 +214,10 @@ def _spectral_sum(x, coeff, times, z, table=None):
     2**14 terms (256 KB complex) per coefficient row, however long the
     grid: one row over 2001 times and 1024 nodes peaks below 1 MB, where
     a whole (T, S) table needs 33 MB per temporary.  A block's phases
-    are computed once by :func:`_phases` and reduced against every row;
-    with a table, the (T, S) phases :func:`_phases` gave for these x,
-    times and z, its rows are read in place of the exponentials and the
-    values are the same doubles.
+    are computed once by :func:`_phase_blocks` and reduced against every
+    row; with a table, the (T, S) phases :func:`_phase_blocks` gave for
+    these x, times and z in one block, its rows are read in place of the
+    exponentials and the values are the same doubles.
 
     Each row of a block is reduced by numpy's pairwise sum over the
     contiguous node axis, never a shape-dependent matmul, so the value
@@ -233,17 +233,18 @@ def _spectral_sum(x, coeff, times, z, table=None):
     dtype = complex if isinstance(z, complex) else float
     out = np.empty(coeff.shape[:-1] + flat.shape, dtype=dtype)
     step = max(1, _BLOCK_TERMS // max(x.shape[0], 1))
-    zx, mirrored = z * x, _mirrored(x, z)
-    for start in range(0, flat.size, step):
-        stop = start + step
-        phase = (_phases(zx, flat[start:stop, None], mirrored) if table is None
-                 else table[start:stop])
-        np.add.reduce(coeff[..., None, :] * phase, axis=-1, out=out[..., start:stop])
+    starts = range(0, flat.size, step)
+    blocks = (_phase_blocks(z * x, flat, step, _mirrored(x, z)) if table is None
+              else (table[start:start + step] for start in starts))
+    for start in starts:
+        # no name holds a block, so each is freed as the next one is made
+        np.add.reduce(coeff[..., None, :] * next(blocks), axis=-1,
+                      out=out[..., start:start + step])
     return out.reshape(coeff.shape[:-1] + times.shape)
 
 
 def _mirrored(x, z) -> bool:
-    """Whether :func:`_phases` takes the half-exponential form: an
+    """Whether :func:`_phase_blocks` takes the half-exponential form: an
     imaginary z on a mirrored spectrum, x[::-1] == -x exactly (as for a
     chain with zero diagonal built from a closed form)."""
     # the O(1) end test first, then the O(S) one
@@ -251,9 +252,14 @@ def _mirrored(x, z) -> bool:
             and np.array_equal(x[::-1], -x))
 
 
-def _phases(zx, block, mirrored: bool) -> np.ndarray:
-    """exp(zx[s] * block[k]) for a column of times block, shaped
-    (block.size, S): the phases of :func:`_spectral_sum`.
+def _phase_blocks(zx, flat, step: int, mirrored: bool):
+    """Yield exp(zx[s] * flat[k]) for each block of step times of flat,
+    shaped (block size, S): the phases of :func:`_spectral_sum`.  Each
+    block is made after the generator drops the previous one and before
+    the exponent's temporary, so the temporaries reuse the freed block's
+    memory: when the caller also held the previous block, a one-row sum
+    over 49 to 512 mirrored nodes and 2001 times took about 10 % longer
+    (glibc heap, one thread of a 2-core x86-64 host).
 
     Phases are complex exp for every imaginary z.  Forming e^{-ixt} from
     real cos/sin gives the same doubles at a lower cost per term, but
@@ -273,14 +279,17 @@ def _phases(zx, block, mirrored: bool) -> np.ndarray:
     direct form gives.  Real z and any other spectrum take the direct
     form.
     """
-    if not mirrored:
-        return np.exp(zx * block)
     size = zx.shape[0]
     low = size // 2
-    phase = np.empty((block.shape[0], size), dtype=complex)
-    np.exp(zx[low:] * block, out=phase[:, low:])
-    np.conjugate(phase[:, :size - low - 1:-1], out=phase[:, :low])
-    return phase
+    for start in range(0, flat.size, step):
+        block = flat[start:start + step, None]
+        if mirrored:
+            phase = np.empty((block.shape[0], size), dtype=complex)
+            np.exp(zx[low:] * block, out=phase[:, low:])
+            np.conjugate(phase[:, :size - low - 1:-1], out=phase[:, :low])
+        else:
+            phase = np.exp(zx * block)
+        yield phase
 
 
 def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
@@ -307,9 +316,10 @@ def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
 def _kept_phases(measure: SpectralMeasure, times: np.ndarray, key, classical: bool):
     """The (T, S) phases of the measure's nodes over times for the kind,
     from the kind's phase record when it holds this measure and times
-    key, else computed by :func:`_phases` and kept in the record.  None
-    (nothing kept) unless the measure carries its eigenvector table, has
-    no quadrature rule and n >= 2 T sites, and for times that
+    key, else computed by :func:`_phase_blocks` as one block and kept in
+    the record.  None (nothing kept) unless the measure carries its
+    eigenvector table, has no quadrature rule and n >= 2 T >= 2 sites,
+    and for times that
     :func:`_rows` refuses (a NaN or infinite time, or a negative
     classical one), so the refusal stays there.
 
@@ -319,7 +329,7 @@ def _kept_phases(measure: SpectralMeasure, times: np.ndarray, key, classical: bo
     its reference, and no callback touches another record.
     """
     if (measure.weighted_chi is None or measure.quad_points is not None
-            or 2 * times.size > measure.jacobi.size):
+            or not 0 < 2 * times.size <= measure.jacobi.size):
         return None
     last = _last_phases.get(classical)
     # a live measure's record still holds its phases
@@ -329,7 +339,8 @@ def _kept_phases(measure: SpectralMeasure, times: np.ndarray, key, classical: bo
         return None
     x = measure.nodes_and_weights()[0]
     z = -1.0 if classical else -1j
-    table = _phases(z * x, times.reshape(-1)[:, None], _mirrored(x, z))
+    flat = times.reshape(-1)
+    table = next(_phase_blocks(z * x, flat, flat.size, _mirrored(x, z)))
     kept = [table]
     _last_phases[classical] = (weakref.ref(measure, lambda _, kept=kept: kept.clear()), key, kept)
     return table
