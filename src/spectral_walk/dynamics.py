@@ -317,11 +317,11 @@ def _kept_phases(measure: SpectralMeasure, times: np.ndarray, key, classical: bo
     """The (T, S) phases of the measure's nodes over times for the kind,
     from the kind's phase record when it holds this measure and times
     key, else computed by :func:`_phase_blocks` as one block and kept in
-    the record.  None (nothing kept) unless the measure carries its
-    eigenvector table, has no quadrature rule and n >= 2 T >= 2 sites,
-    and for times that
-    :func:`_rows` refuses (a NaN or infinite time, or a negative
-    classical one), so the refusal stays there.
+    the record.  None, and nothing kept, unless the measure carries its
+    eigenvector table, has no quadrature rule and n >= 2 T sites for
+    T >= 1 times, and for times that :func:`_rows` refuses (a NaN or
+    infinite time, or a negative classical one), so the refusal stays
+    there.
 
     The record holds the measure through a weak reference whose callback
     empties the record's own list of phases, so the table is released
