@@ -13,8 +13,11 @@ mismatch above tolerance, or a NumericError (a value that cannot be
 trusted, such as a recurrence row that lost its value; the message names
 the site).
 
-Every run is deterministic: each time point is an ordered reduction over
-the spectral nodes, so the same inputs give byte-identical CSV files.
+Every run is deterministic at a fixed BLAS thread count: each time point
+is an ordered reduction over the spectral nodes, so the same inputs give
+byte-identical CSV files.  The eigensolver's BLAS may round differently
+under another thread count (OPENBLAS_NUM_THREADS, say), so runs compared
+byte for byte should fix it.
 """
 
 from __future__ import annotations

@@ -24,35 +24,33 @@ entries are at most 1 in size on a normalized measure
 (sum_s W[i, s]^2 <= 1), so by Cauchy-Schwarz |c_s| <= 1 and no
 product overflows.
 
-Per-entry calls are served from finished stacks of whole rows.  When
-n S T <= 2**14 for n sites, S nodes and T times, a call takes the rows
-of k = floor(2**14 / (n S T)) sources around i from :func:`_rows`; a
-larger entry is a stack of one row and one target.  A value depends
-neither on the rest of the grid, nor on the other entries of its stack,
-nor on the order of calls: it is the double a call for that entry alone
-gives.  A classical stack is checked once, when it is made, and a hit
-is a key compare, a copy and a wrap; P entries of a stack that failed
-go through the checking constructor, so each raises as it would alone.
-
-A call is classical exactly when it carries pi.  One record per kind
-binds the last (measure, rates) pair through weak references, so
-neither is kept alive: it holds the pair's pi, computed over all of the
+Per-entry calls share one record per kind, and a call is classical
+exactly when it carries pi.  The record binds the last (measure, rates,
+times) of its kind, the measure and rates through weak references so
+neither is kept alive.  It holds the pair's pi, computed over all of the
 measure's sites once :func:`_bind` has checked that the measure came
-from the rates, and the pair's last stack, if one fits.
+from the rates, and one payload for those times:
 
-The phases e^{z x_s t} of a large entry depend on the measure and the
-times, not on (i, j).  When the measure carries its eigenvector table
-(no quadrature rule) and 2 T <= n, a second record per kind keeps the
-whole (T, S) phase table of the last such entry, and later large
-entries of that kind on the same measure and times reduce their row
-against it, block by block, instead of taking the exponentials again:
-the same doubles.  A complex table takes 16 T S <= 8 n S bytes, no
-more than the measure's own table (a real one for P, half that).  It
-is released when the measure is freed (a weak-reference callback
-empties that record alone) or when another such entry of the kind, on
-another measure or other times, replaces it.  Quadrature and
-recurrence-table measures, longer grids and stack-sized entries keep
-no phases.
+- a stack of whole rows when n S T <= 2**14 for n sites, S nodes and T
+  times: the rows of k = floor(2**14 / (n S T)) sources around i from
+  :func:`_rows`, checked once when made (a classical stack against the
+  probability band), so a hit is a key compare, a copy and a wrap, and
+  P entries of a stack that failed go through the checking constructor
+  and each raises as it would alone;
+- else, for an entry evaluated alone, its (T, S) phase table
+  e^{z x_s t}, when the measure carries its eigenvector table (no
+  quadrature rule) and 2 T <= n: later entries on the same measure and
+  times reduce their row against it block by block instead of taking
+  the exponentials again.  A complex table takes 16 T S <= 8 n S bytes,
+  no more than the measure's own table (a real one for P, half that);
+- else nothing.
+
+A payload is released when a call of the kind on another measure,
+rates or times replaces the record; a phase table also goes with its
+measure, through a weak-reference callback that empties its own record
+alone.  A value depends neither on the rest of the grid, nor on the
+payload, nor on the order of calls: it is the double a call for that
+entry alone gives.
 """
 
 from __future__ import annotations
@@ -87,16 +85,13 @@ _ORACLE_TIME_CAP = 1e3
 # _spectral_sum: terms per block of the time x node grid
 _BLOCK_TERMS = 2 ** 14
 
-# classical (a bool) -> (weakref to measure, weakref to rates or None, pi or
-# None, sources (empty without a stack), times key, passed (the whole stack
-# passed _in_band), stack or None): the last pair _entry bound for that kind
-# and its last stack; one tuple, read and replaced whole, so concurrent
-# callers never pair one chain's objects with another's pi
-_last_stack = {}
-# classical (a bool) -> (weakref to measure, times key, [phases] or [] once
-# the measure is freed): the (T, S) phase table of the last large entry of
-# that kind on a measure with its eigenvector table; see _kept_phases
-_last_phases = {}
+# classical (a bool) -> (weakref to measure, weakref to rates or None, times
+# key, pi or None, sources (empty without a stack), passed (the whole stack
+# passed _in_band), kept): the last entry _entry made for that kind, where
+# kept is [stack] when sources is nonempty, else [phases] or []; one tuple,
+# read and replaced whole, so concurrent callers never pair one chain's
+# objects with another's pi
+_last_entry = {}
 
 
 @dataclass(frozen=True)
@@ -215,9 +210,10 @@ def _spectral_sum(x, coeff, times, z, table=None):
     grid: one row over 2001 times and 1024 nodes peaks below 1 MB, where
     a whole (T, S) table needs 33 MB per temporary.  A block's phases
     are computed once by :func:`_phase_blocks` and reduced against every
-    row; with a table, the (T, S) phases :func:`_phase_blocks` gave for
-    these x, times and z in one block, its rows are read in place of the
-    exponentials and the values are the same doubles.
+    row.  A table is the (T, S) phases :func:`_phase_blocks` gave for
+    these x, times and z in one block (see :func:`_phases`): with it,
+    each block's rows are read in place of the exponentials, and the
+    values are the same doubles.
 
     Each row of a block is reduced by numpy's pairwise sum over the
     contiguous node axis, never a shape-dependent matmul, so the value
@@ -299,51 +295,33 @@ def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
     j over times (a float array), shaped (len(sources), len(targets)) +
     times.shape, all rows sharing each block of phases, or the rows of
     a table of the measure's phases over these times (see
-    :func:`_kept_phases`).  Every finished P_ij and f_ij is made here,
-    and an entry is the same double in any stack, with or without a
-    table."""
+    :func:`_phases`).  Every finished P_ij and f_ij is made here, and an
+    entry is the same double in any stack, with or without a table."""
     if pi is not None and (times < 0).any():
         raise UsageError("classical evolution needs t >= 0")
     x, coeff = _chi_product_coefficients(measure, sources, targets)
     z = -1j if pi is None else -1.0
-    rows = (_spectral_sum(x, coeff, times, z) if table is None
-            else _spectral_sum(x, coeff, times, z, table))
+    rows = _spectral_sum(x, coeff, times, z, table)
     if pi is not None:
         rows *= _prefactors(pi, sources, targets).reshape(coeff.shape[:2] + (1,) * times.ndim)
     return rows
 
 
-def _kept_phases(measure: SpectralMeasure, times: np.ndarray, key, classical: bool):
+def _phases(measure: SpectralMeasure, times: np.ndarray, classical: bool):
     """The (T, S) phases of the measure's nodes over times for the kind,
-    from the kind's phase record when it holds this measure and times
-    key, else computed by :func:`_phase_blocks` as one block and kept in
-    the record.  None, and nothing kept, unless the measure carries its
-    eigenvector table, has no quadrature rule and n >= 2 T sites for
-    T >= 1 times, and for times that :func:`_rows` refuses (a NaN or
-    infinite time, or a negative classical one), so the refusal stays
-    there.
-
-    The record holds the measure through a weak reference whose callback
-    empties the record's own list of phases, so the table is released
-    with its measure; a record that a newer one replaced is dropped with
-    its reference, and no callback touches another record.
-    """
+    made by :func:`_phase_blocks` as one block, for a large entry to keep.
+    None unless the measure carries its eigenvector table, has no
+    quadrature rule and n >= 2 T sites for T >= 1 times, and for times
+    that :func:`_rows` refuses (a NaN or infinite time, or a negative
+    classical one), so the refusal stays there."""
     if (measure.weighted_chi is None or measure.quad_points is not None
-            or not 0 < 2 * times.size <= measure.jacobi.size):
-        return None
-    last = _last_phases.get(classical)
-    # a live measure's record still holds its phases
-    if last is not None and last[0]() is measure and last[1] == key:
-        return last[2][0]
-    if not np.isfinite(times).all() or (classical and (times < 0).any()):
+            or not 0 < 2 * times.size <= measure.jacobi.size
+            or not np.isfinite(times).all() or (classical and (times < 0).any())):
         return None
     x = measure.nodes_and_weights()[0]
     z = -1.0 if classical else -1j
     flat = times.reshape(-1)
-    table = next(_phase_blocks(z * x, flat, flat.size, _mirrored(x, z)))
-    kept = [table]
-    _last_phases[classical] = (weakref.ref(measure, lambda _, kept=kept: kept.clear()), key, kept)
-    return table
+    return next(_phase_blocks(z * x, flat, flat.size, _mirrored(x, z)))
 
 
 def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
@@ -351,50 +329,58 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     """The entry (i, j) of :func:`_rows` over times, in an array of the
     caller's own, and whether its stack passed _in_band (every f stack
     does): P_ij with rates, f_ij without, pi read from the kind's record
-    or bound anew.  When n S T <= _BLOCK_TERMS, the rows of the aligned
-    sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are
-    evaluated, checked and kept in the record, keyed by sources and
-    times; a larger entry, or one whose stack holds a row the recurrence
-    lost, is evaluated alone and the record keeps no stack.
+    or bound anew.
 
-    Such an entry on a measure that carries its eigenvector table (and
-    no quadrature rule), over T times with 2 T <= n, is reduced against
-    the kind's kept phase table (:func:`_kept_phases`): made by the
-    first such call on this measure and times, it serves every later one
-    until such an entry of the kind on another measure or other times
-    replaces it, or the measure is freed.  A complex table of T S terms
-    then takes no more memory than the measure's own n x S table.
+    The kind's record (see the module docstring) is read and, on a
+    miss, replaced.  When n S T <= _BLOCK_TERMS, the rows of the aligned
+    sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are
+    evaluated, checked and kept as its payload, keyed by sources and
+    times.  A larger entry, or one whose stack holds a row the
+    recurrence lost, is evaluated alone; its payload is the phase table
+    :func:`_phases` makes for it, if any, and later such entries on the
+    same measure, rates and times reduce their rows against that table.
     """
     key = (times.shape, times.tobytes())
-    last = _last_stack.get(rates is not None)
+    last = _last_entry.get(rates is not None)
     bound = last is not None and last[0]() is measure and (rates is None or last[1]() is rates)
-    if bound and i in last[3] and 0 <= j < last[-1].shape[1] and last[4] == key:
-        return last[-1][i - last[3].start, j, ...].copy(), last[5]
-    pi = last[2] if bound else None
+    same = bound and last[2] == key
+    if same and i in last[4] and 0 <= j < measure.jacobi.size:
+        return last[-1][0][i - last[4].start, j, ...].copy(), last[5]
+    pi = last[3] if bound else None
     if rates is not None and not bound:
         pi = _bind(measure, rates)[0]
     _check_sites(measure, min(i, j), max(i, j))
+    if same and not last[4]:
+        # no stack for these times: a large entry, or a stack that lost a
+        # row (for this pair and these times, for good: not retried)
+        table = last[-1][0] if last[-1] else None
+        return _rows(measure, range(i, i + 1), [j], times, pi, table)[0, 0, ...], False
     size = measure.jacobi.size
     per_row = size * measure.nodes_and_weights()[0].size * times.size
     stack = None
-    # a stack holds every row as a target, so a row the recurrence lost fails
-    # it (for this pair and these times, for good: not retried), and then
-    # only the entries that use that row
-    if per_row <= _BLOCK_TERMS and not (bound and last[-1] is None and last[4] == key):
+    # a stack holds every row as a target, so a row the recurrence lost
+    # fails it, and then only the entries that use that row
+    if per_row <= _BLOCK_TERMS:
         k = _BLOCK_TERMS // max(per_row, 1)
         sources = range(i - i % k, min(i - i % k + k, size))
         with contextlib.suppress(NumericError):
             stack = _rows(measure, sources, range(size), times, pi)
     if stack is None:
         sources, passed = range(0), False
-        table = _kept_phases(measure, times, key, rates is not None)
+        table = _phases(measure, times, rates is not None)
         values = _rows(measure, range(i, i + 1), [j], times, pi, table)[0, 0, ...]
+        kept = [] if table is None else [table]
     else:
         passed = pi is None or _in_band(stack)
         values = stack[i - sources.start, j, ...].copy()
+        kept = [stack]
+    # a phase table also goes with its measure: the callback empties this
+    # record's list alone, so a stale one cannot drop a newer record's
+    # payload; a stack, at most one block, goes when the record is replaced
+    measure_ref = (weakref.ref(measure, lambda _, kept=kept: kept.clear()) if kept and not sources
+                   else weakref.ref(measure))
     rates_ref = None if rates is None else weakref.ref(rates)
-    _last_stack[rates is not None] = (weakref.ref(measure), rates_ref, pi, sources, key, passed,
-                                      stack)
+    _last_entry[rates is not None] = (measure_ref, rates_ref, key, pi, sources, passed, kept)
     return values, passed
 
 

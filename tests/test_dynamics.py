@@ -474,7 +474,7 @@ def test_big_chain_binds_once_without_a_stack(rng, monkeypatch):
         classical_transition(measure, rates, i, j, t)
         quantum_amplitude(measure, j, i, t)
     assert len(calls) == 1
-    assert spectral_walk.dynamics._last_stack[True][-1] is None
+    assert not spectral_walk.dynamics._last_entry[True][4]  # empty sources: no stack
 
 
 def test_binding_accepts_either_boundary_and_gives_pi_bitwise():
@@ -569,6 +569,11 @@ def entry_is_direct(rates, measure, i, j, t, z) -> bool:
     return same_bits(entry(rates, measure, i, j, t, z), direct_entry(rates, measure, i, j, t, z))
 
 
+def kept_stacks() -> list:
+    """The stacks of rows the records hold: the payload beside a stack's sources."""
+    return [record[-1][0] for record in spectral_walk.dynamics._last_entry.values() if record[4]]
+
+
 def memo_chains():
     """Chains served from one stack of all rows (12 sites and 5 times),
     from stacks of 10 rows (18 sites and 5 times), of one row (20 sites
@@ -623,8 +628,8 @@ def test_entries_equal_direct_evaluation_in_any_call_order(calls):
         assert same_bits(got.times, t), (chain, z, i, j)
         assert same_bits(got.values, want.values), (chain, z, i, j)
     # a record of an entry beyond one block holds pi but no stack
-    for *_, stack in spectral_walk.dynamics._last_stack.values():
-        assert stack is None or stack.size <= spectral_walk.dynamics._BLOCK_TERMS
+    for stack in kept_stacks():
+        assert stack.size <= spectral_walk.dynamics._BLOCK_TERMS
 
 
 def test_entries_follow_times_mutated_in_place(rng):
@@ -689,9 +694,9 @@ def counted_kernel(monkeypatch) -> list:
     calls = []
     original = spectral_walk.dynamics._spectral_sum
 
-    def counting(x, coeff, times, z):
+    def counting(x, coeff, times, z, table=None):
         calls.append((coeff.shape, coeff.size * np.size(times)))
-        return original(x, coeff, times, z)
+        return original(x, coeff, times, z, table)
 
     monkeypatch.setattr(spectral_walk.dynamics, "_spectral_sum", counting)
     return calls
@@ -713,8 +718,7 @@ def test_memo_holds_at_most_one_block_of_values(two_state, monkeypatch):
     t = np.linspace(0.0, 10.0, 20001)
     for z in (-1.0, -1j):
         assert entry_is_direct(rates, measure, 0, 1, t, z)
-    for *_, stack in spectral_walk.dynamics._last_stack.values():
-        assert stack is None
+    assert kept_stacks() == []
 
 
 def test_a_stack_that_lost_a_row_is_not_retried(monkeypatch):
@@ -835,8 +839,9 @@ def test_scalar_time_shape(two_state):
 # -- phases kept across large entries ---------------------------------------------
 
 def kept_tables() -> list:
-    """The phase tables the records hold."""
-    return [record[2][0] for record in spectral_walk.dynamics._last_phases.values() if record[2]]
+    """The phase tables the records hold: a payload without a stack's sources."""
+    return [record[-1][0] for record in spectral_walk.dynamics._last_entry.values()
+            if record[-1] and not record[4]]
 
 
 def entry_alone(rates, measure, i, j, t, classical):
@@ -861,8 +866,10 @@ def phase_chains():
     """Measures with their eigenvector tables whose large entries keep
     phases on 20 and 65 times (150 random-rate sites, and a 150-site
     transfer chain with exactly mirrored points), one that keeps them on
-    20 times but not on 65 (120 sites), and a quadrature rule that never
-    keeps them."""
+    20 times but not on 65 (120 sites), a quadrature rule that never
+    keeps them, and 12 random-rate sites whose entries are served from
+    stacks (n S T = 2880 at 20 times and 9360 at 65), so that stacks and
+    phase tables take turns in the kind's record."""
     gen = np.random.default_rng(11)
     chains = []
     for sites in (150, 120):
@@ -870,6 +877,8 @@ def phase_chains():
         chains.append((rates, eigendecompose(symmetrize(rates))))
     chains.append((None, eigendecompose(pst_demo_chain(150))))
     chains.append((None, uniform_chain(quad_order=512)[1]))
+    rates = random_rates(gen, sites=12)
+    chains.append((rates, eigendecompose(symmetrize(rates))))
     return chains
 
 
@@ -877,20 +886,25 @@ PHASE_CHAINS = phase_chains()
 
 
 @settings(max_examples=60, deadline=None)
-@given(calls=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.integers(0, 4),
+@given(calls=st.lists(st.tuples(st.integers(0, 4), st.booleans(), st.integers(0, 4),
                                 st.integers(0, 149), st.integers(0, 149), st.integers(0, 2)),
                       min_size=1, max_size=25))
 # a kept quantum table over negative times, then a classical call on them;
-# a kept table, then its grid poisoned with NaN or -inf in place, then restored
+# a kept table, then its grid poisoned with NaN or -inf in place, then restored;
+# kept tables and stacks replacing each other in the record of each kind
 @example(calls=[(0, False, 3, 5, 6, 0), (0, True, 3, 5, 6, 0), (0, True, 3, 7, 8, 0)])
 @example(calls=[(2, False, 4, 0, 149, 0), (2, False, 4, 3, 5, 2), (0, True, 4, 0, 1, 0),
                 (2, False, 4, 1, 2, 2), (2, False, 4, 0, 4, 2), (0, False, 4, 0, 1, 0),
                 (0, True, 4, 0, 1, 2), (2, False, 4, 0, 149, 1), (0, True, 4, 0, 1, 0)])
+@example(calls=[(0, False, 0, 3, 5, 0), (0, False, 0, 4, 6, 0), (4, False, 0, 1, 2, 0),
+                (4, False, 0, 3, 2, 0), (0, False, 0, 7, 8, 0), (4, True, 2, 1, 2, 0),
+                (0, True, 2, 5, 6, 0), (0, True, 2, 6, 5, 0), (4, True, 2, 11, 0, 0)])
 def test_kept_phases_give_the_entry_alone_in_any_order(calls):
     # large entries on several measures, grids and both kinds, in random
-    # order, with one grid mutated in place between calls (to a NaN or -inf
-    # time, and back): each value is the double _rows gives for the entry
-    # alone, and each refusal its error, never an overflow on the way
+    # order, among stack-sized ones whose stacks replace the kept tables,
+    # with one grid mutated in place between calls (to a NaN or -inf time,
+    # and back): each value is the double _rows gives for the entry alone,
+    # and each refusal its error, never an overflow on the way
     moving = np.linspace(0.0, 2.0, 20)
     grids = [np.linspace(0.0, 3.0, 20), np.linspace(0.5, 1.5, 20), np.linspace(0.0, 5.0, 65),
              np.r_[np.linspace(-2.0, 2.0, 19), -800.0], moving]
@@ -959,11 +973,11 @@ def test_a_freed_measure_leaves_the_newer_record_in_place(rng):
     old = eigendecompose(symmetrize(random_rates(rng, sites=200)))
     new = eigendecompose(symmetrize(random_rates(rng, sites=200)))
     quantum_amplitude(old, 0, 1, t)
-    held = spectral_walk.dynamics._last_phases[False]
+    held = spectral_walk.dynamics._last_entry[False]
     quantum_amplitude(new, 0, 1, t)
     del old
     gc.collect()
-    assert held[2] == []
+    assert held[-1] == []
     with counted_exp() as terms:
         values = quantum_amplitude(new, 5, 6, t).values
     assert terms == []
@@ -981,7 +995,7 @@ def test_no_phases_are_kept_beyond_the_eigenvector_tables_memory(case, rng):
     else:
         measure = eigendecompose(symmetrize(random_rates(rng, sites=300)))
         t = np.linspace(0.0, 5.0, 151)
-    spectral_walk.dynamics._last_phases.clear()
+    spectral_walk.dynamics._last_entry.clear()
     quantum_amplitude(measure, 0, 0, t)  # warm: first-call allocations
     tracemalloc.start()
     try:
