@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import EllipticContext, elliptic_context
-from .errors import ConfigurationError, DomainError, UsageError
+from .errors import ConfigurationError, DomainError, UsageError, _integer
 from .jacobi_core import BirthDeathRates, JacobiOperator, symmetrize
 from .return_analysis import detect_lattice
 from .spectral import (_SITE_TAIL_TOL, SpectralMeasure, _constant_points, _site_deficits,
@@ -149,6 +149,7 @@ def meixner_chain(beta: float, c: float, n: int | None = None
         probe = symmetrize(rates, _SITE_PROBE_ORDER, boundary="absorbing-tail")
         points, masses = _truncated(support, size, probe, _MEIXNER_SITE_CAP)
     else:
+        n = _integer("n", n)
         size = max(n, 0) + 1
         if tail(size) >= _TAIL_TOL:
             raise ConfigurationError(
@@ -223,7 +224,7 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
         half = max(_sc_half_support(q, 0.5 if variant == "C" else 0.0),
                    _SC_MIN_HALF_SUPPORT)
         points, masses = _truncated(support, half, jacobi(_SITE_PROBE_ORDER + 1), _SC_S_CAP)
-    elif s_max < 1:
+    elif (s_max := _integer("s_max", s_max)) < 1:
         raise UsageError(f"s_max = {s_max} must be >= 1")
     else:
         points, masses = support(s_max)
@@ -264,11 +265,12 @@ def uniform_chain(n: int | None = None, quad_order: int = 256
     evaluable.
     """
     if n is not None:
+        n = _integer("n", n)
         if n < 1:
             raise UsageError(f"truncation order {n} must be >= 1")
         j_op = JacobiOperator(b=np.zeros(n + 1), j=np.full(n, 0.5))
         return j_op, eigendecompose(j_op)
-    m = int(quad_order)
+    m = _integer("quad_order", quad_order)
     if m < 2:
         raise UsageError(f"quadrature order {m} must be >= 2")
     j_op = JacobiOperator(b=np.zeros(m), j=np.full(m - 1, 0.5))
@@ -285,6 +287,7 @@ def pst_demo_chain(n: int = 10) -> JacobiOperator:
     Couplings J_i = (1/2) sqrt(i (n - i)) give the equispaced spectrum
     {-(n-1)/2, ..., (n-1)/2}; transfer time T = pi, return at 2T.
     """
+    n = _integer("n", n)
     if n < 2:
         raise UsageError(f"transfer needs at least 2 sites, got {n}")
     i = np.arange(1, n, dtype=float)

@@ -64,7 +64,7 @@ import scipy.linalg
 
 from .jacobi_core import (BOUNDARIES, BirthDeathRates, GeneratorMatrix, JacobiOperator,
                           PiCoefficients, _gather, _pi_of, symmetrize)
-from .errors import DomainError, NumericError, UsageError
+from .errors import DomainError, NumericError, UsageError, _integer
 from .spectral import _SITE_TAIL_TOL, SpectralMeasure, _site_deficits, chi_table_scaled
 
 __all__ = [
@@ -162,13 +162,24 @@ def _series(kind, i: int, j: int, times: np.ndarray, values: np.ndarray):
     return series
 
 
-def _check_sites(measure: SpectralMeasure, low: int, high: int) -> None:
-    """Sites low..high must be sites of the measure's operator."""
+def _last_site(size: int, sources: range, rows) -> int:
+    """The highest source or target row (a slice, read at its ends, or a list
+    of ints), after refusing any that is not a site (UsageError)."""
+    ends = (rows.start, rows.stop - 1) if isinstance(rows, slice) else rows
+    low, high = min(sources.start, *ends), max(sources.stop - 1, *ends)
     if low < 0:
         raise UsageError(f"site index {low} must be nonnegative")
-    size = measure.jacobi.size
     if high >= size:
         raise UsageError(f"site index {high} beyond operator size {size}")
+    return high
+
+
+def _check_times(times: np.ndarray, classical: bool) -> None:
+    """A negative classical time, then a NaN or infinite one, raise UsageError."""
+    if classical and (times < 0).any():
+        raise UsageError("classical evolution needs t >= 0")
+    if not np.isfinite(times).all():
+        raise UsageError("times must be finite (NaN or inf given)")
 
 
 def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets):
@@ -184,34 +195,33 @@ def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets)
     -1e-10 (or NaN) raises NumericError: the recurrence lost that row's
     value.
     """
-    # a list indexes rows, where a tuple would index axes
-    targets = [int(j) for j in targets]
-    last = max(sources.stop - 1, *targets)
-    _check_sites(measure, min(sources.start, *targets), last)
+    # a range reads the table by a slice; a list indexes rows, where a tuple would index axes
+    rows = (slice(targets.start, targets.stop) if isinstance(targets, range)
+            else [_integer("j", j) for j in targets])
+    last = _last_site(measure.jacobi.size, sources, rows)
     x, w = measure.nodes_and_weights()
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
     else:
         table = chi_table_scaled(measure.jacobi, last, x, w)
-        used = np.r_[sources.start:sources.stop, targets]
+        used = np.r_[sources.start:sources.stop, rows]
         deficits = _site_deficits(table[used])
         worst = int(np.argmin(deficits))
         if not deficits[worst] >= -_SITE_TAIL_TOL:  # NaN fails
             raise NumericError(
                 f"site {used[worst]}: deficit 1 - sum_s W[i, s]^2 = {deficits[worst]:.3e} "
                 f"below -{_SITE_TAIL_TOL:g}; the chi recurrence lost its value there")
-    return x, table[sources.start:sources.stop, None] * table[targets]
+    return x, table[sources.start:sources.stop, None] * table[rows]
 
 
 def _spectral_sum(x, coeff, times, z, table=None):
     """values[..., k] = sum_s coeff[..., s] * exp(z * x[s] * times[k]),
     shaped coeff.shape[:-1] + times.shape: coeff is one row of S
-    coefficients or a stack of rows.  z is -1 (classical) or +-1j.
-    A NaN or infinite time is refused (UsageError), not summed to NaN.
-    coeff is made C-contiguous first: numpy reduces a node axis that is
-    not contiguous in another order, so an F-ordered stack (rows of the
-    eigenvector table, say) would give rows that differ from the
-    single-row sums in the last place.
+    coefficients or a stack of rows, over a float array of finite times;
+    z is -1 (classical) or +-1j.  coeff is made C-contiguous first: numpy
+    reduces a node axis that is not contiguous in another order, so an
+    F-ordered stack (rows of the eigenvector table, say) would give rows
+    that differ from the single-row sums in the last place.
 
     The time grid is walked in blocks of _BLOCK_TERMS // S times, a
     height set by S alone, so each temporary holds at most one block of
@@ -231,9 +241,6 @@ def _spectral_sum(x, coeff, times, z, table=None):
     reproducible.
     """
     coeff = np.ascontiguousarray(coeff)
-    times = np.asarray(times, dtype=float)
-    if not np.isfinite(times).all():
-        raise UsageError("times must be finite (NaN or inf given)")
     flat = times.reshape(-1)
     dtype = complex if isinstance(z, complex) else float
     out = np.empty(coeff.shape[:-1] + flat.shape, dtype=dtype)
@@ -299,15 +306,14 @@ def _phase_blocks(zx, flat, step: int, mirrored: bool):
 
 def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
           pi: PiCoefficients | None = None, table: np.ndarray | None = None) -> np.ndarray:
-    """P_ij with pi (kernel e^{-xt}, sign and prefactor applied, t >= 0
-    checked), else f_ij (kernel e^{-ixt}), for each source i and target
-    j over times (a float array), shaped (len(sources), len(targets)) +
-    times.shape, all rows sharing each block of phases, or the rows of
-    a table of the measure's phases over these times (see
+    """P_ij with pi (kernel e^{-xt}, sign and prefactor applied), else
+    f_ij (kernel e^{-ixt}), for each source i and target j over times (a
+    float array that :func:`_check_times` checks), shaped (len(sources),
+    len(targets)) + times.shape, all rows sharing each block of phases,
+    or the rows of a table of the measure's phases over these times (see
     :func:`_phases`).  Every finished P_ij and f_ij is made here, and an
     entry is the same double in any stack, with or without a table."""
-    if pi is not None and (times < 0).any():
-        raise UsageError("classical evolution needs t >= 0")
+    _check_times(times, pi is not None)
     x, coeff = _chi_product_coefficients(measure, sources, targets)
     z = -1j if pi is None else -1.0
     rows = _spectral_sum(x, coeff, times, z, table)
@@ -320,12 +326,9 @@ def _phases(measure: SpectralMeasure, times: np.ndarray, classical: bool):
     """The (T, S) phases of the measure's nodes over times for the kind,
     made by :func:`_phase_blocks` as one block, for a large entry to keep.
     None unless the measure carries its eigenvector table, has no
-    quadrature rule and n >= 2 T sites for T >= 1 times, and for times
-    that :func:`_rows` refuses (a NaN or infinite time, or a negative
-    classical one), so the refusal stays there."""
+    quadrature rule and n >= 2 T sites for T >= 1 times."""
     if (measure.weighted_chi is None or measure.quad_points is not None
-            or not 0 < 2 * times.size <= measure.jacobi.size
-            or not np.isfinite(times).all() or (classical and (times < 0).any())):
+            or not 0 < 2 * times.size <= measure.jacobi.size):
         return None
     x = measure.nodes_and_weights()[0]
     z = -1.0 if classical else -1j
@@ -364,13 +367,15 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     pi = last[3] if bound else None
     if rates is not None and not bound:
         pi = _bind(measure, rates)[0]
-    _check_sites(measure, min(i, j), max(i, j))
+    size = measure.jacobi.size
+    _last_site(size, range(i, i + 1), [j])
     if same and not last[4]:
         # no stack for these times: a large entry, or a stack that lost a
         # row (for this pair and these times, for good: not retried)
         table = last[-1][0] if last[-1] else None
         return _rows(measure, range(i, i + 1), [j], times, pi, table)[0, 0, ...], False
-    size = measure.jacobi.size
+    # a hit skips this: a record's key holds only times that passed
+    _check_times(times, rates is not None)
     per_row = size * measure.nodes_and_weights()[0].size * times.size
     stack = None
     # a stack holds every row as a target, so a row the recurrence lost
@@ -405,7 +410,9 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
 def _prefactors(pi: PiCoefficients, sources: range, targets) -> np.ndarray:
     """(-1)^(i+j) sqrt(pi_j / pi_i) for the sources i (rows) and the
     targets j (columns), in one vector operation."""
-    rows, cols = np.arange(sources.start, sources.stop)[:, None], np.asarray(targets)
+    rows = np.arange(sources.start, sources.stop)[:, None]
+    cols = (np.arange(targets.start, targets.stop) if isinstance(targets, range)
+            else np.asarray(targets))
     ratio = np.exp(0.5 * (pi.log_values[cols] - pi.log_values[rows]))
     ratio *= np.where((rows & 1) != (cols & 1), -1.0, 1.0)
     return ratio
@@ -468,12 +475,14 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
     rates : BirthDeathRates
         Supplies the potential coefficients pi for the prefactor.
     i, j : int
-        Sites, within the truncated operator.
+        Sites of the operator; a value that is not (2.7, 2.0, "1", None,
+        -1, N) raises UsageError.
     times : array_like
-        Nonnegative time grid.
+        Nonnegative, finite time grid, else UsageError.
 
     Every P returned holds no NaN and lies in [-1e-6, 1 + 1e-6], else NumericError.
     """
+    i, j = _integer("i", i), _integer("j", j)
     times_arr = np.asarray(times, dtype=float)
     values, passed = _entry(measure, i, j, times_arr, rates)
     if passed:
@@ -486,8 +495,11 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
 
     The sign convention is f(t) = exp(-iJt), so the spectral kernel is
     e^{-i x t} and f_ij(-t) = conj(f_ij(t)).  Unlike P, f is not checked
-    against [-1e-6, 1 + 1e-6]; a lost chi row raises NumericError.
+    against [-1e-6, 1 + 1e-6]; a lost chi row raises NumericError, and
+    a site i or j that is not a site of the operator (2.7, 2.0, "1",
+    None, -1, N) or a NaN or infinite time raises UsageError.
     """
+    i, j = _integer("i", i), _integer("j", j)
     times_arr = np.asarray(times, dtype=float)
     return _series(AmplitudeSeries, i, j, times_arr, _entry(measure, i, j, times_arr)[0])
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the integer conversion
+of their site and count arguments."""
+
+from operator import index
 
 
 class SpectralWalkError(Exception):
@@ -26,3 +29,13 @@ class NumericError(SpectralWalkError, RuntimeError):
 class ConfigurationError(SpectralWalkError, ValueError):
     """A truncation/tolerance configuration cannot be satisfied; the
     message suggests how to widen it."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int by operator.index: ints, numpy integers and
+    bools pass, while 2.7, 2.0, "1" and None raise UsageError naming the
+    argument and the value."""
+    try:
+        return index(value)
+    except TypeError:
+        raise UsageError(f"{name} is {value!r}, expected an integer") from None

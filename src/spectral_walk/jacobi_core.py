@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, _integer
 
 __all__ = [
     "BirthDeathRates",
@@ -103,7 +103,7 @@ class BirthDeathRates:
         """Check rate positivity for sites 0..n; raise DomainError naming
         the first offending index (UsageError if n is not a site)."""
         if n < 0:
-            raise UsageError(f"site index {n} is negative")
+            raise UsageError(f"truncation order {n} is negative")
         last = self.n_sites - 1 if self.n_sites is not None else None
         if last is not None and n > last:
             raise UsageError(f"site index {n} beyond finite chain of {self.n_sites} sites")
@@ -122,17 +122,17 @@ class BirthDeathRates:
                 raise DomainError(f"mu[{i}] = {mu_i} is not positive and finite")
 
     def truncation_order(self, n: int | None) -> int:
-        """Resolve a requested truncation order against the chain length."""
-        if self.n_sites is not None:
-            if n is None:
-                return self.n_sites - 1
-            if n > self.n_sites - 1:
-                raise UsageError(
-                    f"truncation order {n} exceeds finite chain order {self.n_sites - 1}"
-                )
-            return n
+        """Resolve a requested truncation order against the chain length;
+        an order that is not an integer raises UsageError."""
         if n is None:
-            raise UsageError("semi-infinite chain needs an explicit truncation order")
+            if self.n_sites is None:
+                raise UsageError("semi-infinite chain needs an explicit truncation order")
+            return self.n_sites - 1
+        n = _integer("n", n)
+        if self.n_sites is not None and n > self.n_sites - 1:
+            raise UsageError(
+                f"truncation order {n} exceeds finite chain order {self.n_sites - 1}"
+            )
         return n
 
 
@@ -225,8 +225,6 @@ class PiCoefficients:
 
 def _gather(rates: BirthDeathRates, n: int, boundary: str):
     """Validated (lambda, mu) arrays for sites 0..n under a truncation rule."""
-    if n < 0:
-        raise UsageError(f"truncation order {n} is negative")
     if boundary not in BOUNDARIES:
         raise UsageError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
     rates.validate(n)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _chi_product_coefficients, _spectral_sum
-from .errors import UsageError
+from .dynamics import _check_times, _chi_product_coefficients, _spectral_sum
+from .errors import UsageError, _integer
 from .jacobi_core import JacobiOperator
 from .spectral import SpectralMeasure, _check_finite
 
@@ -85,13 +85,15 @@ def characteristic(measure: SpectralMeasure, t):
 
     F(0) = 1 exactly: the sum is divided by the total mass, which also
     means a measure that is not normalized to begin with is refused
-    (UsageError) rather than silently rescaled beyond roundoff.  The
-    return amplitude is f_00(t) = F(-t).
+    (UsageError) rather than silently rescaled beyond roundoff; so is a
+    NaN or infinite t.  The return amplitude is f_00(t) = F(-t).
     """
     x, w = measure.nodes_and_weights()
     total = w.sum()
     if abs(total - 1.0) > 1e-9:
         raise UsageError(f"measure has total mass {total}, expected a probability measure")
+    t = np.asarray(t, dtype=float)
+    _check_times(t, False)
     vals = _spectral_sum(x, w, t, 1j) / total
     return complex(vals) if vals.ndim == 0 else vals
 
@@ -102,11 +104,12 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
     f_ii.  Orthonormality makes this a probability measure again; masses
     are left as computed (no renormalization) so the 1e-12 mass invariant
     stays a real check on the polynomial table.  ``j_op`` must equal the
-    measure's operator and i must be one of its sites, else UsageError.
+    measure's operator and i an integer site of it (not 2.7 or 2.0), else UsageError.
     """
     own = measure.jacobi
     if not (np.array_equal(j_op.b, own.b) and np.array_equal(j_op.j, own.j)):
         raise UsageError("operator differs from the measure's operator")
+    i = _integer("i", i)
     if i == 0:
         return measure
     coeff = _chi_product_coefficients(measure, range(i, i + 1), [i])[1][0, 0]
@@ -253,8 +256,8 @@ def classify_return(measure: SpectralMeasure, tol: float = LATTICE_TOL) -> Retur
     via an eigendecomposition of the truncated operator.  A ``tol`` that
     is not finite and nonnegative is refused (UsageError).
     """
-    _check_tol(tol)
     if measure.kind != "discrete":
+        _check_tol(tol)
         return ReturnVerdict(kind="NoReturn", evidence={
             "continuous_mass": measure.continuous_mass,
             "ignored_mass": 0.0,
