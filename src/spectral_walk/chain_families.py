@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +84,7 @@ def _truncated(support, size: int, probe: JacobiOperator, cap: int):
     points, masses = support(size)
     while True:
         table = chi_table_scaled(probe, probe.size - 1, points, masses)
-        if not np.max(_site_deficits(table)) > _SITE_TAIL_TOL:
+        if np.max(_site_deficits(table)) <= _SITE_TAIL_TOL:  # NaN fails
             return points, masses
         if 2 * size > cap:
             raise ConfigurationError(
@@ -201,6 +202,8 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
     if variant not in ("C", "D"):
         raise DomainError(f"variant {variant!r} must be 'C' or 'D'")
     q = ctx.q
+    if q < sys.float_info.min:
+        raise DomainError(f"modulus k = {ctx.k} gives nome q = {q}, below the normal doubles")
 
     def jacobi(size: int) -> JacobiOperator:
         n = np.arange(1, size)

@@ -45,12 +45,11 @@ from the rates, and one payload for those times:
   no more than the measure's own table (a real one for P, half that);
 - else nothing.
 
-A payload is released when a call of the kind on another measure,
-rates or times replaces the record; a phase table also goes with its
-measure, through a weak-reference callback that empties its own record
-alone.  A value depends neither on the rest of the grid, nor on the
-payload, nor on the order of calls: it is the double a call for that
-entry alone gives.
+A payload goes when its record is replaced (by a call of the kind on
+another measure, rates or times) or its measure is freed, through a
+weak-reference callback that empties its own record alone.  A value
+depends neither on the rest of the grid, nor on the payload, nor on the
+order of calls: it is the double a call for that entry alone gives.
 """
 
 from __future__ import annotations
@@ -88,9 +87,9 @@ _BLOCK_TERMS = 2 ** 14
 # key, pi or None, sources (empty without a stack), passed (per row of the
 # stack, a list of whether each target's entry passed _in_band; every f
 # entry does), kept): the last entry _entry made for that kind, where
-# kept is [stack] when sources is nonempty, else [phases] or []; one tuple,
-# read and replaced whole, so concurrent callers never pair one chain's
-# objects with another's pi
+# kept is [stack] when sources is nonempty, else [phases] or [], emptied
+# when the measure is freed; one tuple, read and replaced whole, so
+# concurrent callers never pair one chain's objects with another's pi
 _last_entry = {}
 
 
@@ -104,12 +103,7 @@ class ProbabilitySeries:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        if t.shape != v.shape:
-            raise UsageError("times and values differ in shape")
+        v = _convert(self, float)
         if not _in_band(v):
             if np.isnan(v).any():
                 raise NumericError(f"probability series P_{self.i}{self.j} holds NaN")
@@ -142,12 +136,19 @@ class AmplitudeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        if t.shape != v.shape:
-            raise UsageError("times and values differ in shape")
+        _convert(self, complex)
+
+
+def _convert(series, dtype) -> np.ndarray:
+    """Convert a series' fields in place, sites by errors._integer, times to
+    float and values to dtype, refusing times and values of two shapes
+    (UsageError); returns the values."""
+    i, j = _integer("i", series.i), _integer("j", series.j)
+    t, v = np.asarray(series.times, dtype=float), np.asarray(series.values, dtype=dtype)
+    if t.shape != v.shape:
+        raise UsageError("times and values differ in shape")
+    series.__dict__.update(i=i, j=j, times=t, values=v)
+    return v
 
 
 def _series(kind, i: int, j: int, times: np.ndarray, values: np.ndarray):
@@ -162,16 +163,12 @@ def _series(kind, i: int, j: int, times: np.ndarray, values: np.ndarray):
     return series
 
 
-def _last_site(size: int, sources: range, rows) -> int:
-    """The highest source or target row (a slice, read at its ends, or a list
-    of ints), after refusing any that is not a site (UsageError)."""
-    ends = (rows.start, rows.stop - 1) if isinstance(rows, slice) else rows
-    low, high = min(sources.start, *ends), max(sources.stop - 1, *ends)
-    if low < 0:
-        raise UsageError(f"site index {low} must be nonnegative")
-    if high >= size:
-        raise UsageError(f"site index {high} beyond operator size {size}")
-    return high
+def _check_sites(size: int, *sites: int) -> None:
+    """A site below 0, then one at or beyond size, raise UsageError."""
+    if min(sites) < 0:
+        raise UsageError(f"site index {min(sites)} must be nonnegative")
+    if max(sites) >= size:
+        raise UsageError(f"site index {max(sites)} beyond operator size {size}")
 
 
 def _check_times(times: np.ndarray, classical: bool) -> None:
@@ -184,8 +181,10 @@ def _check_times(times: np.ndarray, classical: bool) -> None:
 
 def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets):
     """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s) of the
-    sources i and the targets j, shaped (len(sources), len(targets), S),
-    as c_s = W[i, s] W[j, s] on the table W = sqrt(w) chi.
+    sources i (a nonempty range) and the targets j (a nonempty range or
+    sequence of ints), sites of the measure that its callers have checked,
+    shaped (len(sources), len(targets), S), as c_s = W[i, s] W[j, s] on
+    the table W = sqrt(w) chi.
 
     Eigendecomposed measures carry their orthonormal W; this keeps the
     sum-rule identities (rows of P, unitarity) at eigensolver accuracy
@@ -196,13 +195,12 @@ def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets)
     value.
     """
     # a range reads the table by a slice; a list indexes rows, where a tuple would index axes
-    rows = (slice(targets.start, targets.stop) if isinstance(targets, range)
-            else [_integer("j", j) for j in targets])
-    last = _last_site(measure.jacobi.size, sources, rows)
+    rows = slice(targets.start, targets.stop) if isinstance(targets, range) else list(targets)
     x, w = measure.nodes_and_weights()
     if measure.weighted_chi is not None and measure.quad_points is None:
         table = measure.weighted_chi
     else:
+        last = max(sources.stop - 1, rows.stop - 1 if isinstance(rows, slice) else max(rows))
         table = chi_table_scaled(measure.jacobi, last, x, w)
         used = np.r_[sources.start:sources.stop, rows]
         deficits = _site_deficits(table[used])
@@ -308,12 +306,12 @@ def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
           pi: PiCoefficients | None = None, table: np.ndarray | None = None) -> np.ndarray:
     """P_ij with pi (kernel e^{-xt}, sign and prefactor applied), else
     f_ij (kernel e^{-ixt}), for each source i and target j over times (a
-    float array that :func:`_check_times` checks), shaped (len(sources),
-    len(targets)) + times.shape, all rows sharing each block of phases,
-    or the rows of a table of the measure's phases over these times (see
-    :func:`_phases`).  Every finished P_ij and f_ij is made here, and an
-    entry is the same double in any stack, with or without a table."""
-    _check_times(times, pi is not None)
+    float array its callers have checked by :func:`_check_times`), shaped
+    (len(sources), len(targets)) + times.shape, all rows sharing each
+    block of phases, or the rows of a table of the measure's phases over
+    these times (see :func:`_phases`).  Every finished P_ij and f_ij is
+    made here, and an entry is the same double in any stack, with or
+    without a table."""
     x, coeff = _chi_product_coefficients(measure, sources, targets)
     z = -1j if pi is None else -1.0
     rows = _spectral_sum(x, coeff, times, z, table)
@@ -368,7 +366,7 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     if rates is not None and not bound:
         pi = _bind(measure, rates)[0]
     size = measure.jacobi.size
-    _last_site(size, range(i, i + 1), [j])
+    _check_sites(size, i, j)
     if same and not last[4]:
         # no stack for these times: a large entry, or a stack that lost a
         # row (for this pair and these times, for good: not retried)
@@ -397,11 +395,9 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
         row = i - sources.start
         values, ok = stack[row, j, ...].copy(), passed[row][j]
         kept = [stack]
-    # a phase table also goes with its measure: the callback empties this
-    # record's list alone, so a stale one cannot drop a newer record's
-    # payload; a stack, at most one block, goes when the record is replaced
-    measure_ref = (weakref.ref(measure, lambda _, kept=kept: kept.clear()) if kept and not sources
-                   else weakref.ref(measure))
+    # the payload goes with its measure: the callback empties this record's
+    # list alone, so a stale one cannot drop a newer record's payload
+    measure_ref = weakref.ref(measure, lambda _, kept=kept: kept.clear())
     rates_ref = None if rates is None else weakref.ref(rates)
     _last_entry[rates is not None] = (measure_ref, rates_ref, key, pi, sources, passed, kept)
     return values, ok

@@ -102,6 +102,7 @@ class BirthDeathRates:
     def validate(self, n: int) -> None:
         """Check rate positivity for sites 0..n; raise DomainError naming
         the first offending index (UsageError if n is not a site)."""
+        n = _integer("n", n)
         if n < 0:
             raise UsageError(f"truncation order {n} is negative")
         last = self.n_sites - 1 if self.n_sites is not None else None

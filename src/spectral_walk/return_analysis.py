@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_times, _chi_product_coefficients, _spectral_sum
+from .dynamics import _check_sites, _check_times, _chi_product_coefficients, _spectral_sum
 from .errors import UsageError, _integer
 from .jacobi_core import JacobiOperator
 from .spectral import SpectralMeasure, _check_finite
@@ -110,6 +110,7 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
     if not (np.array_equal(j_op.b, own.b) and np.array_equal(j_op.j, own.j)):
         raise UsageError("operator differs from the measure's operator")
     i = _integer("i", i)
+    _check_sites(own.size, i)
     if i == 0:
         return measure
     coeff = _chi_product_coefficients(measure, range(i, i + 1), [i])[1][0, 0]
@@ -132,9 +133,7 @@ def _lattice_fit(points: np.ndarray, tol: float):
         return None, None, info | {"reason": "coincident points"}
     lcm = 1
     for ratio in (gaps / base).tolist():
-        numerator, denominator = _limit_denominator(ratio, _DENOMINATOR_CAP)
-        if numerator == 0:
-            return None, None, info | {"reason": "coincident points"}
+        denominator = _limit_denominator(ratio, _DENOMINATOR_CAP)[1]
         lcm = lcm * denominator // math.gcd(lcm, denominator)
         if lcm > _LCM_CAP:
             return None, None, info | {"reason": f"gap-ratio lcm exceeds {_LCM_CAP}"}
