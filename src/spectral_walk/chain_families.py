@@ -80,10 +80,11 @@ def _truncated(support, size: int, probe: JacobiOperator, cap: int):
 
     The tail of site i is its deficit 1 - sum_s W[i, s]^2 on the weighted
     table W = sqrt(M) chi: over the full (untruncated) support that sum
-    is 1 exactly."""
+    is 1 exactly.  A row that overflows is left to that test, unwarned."""
     points, masses = support(size)
     while True:
-        table = chi_table_scaled(probe, probe.size - 1, points, masses)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = chi_table_scaled(probe, probe.size - 1, points, masses)
         if np.max(_site_deficits(table)) <= _SITE_TAIL_TOL:  # NaN fails
             return points, masses
         if 2 * size > cap:
@@ -426,8 +427,11 @@ def build_from_spec(spec: dict) -> FamilyBuild:
                            info={"sites": j_op.size, "tail_mass": tail})
     if family in ("sc-c", "sc-d"):
         variant = "C" if family == "sc-c" else "D"
-        k = _field(spec, family, "k")
-        j_op, measure = stieltjes_carlitz_chain(variant, k, s_max=_field(spec, family, "s_max"))
+        k, s_max = _field(spec, family, "k"), _field(spec, family, "s_max")
+        try:  # the truncation falls short only when a tiny k underflows the masses
+            j_op, measure = stieltjes_carlitz_chain(variant, k, s_max=s_max)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"field 'k' is {k!r}, too small a modulus: {exc}") from exc
         ctx = elliptic_context(k)
         return FamilyBuild(family=family, measure=measure, info={
             "sites": j_op.size, "atoms": len(measure.points),

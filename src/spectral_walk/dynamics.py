@@ -24,12 +24,11 @@ entries are at most 1 in size on a normalized measure
 (sum_s W[i, s]^2 <= 1), so by Cauchy-Schwarz |c_s| <= 1 and no
 product overflows.
 
-Per-entry calls share one record per kind, and a call is classical
-exactly when it carries pi.  The record binds the last (measure, rates,
-times) of its kind, the measure and rates through weak references so
-neither is kept alive.  It holds the pair's pi, computed over all of the
-measure's sites once :func:`_bind` has checked that the measure came
-from the rates, and one payload for those times:
+Per-entry calls keep one record per kind on the measure itself (a call
+is classical exactly when it carries pi): the rates of the last call,
+which then live as long as the measure, their pi, computed over all of
+the measure's sites once :func:`_bind` has checked that the measure
+came from the rates, and one payload for its times:
 
 - a stack of whole rows when n S T <= 2**14 for n sites, S nodes and T
   times: the rows of k = floor(2**14 / (n S T)) sources around i from
@@ -41,21 +40,22 @@ from the rates, and one payload for those times:
   e^{z x_s t}, when the measure carries its eigenvector table (no
   quadrature rule) and 2 T <= n: later entries on the same measure and
   times reduce their row against it block by block instead of taking
-  the exponentials again.  A complex table takes 16 T S <= 8 n S bytes,
-  no more than the measure's own table (a real one for P, half that);
+  the exponentials again;
 - else nothing.
 
-A payload goes when its record is replaced (by a call of the kind on
-another measure, rates or times) or its measure is freed, through a
-weak-reference callback that empties its own record alone.  A value
-depends neither on the rest of the grid, nor on the payload, nor on the
-order of calls: it is the double a call for that entry alone gives.
+A record is replaced only by a call of its kind on the same measure
+with other rates or times, or a source outside its stack, and goes with
+its measure.  So each live measure holds at most one payload per kind:
+a stack of at most 2**14 values, or a phase table no larger than its
+own eigenvector table (16 T S <= 8 n S bytes complex, half that real).
+A value depends neither on the rest of the grid, nor on the payload,
+nor on the order of calls: it is the double a call for that entry alone
+gives.
 """
 
 from __future__ import annotations
 
 import contextlib
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,15 +82,6 @@ _ORACLE_SIZE_CAP = 512
 _ORACLE_TIME_CAP = 1e3
 # _spectral_sum: terms per block of the time x node grid
 _BLOCK_TERMS = 2 ** 14
-
-# classical (a bool) -> (weakref to measure, weakref to rates or None, times
-# key, pi or None, sources (empty without a stack), passed (per row of the
-# stack, a list of whether each target's entry passed _in_band; every f
-# entry does), kept): the last entry _entry made for that kind, where
-# kept is [stack] when sources is nonempty, else [phases] or [], emptied
-# when the measure is freed; one tuple, read and replaced whole, so
-# concurrent callers never pair one chain's objects with another's pi
-_last_entry = {}
 
 
 @dataclass(frozen=True)
@@ -342,64 +333,54 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     P_ij with rates, f_ij without, pi read from the kind's record or
     bound anew.
 
-    The kind's record (see the module docstring) is read and, on a
-    miss, replaced.  When n S T <= _BLOCK_TERMS, the rows of the aligned
+    The measure's record of the kind, (rates, times key, pi, sources,
+    passed, payload), is read and, on a miss, replaced (see the module
+    docstring).  When n S T <= _BLOCK_TERMS, the rows of the aligned
     sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are
-    evaluated and kept as its payload, keyed by sources and times, with
-    each entry's verdict: one _in_band over a P stack, and one per entry
-    only when that fails.  A larger entry, or one whose stack holds a
-    row the recurrence lost, is evaluated alone; its payload is the
-    phase table :func:`_phases` makes for it, if any, and later such
-    entries on the same measure, rates and times reduce their rows
-    against that table.
+    evaluated and kept as its payload, with each entry's verdict: one
+    _in_band over a P stack, and one per entry only when that fails.  A
+    larger entry, or one whose stack holds a row the recurrence lost, is
+    evaluated alone, with the phase table :func:`_phases` makes for it,
+    if any, as the payload later such entries reduce their rows against.
     """
     key = (times.shape, times.tobytes())
-    last = _last_entry.get(rates is not None)
-    bound = last is not None and last[0]() is measure and (rates is None or last[1]() is rates)
-    same = bound and last[2] == key
-    if same and i in last[4]:
-        stack = last[-1][0]
-        if 0 <= j < stack.shape[1]:
-            row = i - last[4].start
-            return stack[row, j, ...].copy(), last[5][row][j]
-    pi = last[3] if bound else None
+    last = measure._entries.get(rates is not None)
+    bound = last is not None and last[0] is rates
+    same = bound and last[1] == key
+    if same and i in last[3] and 0 <= j < last[5].shape[1]:
+        row = i - last[3].start
+        return last[5][row, j, ...].copy(), last[4][row][j]
+    pi = last[2] if bound else None
     if rates is not None and not bound:
         pi = _bind(measure, rates)[0]
     size = measure.jacobi.size
     _check_sites(size, i, j)
-    if same and not last[4]:
+    if same and not last[3]:
         # no stack for these times: a large entry, or a stack that lost a
         # row (for this pair and these times, for good: not retried)
-        table = last[-1][0] if last[-1] else None
-        return _rows(measure, range(i, i + 1), [j], times, pi, table)[0, 0, ...], False
+        return _rows(measure, range(i, i + 1), [j], times, pi, last[5])[0, 0, ...], False
     # a hit skips this: a record's key holds only times that passed
     _check_times(times, rates is not None)
     per_row = size * measure.nodes_and_weights()[0].size * times.size
-    stack = None
+    payload = None
     # a stack holds every row as a target, so a row the recurrence lost
     # fails it, and then only the entries that use that row
     if per_row <= _BLOCK_TERMS:
         k = _BLOCK_TERMS // max(per_row, 1)
         sources = range(i - i % k, min(i - i % k + k, size))
         with contextlib.suppress(NumericError):
-            stack = _rows(measure, sources, range(size), times, pi)
-    if stack is None:
+            payload = _rows(measure, sources, range(size), times, pi)
+    if payload is None:
         sources, passed, ok = range(0), [], False
-        table = _phases(measure, times, rates is not None)
-        values = _rows(measure, range(i, i + 1), [j], times, pi, table)[0, 0, ...]
-        kept = [] if table is None else [table]
+        payload = _phases(measure, times, rates is not None)
+        values = _rows(measure, range(i, i + 1), [j], times, pi, payload)[0, 0, ...]
     else:
         # the row lists are only read, so one list may serve every row
-        passed = ([[True] * size] * len(sources) if pi is None or _in_band(stack)
-                  else _band(stack).all(axis=tuple(range(2, stack.ndim))).tolist())
+        passed = ([[True] * size] * len(sources) if pi is None or _in_band(payload)
+                  else _band(payload).all(axis=tuple(range(2, payload.ndim))).tolist())
         row = i - sources.start
-        values, ok = stack[row, j, ...].copy(), passed[row][j]
-        kept = [stack]
-    # the payload goes with its measure: the callback empties this record's
-    # list alone, so a stale one cannot drop a newer record's payload
-    measure_ref = weakref.ref(measure, lambda _, kept=kept: kept.clear())
-    rates_ref = None if rates is None else weakref.ref(rates)
-    _last_entry[rates is not None] = (measure_ref, rates_ref, key, pi, sources, passed, kept)
+        values, ok = payload[row, j, ...].copy(), passed[row][j]
+    measure._entries[rates is not None] = (rates, key, pi, sources, passed, payload)
     return values, ok
 
 
@@ -466,8 +447,8 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
     measure : SpectralMeasure
         Orthogonality measure of ``symmetrize(rates)``; provenance is
         checked once per (measure, rates) pair and a mismatch raises
-        UsageError.  The last pair is remembered through weak references,
-        so neither object is kept alive.
+        UsageError.  The measure keeps the last rates it was called with,
+        and their pi, until it is freed or called with other rates.
     rates : BirthDeathRates
         Supplies the potential coefficients pi for the prefactor.
     i, j : int

@@ -121,18 +121,24 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
         quad_weights=None if measure.quad_points is None else coeff[n_atoms:])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf index is above the cap
 def _lattice_fit(points: np.ndarray, tol: float):
     """Gap-commensurability fit.  Returns (delta, residual, info) or
     (None, residual-or-None, info) when no common spacing survives the
     caps and tolerance."""
     spread = float(points[-1] - points[0])
+    if not math.isfinite(spread):
+        raise UsageError(f"points spread {spread:g} overflows a double in the lattice fit")
     gaps = points[1:] - points[0]
     base = float(gaps.min())
     info: dict = {"spread": spread}
     if base <= 0:
         return None, None, info | {"reason": "coincident points"}
+    ratios = (gaps / base).tolist()
+    if not np.isfinite(ratios).all():
+        raise UsageError(f"points spread {spread:g} overflows a double in the lattice fit")
     lcm = 1
-    for ratio in (gaps / base).tolist():
+    for ratio in ratios:
         denominator = _limit_denominator(ratio, _DENOMINATOR_CAP)[1]
         lcm = lcm * denominator // math.gcd(lcm, denominator)
         if lcm > _LCM_CAP:
@@ -147,6 +153,8 @@ def _lattice_fit(points: np.ndarray, tol: float):
     # largest spacing is delta itself since the k were divided by their gcd
     kf = ks.astype(float)
     delta = float((kf @ gaps) / (kf @ kf))
+    if not math.isfinite(delta):
+        raise UsageError(f"points spread {spread:g} overflows a double in the lattice fit")
     residual = float(np.max(np.abs(gaps - kf * delta)))
     info |= {"lcm": int(lcm), "residual": residual, "residual_rel": residual / spread}
     if residual > tol * spread:
@@ -212,8 +220,8 @@ def detect_lattice(points, tol: float = LATTICE_TOL, masses=None) -> ReturnVerdi
 
     Exactly two surviving points always fit a lattice trivially; that
     verdict is flagged ``degenerate`` in evidence.  A ``tol`` that is
-    not finite and nonnegative, and a NaN or infinite point or mass, are
-    refused (UsageError).
+    not finite and nonnegative, a NaN or infinite point or mass, and a
+    spread or fit beyond the double range are refused (UsageError).
     """
     _check_tol(tol)
     points = np.asarray(points, dtype=float).ravel()

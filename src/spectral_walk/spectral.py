@@ -39,7 +39,7 @@ coefficients w_s chi_i(x_s) chi_j(x_s) are products W[i, s] W[j, s].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -101,6 +101,7 @@ class SpectralMeasure:
     quad_points: np.ndarray | None = None
     quad_weights: np.ndarray | None = None
     weighted_chi: np.ndarray | None = None
+    _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -141,6 +142,10 @@ class SpectralMeasure:
             wc.setflags(write=False)
         pts.setflags(write=False)
         ms.setflags(write=False)
+
+    def __getstate__(self):
+        """Pickles and copies start with no per-entry records (see dynamics._entry)."""
+        return {**vars(self), "_entries": {}}
 
     @classmethod
     def discrete(cls, points, masses, jacobi: JacobiOperator) -> "SpectralMeasure":

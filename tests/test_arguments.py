@@ -65,11 +65,11 @@ CHAINS = chains()
 def set_memo(rates, measure, filled: bool) -> None:
     """Empty the per-entry records, or fill both with a payload for
     TIMES: a stack of rows on 6 sites, a phase table on 300."""
-    spectral_walk.dynamics._last_entry.clear()
+    measure._entries.clear()
     if filled:
         classical_transition(measure, rates, 1, 2, TIMES)
         quantum_amplitude(measure, 1, 2, TIMES)
-        assert all(record[-1] for record in spectral_walk.dynamics._last_entry.values())
+        assert all(record[-1] is not None for record in measure._entries.values())
 
 
 SITE_CALLS = {

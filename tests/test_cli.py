@@ -334,6 +334,18 @@ def test_exit_2_for_infinite_meixner_beta(capsys):
     assert "beta = inf is not positive and finite" in err
 
 
+@pytest.mark.parametrize("family", ["sc-c", "sc-d"])
+def test_exit_2_names_a_modulus_too_small_for_the_truncation(tmp_path, capsys, family):
+    # the masses sites 0-10 need underflow, and the probe recurrence
+    # overflows on the way (sc-c): one error line names k, no warning
+    code, out, err = run(capsys, "return", "--family", family, "--k", "1e-150",
+                         "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == ("error: field 'k' is 1e-150, too small a modulus: site-weighted tail "
+                   "still above 1e-10 at size 6144; cap 10000 reached\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--lambdas", "--mus"])
 def test_exit_2_for_malformed_rate_flag_json(capsys, flag):
     rates = {"--lambdas": "[1.0]", "--mus": "[0.0, 2.0]"} | {flag: "[1,"}

@@ -11,7 +11,9 @@ from diagonalizing A = [[-1, 1], [2, -2]] directly.
 from __future__ import annotations
 
 import contextlib
+import copy
 import gc
+import pickle
 import tracemalloc
 import types
 import unittest.mock
@@ -469,7 +471,7 @@ def test_big_chain_binds_once_without_a_stack(rng, monkeypatch):
         classical_transition(measure, rates, i, j, t)
         quantum_amplitude(measure, j, i, t)
     assert len(calls) == 1
-    assert not spectral_walk.dynamics._last_entry[True][4]  # empty sources: no stack
+    assert not measure._entries[True][3]  # empty sources: no stack
 
 
 def test_binding_accepts_either_boundary_and_gives_pi_bitwise():
@@ -613,10 +615,10 @@ def entry_is_direct(rates, measure, i, j, t, z) -> bool:
     return same_bits(entry(rates, measure, i, j, t, z), direct_entry(rates, measure, i, j, t, z))
 
 
-def kept_stacks() -> list:
-    """The stacks of rows the records hold: the payload beside a stack's sources."""
-    return [record[-1][0] for record in spectral_walk.dynamics._last_entry.values()
-            if record[4] and record[-1]]
+def kept_stacks(measure) -> list:
+    """The stacks of rows the measure's records hold: the payload beside
+    a stack's sources."""
+    return [record[-1] for record in measure._entries.values() if record[3]]
 
 
 def memo_chains():
@@ -673,7 +675,7 @@ def test_entries_equal_direct_evaluation_in_any_call_order(calls):
         assert same_bits(got.times, t), (chain, z, i, j)
         assert same_bits(got.values, want.values), (chain, z, i, j)
     # a record of an entry beyond one block holds pi but no stack
-    for stack in kept_stacks():
+    for stack in (stack for _, measure, _ in MEMO_CHAINS for stack in kept_stacks(measure)):
         assert stack.size <= spectral_walk.dynamics._BLOCK_TERMS
 
 
@@ -693,7 +695,7 @@ def test_a_failed_stack_checks_only_its_refused_entries(monkeypatch):
     post_init = kind.__post_init__
     monkeypatch.setattr(kind, "__post_init__",
                         lambda self: checked.append((self.i, self.j)) or post_init(self))
-    spectral_walk.dynamics._last_entry.clear()
+    measure._entries.clear()
     for i in sites:
         for j in sites:
             got = outcome(series, rates, measure, i, j, t, -1.0)
@@ -790,7 +792,7 @@ def test_memo_holds_at_most_one_block_of_values(two_state, monkeypatch):
     t = np.linspace(0.0, 10.0, 20001)
     for z in (-1.0, -1j):
         assert entry_is_direct(rates, measure, 0, 1, t, z)
-    assert kept_stacks() == []
+    assert kept_stacks(measure) == []
 
 
 def test_a_stack_that_lost_a_row_is_not_retried(monkeypatch):
@@ -910,10 +912,11 @@ def test_scalar_time_shape(two_state):
 
 # -- phases kept across large entries ---------------------------------------------
 
-def kept_tables() -> list:
-    """The phase tables the records hold: a payload without a stack's sources."""
-    return [record[-1][0] for record in spectral_walk.dynamics._last_entry.values()
-            if record[-1] and not record[4]]
+def kept_tables(measure) -> list:
+    """The phase tables the measure's records hold: a payload without a
+    stack's sources."""
+    return [record[-1] for record in measure._entries.values()
+            if record[-1] is not None and not record[3]]
 
 
 def entry_alone(rates, measure, i, j, t, classical):
@@ -942,8 +945,8 @@ def phase_chains():
     transfer chain with exactly mirrored points), one that keeps them on
     20 times but not on 65 (120 sites), a quadrature rule that never
     keeps them, and 12 random-rate sites whose entries are served from
-    stacks (n S T = 2880 at 20 times and 9360 at 65), so that stacks and
-    phase tables take turns in the kind's record."""
+    stacks (n S T = 2880 at 20 times and 9360 at 65), called between
+    the entries that keep phases."""
     gen = np.random.default_rng(11)
     chains = []
     for sites in (150, 120):
@@ -965,7 +968,7 @@ PHASE_CHAINS = phase_chains()
                       min_size=1, max_size=25))
 # a kept quantum table over negative times, then a classical call on them;
 # a kept table, then its grid poisoned with NaN or -inf in place, then restored;
-# kept tables and stacks replacing each other in the record of each kind
+# calls served from kept tables and from stacks, interleaved in each kind
 @example(calls=[(0, False, 3, 5, 6, 0), (0, True, 3, 5, 6, 0), (0, True, 3, 7, 8, 0)])
 @example(calls=[(2, False, 4, 0, 149, 0), (2, False, 4, 3, 5, 2), (0, True, 4, 0, 1, 0),
                 (2, False, 4, 1, 2, 2), (2, False, 4, 0, 4, 2), (0, False, 4, 0, 1, 0),
@@ -975,7 +978,7 @@ PHASE_CHAINS = phase_chains()
                 (0, True, 2, 5, 6, 0), (0, True, 2, 6, 5, 0), (4, True, 2, 11, 0, 0)])
 def test_kept_phases_give_the_entry_alone_in_any_order(calls):
     # large entries on several measures, grids and both kinds, in random
-    # order, among stack-sized ones whose stacks replace the kept tables,
+    # order, among stack-sized ones on a measure of their own,
     # with one grid mutated in place between calls (to a NaN or -inf time,
     # and back): each value is the double _rows gives for the entry alone,
     # and each refusal its error, never an overflow on the way
@@ -999,7 +1002,7 @@ def test_kept_phases_give_the_entry_alone_in_any_order(calls):
             assert got == want, (chain, classical, grid, i, j)
         else:
             assert same_bits(got, want), (chain, classical, grid, i, j)
-    for table in kept_tables():
+    for table in (table for _, measure in PHASE_CHAINS for table in kept_tables(measure)):
         assert 2 * table.shape[0] <= table.shape[1]
 
 
@@ -1032,33 +1035,35 @@ def test_kept_phases_are_released_with_their_measure(rng):
         t = np.linspace(0.0, 3.0, times)
         classical_transition(measure, rates, 3, 4, t)
         quantum_amplitude(measure, 3, 4, t)
-        payload_refs = [weakref.ref(payload) for payload in kept()]
+        payload_refs = [weakref.ref(payload) for payload in kept(measure)]
         assert len(payload_refs) == 2
         measure_ref = weakref.ref(measure)
         del measure
         gc.collect()
         assert measure_ref() is None
         assert [ref() for ref in payload_refs] == [None, None]
-        assert kept() == []
 
 
-def test_a_freed_measure_leaves_the_newer_record_in_place(rng):
-    # a reader still holding the old record keeps its weak reference, so
-    # its callback runs when the old measure is freed: it empties only the
-    # old record, and the newer measure's phases stay kept
+@pytest.mark.parametrize("sites", [6, 300])
+def test_copies_and_pickles_of_a_measure_start_without_records(sites, rng):
+    # the records (stacks on 6 sites, phase tables on 300) hold the
+    # rates, whose arrays' lambdas do not pickle: a copy or a pickle of
+    # the measure leaves them behind and gives the same entries
+    rates = random_rates(rng, sites=sites)
+    measure = eigendecompose(symmetrize(rates))
     t = np.linspace(0.0, 3.0, 65)
-    old = eigendecompose(symmetrize(random_rates(rng, sites=200)))
-    new = eigendecompose(symmetrize(random_rates(rng, sites=200)))
-    quantum_amplitude(old, 0, 1, t)
-    held = spectral_walk.dynamics._last_entry[False]
-    quantum_amplitude(new, 0, 1, t)
-    del old
-    gc.collect()
-    assert held[-1] == []
-    with counted_exp() as terms:
-        values = quantum_amplitude(new, 5, 6, t).values
-    assert terms == []
-    assert same_bits(values, entry_alone(None, new, 5, 6, t, False))
+    classical_transition(measure, rates, 1, 2, t)
+    quantum_amplitude(measure, 1, 2, t)
+    assert len(measure._entries) == 2
+    for copied in (pickle.loads(pickle.dumps(measure)), copy.copy(measure),
+                   copy.deepcopy(measure)):
+        assert copied._entries == {} and copied._entries is not measure._entries
+        for i, j in ((1, 2), (3, 0)):
+            assert same_bits(classical_transition(copied, rates, i, j, t).values,
+                             classical_transition(measure, rates, i, j, t).values)
+            assert same_bits(quantum_amplitude(copied, i, j, t).values,
+                             quantum_amplitude(measure, i, j, t).values)
+        assert len(copied._entries) == 2 and len(measure._entries) == 2
 
 
 @pytest.mark.parametrize("case", ["quadrature", "long grid"])
@@ -1072,7 +1077,7 @@ def test_no_phases_are_kept_beyond_the_eigenvector_tables_memory(case, rng):
     else:
         measure = eigendecompose(symmetrize(random_rates(rng, sites=300)))
         t = np.linspace(0.0, 5.0, 151)
-    spectral_walk.dynamics._last_entry.clear()
+    measure._entries.clear()
     quantum_amplitude(measure, 0, 0, t)  # warm: first-call allocations
     tracemalloc.start()
     try:
@@ -1085,7 +1090,7 @@ def test_no_phases_are_kept_beyond_the_eigenvector_tables_memory(case, rng):
     # a kept table would be 33 MB (quadrature) or 720 KB (151 x 300)
     assert peak < 2e6, peak
     assert current < 1e5, current
-    assert kept_tables() == []
+    assert kept_tables(measure) == []
 
 
 def test_a_quadrature_rule_keeps_no_phases_within_the_time_bound():
@@ -1095,7 +1100,7 @@ def test_a_quadrature_rule_keeps_no_phases_within_the_time_bound():
     _, measure = uniform_chain(quad_order=1024)
     t = np.linspace(0.0, 50.0, 400)
     assert 2 * t.size <= measure.jacobi.size
-    spectral_walk.dynamics._last_entry.clear()
+    measure._entries.clear()
     quantum_amplitude(measure, 0, 0, t)  # warm: first-call allocations
     tracemalloc.start()
     try:
@@ -1107,7 +1112,7 @@ def test_a_quadrature_rule_keeps_no_phases_within_the_time_bound():
         tracemalloc.stop()
     assert peak < 2e6, peak
     assert current < 1e5, current
-    assert kept_tables() == []
+    assert kept_tables(measure) == []
 
 
 # -- oracle_expm dispatch --------------------------------------------------------

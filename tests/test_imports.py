@@ -9,7 +9,9 @@ in its ``__all__``. Every module-level private function, class and
 constant of the package must be read somewhere in the package. Every
 method and property of a package class, dunders aside, must be read as
 an attribute by the package, a demo, the bench or the acceptance suite:
-one that only unit tests call is API no user path needs.
+one that only unit tests call is API no user path needs.  No module of
+the package binds a dict, list or set at module level, ``__all__``
+aside: state that outlives a call belongs to the object it describes.
 """
 
 from __future__ import annotations
@@ -145,3 +147,43 @@ def test_unread_method_checker_flags_methods_no_user_reads():
 def test_no_package_method_only_unit_tests_read():
     assert unread_methods([path.read_text() for path in PACKAGE],
                           [path.read_text() for path in USERS]) == []
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def module_level_containers(source: str) -> list[str]:
+    """Names other than ``__all__`` that a module-level assignment binds
+    to a dict, list or set display, comprehension or constructor call."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        value = node.value
+        mutable = isinstance(value, MUTABLE_DISPLAYS) or (
+            isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id in ("dict", "list", "set"))
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        found += [f"line {node.lineno}: {t.id}" for t in targets
+                  if mutable and isinstance(t, ast.Name) and t.id != "__all__"]
+    return found
+
+
+def test_container_checker_flags_module_level_state():
+    source = (
+        "__all__ = ['f']\n"
+        "_CAP = 4\n"
+        "_TIMES = (0.1, 0.5)\n"
+        "_last = {}\n"
+        "_seen: set = set()\n"
+        "_rows = [i for i in range(3)]\n"
+        "def f():\n"
+        "    local = {}\n"
+        "    return local\n"
+    )
+    assert module_level_containers(source) == ["line 4: _last", "line 5: _seen", "line 6: _rows"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_module_level_containers_in_package(path):
+    assert module_level_containers(path.read_text()) == []

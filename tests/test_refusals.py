@@ -73,6 +73,18 @@ REFUSALS = {
         UsageError, "times and values differ in shape"),
     "amplitude-series-shapes": (lambda: amplitudes([0.0, 1.0], [1.0]),
                                 UsageError, "times and values differ in shape"),
+    "lattice-spread-overflows": (
+        lambda: detect_lattice([-1e308, 1e308]),
+        UsageError, "points spread inf overflows a double in the lattice fit"),
+    "lattice-gap-overflows": (
+        lambda: detect_lattice([-1e308, 0.0, 1e308]),
+        UsageError, "points spread inf overflows a double in the lattice fit"),
+    "lattice-fit-overflows": (
+        lambda: detect_lattice([0.0, 8e307, 1.6e308]),
+        UsageError, "points spread 1.6e+308 overflows a double in the lattice fit"),
+    "lattice-gap-ratio-overflows": (
+        lambda: detect_lattice([0.0, 1e-300, 1e300]),
+        UsageError, "points spread 1e+300 overflows a double in the lattice fit"),
     "lattice-masses-length": (lambda: detect_lattice([0.0, 1.0, 2.0], masses=[0.5, 0.5]),
                               UsageError, "masses and points differ in length"),
     "scan-empty": (lambda: return_probability_scan(amplitudes([], [])),
@@ -117,7 +129,8 @@ def test_a_refusal_names_its_cause(case):
 @pytest.mark.parametrize("points, reason", [
     ([0.0, 0.0, 1.0], "coincident points"),
     ([0.0, 1.0, 2e9], "lattice index exceeds 1000000000"),
-], ids=["coincident", "lattice-index-cap"])
+    ([0.0, 1.0, 1.0001, 1e305], "lattice index exceeds 1000000000"),
+], ids=["coincident", "lattice-index-cap", "lattice-index-overflows"])
 def test_an_unfittable_spectrum_is_almost_perfect(points, reason):
     verdict = detect_lattice(points)
     assert verdict.kind == "AlmostPerfect"
