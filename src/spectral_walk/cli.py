@@ -32,9 +32,8 @@ import sys
 import numpy as np
 
 from .chain_families import _STEPS_CAP, build_from_spec, family_schemas
-from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _check_oracle_size,
-                       _oracle_evolutions, _rows, quantum_amplitude, series_csv,
-                       series_filename)
+from .dynamics import (AmplitudeSeries, ProbabilitySeries, _bind, _oracle_evolutions, _rows,
+                       quantum_amplitude, series_csv, series_filename)
 from .errors import NumericError, SpectralWalkError, UsageError
 from .jacobi_core import generator
 from .return_analysis import (LATTICE_TOL, classify_return, modified_measure,
@@ -59,12 +58,14 @@ def _time_grid(args) -> np.ndarray:
         raise UsageError(f"field 'tmin' is {args.tmin}, must be >= 0")
     if args.tmax < args.tmin:
         raise UsageError(f"field 'tmax' is {args.tmax}, below tmin {args.tmin}")
-    if args.tmax == args.tmin:
-        return np.array([args.tmin])
-    if args.steps < 2:
-        raise UsageError(f"field 'steps' is {args.steps}, need >= 2 for a grid")
+    # a one-point grid (tmax == tmin) takes any count from 1 to the cap
+    need = 1 if args.tmax == args.tmin else 2
+    if args.steps < need:
+        raise UsageError(f"field 'steps' is {args.steps}, need >= {need} for a grid")
     if args.steps > _STEPS_CAP:
         raise UsageError(f"field 'steps' is {args.steps}, above the cap {_STEPS_CAP}")
+    if need == 1:
+        return np.array([args.tmin])
     return np.linspace(args.tmin, args.tmax, args.steps)
 
 
@@ -122,46 +123,53 @@ def _check_site(name: str, value: int, size: int) -> None:
 
 
 def _targets(args, size: int) -> list[int]:
-    """The --j targets (default: --i), after checking --i and each of them."""
+    """The --j targets (default: --i), after checking --i and each of
+    them; a target given twice is refused."""
     js = args.j or [args.i]
     _check_site("i", args.i, size)
-    for jj in js:
+    for k, jj in enumerate(js):
         _check_site("j", jj, size)
+        if jj in js[:k]:
+            raise UsageError(f"field 'j' repeats {jj}")
     return js
 
 
-def _check_measure(build):
-    """The measure the oracle cross-check evaluates: ``build.measure``
-    itself when it carries its operator's eigenvector table (custom,
-    pst-demo, finite uniform), else one eigendecomposition of the
-    truncated operator, made only once the oracle's size cap admits it."""
+def _cross_check(build, args, js: list[int], modes, tmax: float):
+    """Oracle cross-check on the truncated operator for each mode of
+    ``modes`` (True: classical): the spectral-sum path against dense
+    exp(tA) / exp(-iJt), at the check times up to ``tmax`` (at least the
+    first).  Returns each mode's max abs deviation, NaN if any deviation
+    is NaN, and the check times.
+
+    Every mode's oracle is built first, so an operator above the
+    oracle's size cap is refused before anything is decomposed.  The
+    spectral path then runs on ``build.measure`` itself when it carries
+    its operator's eigenvector table (custom, pst-demo, finite uniform),
+    else on one eigendecomposition of that operator, shared by the
+    modes.  All targets are evaluated over all check times in one call
+    per mode, and the raw rows are compared: a NaN or out-of-band value
+    is a mismatch."""
     j_op = build.measure.jacobi
-    _check_oracle_size(j_op.size)
-    return build.measure if build.measure.weighted_chi is not None else eigendecompose(j_op)
-
-
-def _verify_build(build, check_measure, args, js: list[int], classical: bool, tmax: float):
-    """Oracle cross-check on the truncated operator: the spectral-sum
-    path on ``check_measure`` (from :func:`_check_measure`) against
-    dense exp(tA) / exp(-iJt), at the check times up to ``tmax`` (at
-    least the first).  Returns the max abs deviation, NaN if any
-    deviation is NaN.
-
-    All targets are evaluated over all check times in one call, and the
-    raw rows are compared: a NaN or out-of-band value is a mismatch."""
-    j_op = check_measure.jacobi
     times = [t for t in _VERIFY_TIMES if t <= max(tmax, _VERIFY_TIMES[0])]
-    if classical:
-        pi, boundary = _bind(check_measure, build.rates)
-        operator = generator(build.rates, j_op.size - 1, boundary=boundary)
-    else:
-        operator, pi = j_op, None
-    rows = _rows(check_measure, range(args.i, args.i + 1), js, np.array(times), pi)[0]
-    deviations = []
-    for k, dense in enumerate(_oracle_evolutions(operator, times)):
-        deviations += [abs(row[k] - dense[args.i, jj]) for row, jj in zip(rows, js)]
-    # np.max keeps a NaN deviation, which max() would drop
-    return float(np.max(deviations)), times
+    checks = []
+    for classical in modes:
+        if classical:
+            # _bind reads only the operator, which a decomposition keeps
+            pi, boundary = _bind(build.measure, build.rates)
+            operator = generator(build.rates, j_op.size - 1, boundary=boundary)
+        else:
+            operator, pi = j_op, None
+        checks.append((pi, _oracle_evolutions(operator, times)))
+    measure = build.measure if build.measure.weighted_chi is not None else eigendecompose(j_op)
+    worst = []
+    for pi, evolutions in checks:
+        rows = _rows(measure, range(args.i, args.i + 1), js, np.array(times), pi)[0]
+        deviations = []
+        for k, dense in enumerate(evolutions):
+            deviations += [abs(row[k] - dense[args.i, jj]) for row, jj in zip(rows, js)]
+        # np.max keeps a NaN deviation, which max() would drop
+        worst.append(float(np.max(deviations)))
+    return worst, times
 
 
 def cmd_simulate(args) -> int:
@@ -199,8 +207,7 @@ def cmd_simulate(args) -> int:
     }
     code = EXIT_OK
     if args.verify:
-        worst, at = _verify_build(build, _check_measure(build), args, js, args.classical,
-                                  times[-1])
+        (worst,), at = _cross_check(build, args, js, [args.classical], times[-1])
         manifest["verify"] = {"max_abs_diff": worst, "times": list(at),
                               "target": "truncated-operator oracle"}
         print(f"oracle cross-check: max |diff| = {worst:.3e} over t in {list(at)}")
@@ -258,16 +265,14 @@ def cmd_verify(args) -> int:
     build = build_from_spec(_load_spec(args))
     tmax = _time_grid(args)[-1]
     js = _targets(args, build.measure.jacobi.size)
-    check_measure = _check_measure(build)
-    worst_q, times = _verify_build(build, check_measure, args, js, classical=False, tmax=tmax)
-    print(f"quantum  spectral-vs-dense: max |diff| = {worst_q:.3e} over t in {list(times)}")
-    worst = worst_q
+    modes = [False] if build.rates is None else [False, True]
+    worsts, times = _cross_check(build, args, js, modes, tmax)
+    print(f"quantum  spectral-vs-dense: max |diff| = {worsts[0]:.3e} over t in {list(times)}")
     if build.rates is not None:
-        worst_c, _ = _verify_build(build, check_measure, args, js, classical=True, tmax=tmax)
-        print(f"classical spectral-vs-expm: max |diff| = {worst_c:.3e}")
-        worst = float(np.max([worst, worst_c]))
+        print(f"classical spectral-vs-expm: max |diff| = {worsts[1]:.3e}")
     else:
         print(f"classical check skipped: family '{build.family}' has no rates")
+    worst = float(np.max(worsts))
     if not worst <= verify_tol:  # NaN fails
         print(f"verification FAILED: {worst:.3e} > {verify_tol:.1e}", file=sys.stderr)
         return EXIT_MISMATCH

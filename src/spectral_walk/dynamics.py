@@ -219,9 +219,9 @@ def _spectral_sum(x, coeff, times, z, table=None):
     a whole (T, S) table needs 33 MB per temporary.  A block's phases
     are computed once by :func:`_phase_blocks` and reduced against every
     row.  A table is the (T, S) phases :func:`_phase_blocks` gave for
-    these x, times and z in one block (see :func:`_phases`): with it,
-    each block's rows are read in place of the exponentials, and the
-    values are the same doubles.
+    these x, times and z in one block (a payload :func:`_entry` keeps):
+    with it, each block's rows are read in place of the exponentials,
+    and the values are the same doubles.
 
     Each row of a block is reduced by numpy's pairwise sum over the
     contiguous node axis, never a shape-dependent matmul, so the value
@@ -235,7 +235,7 @@ def _spectral_sum(x, coeff, times, z, table=None):
     out = np.empty(coeff.shape[:-1] + flat.shape, dtype=dtype)
     step = max(1, _BLOCK_TERMS // max(x.shape[0], 1))
     starts = range(0, flat.size, step)
-    blocks = (_phase_blocks(z * x, flat, step, _mirrored(x, z)) if table is None
+    blocks = (_phase_blocks(x, z, flat, step) if table is None
               else (table[start:start + step] for start in starts))
     for start in starts:
         # no name holds a block, so each is freed as the next one is made
@@ -244,17 +244,8 @@ def _spectral_sum(x, coeff, times, z, table=None):
     return out.reshape(coeff.shape[:-1] + times.shape)
 
 
-def _mirrored(x, z) -> bool:
-    """Whether :func:`_phase_blocks` takes the half-exponential form: an
-    imaginary z on a mirrored spectrum, x[::-1] == -x exactly (as for a
-    chain with zero diagonal built from a closed form)."""
-    # the O(1) end test first, then the O(S) one
-    return (isinstance(z, complex) and not z.real and x.shape[0] > 1 and x[0] == -x[-1]
-            and np.array_equal(x[::-1], -x))
-
-
-def _phase_blocks(zx, flat, step: int, mirrored: bool):
-    """Yield exp(zx[s] * flat[k]) for each block of step times of flat,
+def _phase_blocks(x, z, flat, step: int):
+    """Yield exp(z * x[s] * flat[k]) for each block of step times of flat,
     shaped (block size, S): the phases of :func:`_spectral_sum`.  Each
     block is made after the generator drops the previous one and before
     the exponent's temporary, so the temporaries reuse the freed block's
@@ -267,9 +258,11 @@ def _phase_blocks(zx, flat, step: int, mirrored: bool):
     85 ms for 1024 nodes and 2001 times, one thread of a 2-core x86-64
     host), so one form is kept.
 
-    When mirrored (see :func:`_mirrored`), exp is taken on the upper
-    half zx[S//2:] only (the middle node of an odd S included), and the
-    lower columns are the conjugates of the reversed upper ones.  At -x
+    For an imaginary z on a mirrored spectrum, x[::-1] == -x exactly (as
+    for a chain with zero diagonal built from a closed form), exp is
+    taken on the upper half z x[S//2:] only (the middle node of an odd S
+    included), and the lower columns are the conjugates of the reversed
+    upper ones.  At -x
     the phase angle z x t has a zero real part and the exact negative of
     the imaginary part b it has at x, and exp(ib) = cos b + i sin b with
     cos even and sin odd, so each phase is the one the direct form
@@ -280,8 +273,12 @@ def _phase_blocks(zx, flat, step: int, mirrored: bool):
     direct form gives.  Real z and any other spectrum take the direct
     form.
     """
-    size = zx.shape[0]
+    size = x.shape[0]
     low = size // 2
+    zx = z * x
+    # the O(1) end test first, then the O(S) one
+    mirrored = (isinstance(z, complex) and not z.real and size > 1 and x[0] == -x[-1]
+                and np.array_equal(x[::-1], -x))
     for start in range(0, flat.size, step):
         block = flat[start:start + step, None]
         if mirrored:
@@ -300,29 +297,15 @@ def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
     float array its callers have checked by :func:`_check_times`), shaped
     (len(sources), len(targets)) + times.shape, all rows sharing each
     block of phases, or the rows of a table of the measure's phases over
-    these times (see :func:`_phases`).  Every finished P_ij and f_ij is
-    made here, and an entry is the same double in any stack, with or
-    without a table."""
+    these times (a payload :func:`_entry` keeps).  Every finished P_ij
+    and f_ij is made here, and an entry is the same double in any stack,
+    with or without a table."""
     x, coeff = _chi_product_coefficients(measure, sources, targets)
     z = -1j if pi is None else -1.0
     rows = _spectral_sum(x, coeff, times, z, table)
     if pi is not None:
         rows *= _prefactors(pi, sources, targets).reshape(coeff.shape[:2] + (1,) * times.ndim)
     return rows
-
-
-def _phases(measure: SpectralMeasure, times: np.ndarray, classical: bool):
-    """The (T, S) phases of the measure's nodes over times for the kind,
-    made by :func:`_phase_blocks` as one block, for a large entry to keep.
-    None unless the measure carries its eigenvector table, has no
-    quadrature rule and n >= 2 T sites for T >= 1 times."""
-    if (measure.weighted_chi is None or measure.quad_points is not None
-            or not 0 < 2 * times.size <= measure.jacobi.size):
-        return None
-    x = measure.nodes_and_weights()[0]
-    z = -1.0 if classical else -1j
-    flat = times.reshape(-1)
-    return next(_phase_blocks(z * x, flat, flat.size, _mirrored(x, z)))
 
 
 def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
@@ -340,8 +323,10 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     evaluated and kept as its payload, with each entry's verdict: one
     _in_band over a P stack, and one per entry only when that fails.  A
     larger entry, or one whose stack holds a row the recurrence lost, is
-    evaluated alone, with the phase table :func:`_phases` makes for it,
-    if any, as the payload later such entries reduce their rows against.
+    evaluated alone; when the measure carries its eigenvector table, has
+    no quadrature rule and n >= 2 T sites for T >= 1 times, the (T, S)
+    phases :func:`_phase_blocks` makes in one block are its payload,
+    which later such entries reduce their rows against.
     """
     key = (times.shape, times.tobytes())
     last = measure._entries.get(rates is not None)
@@ -361,7 +346,8 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
         return _rows(measure, range(i, i + 1), [j], times, pi, last[5])[0, 0, ...], False
     # a hit skips this: a record's key holds only times that passed
     _check_times(times, rates is not None)
-    per_row = size * measure.nodes_and_weights()[0].size * times.size
+    x = measure.nodes_and_weights()[0]
+    per_row = size * x.size * times.size
     payload = None
     # a stack holds every row as a target, so a row the recurrence lost
     # fails it, and then only the entries that use that row
@@ -372,7 +358,10 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
             payload = _rows(measure, sources, range(size), times, pi)
     if payload is None:
         sources, passed, ok = range(0), [], False
-        payload = _phases(measure, times, rates is not None)
+        if (measure.weighted_chi is not None and measure.quad_points is None
+                and 0 < 2 * times.size <= size):
+            flat = times.reshape(-1)
+            payload = next(_phase_blocks(x, -1j if pi is None else -1.0, flat, flat.size))
         values = _rows(measure, range(i, i + 1), [j], times, pi, payload)[0, 0, ...]
     else:
         # the row lists are only read, so one list may serve every row
@@ -481,12 +470,6 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
     return _series(AmplitudeSeries, i, j, times_arr, _entry(measure, i, j, times_arr)[0])
 
 
-def _check_oracle_size(size: int) -> None:
-    """The dense oracle refuses operators above _ORACLE_SIZE_CAP sites."""
-    if size > _ORACLE_SIZE_CAP:
-        raise UsageError(f"oracle size {size} above cap {_ORACLE_SIZE_CAP}")
-
-
 def oracle_expm(operator, t: float) -> np.ndarray:
     """Dense reference evolution, independent of the spectral path.
 
@@ -507,7 +490,8 @@ def _oracle_evolutions(operator, times):
     if not isinstance(operator, (GeneratorMatrix, JacobiOperator)):
         raise UsageError(
             f"oracle needs a GeneratorMatrix or a JacobiOperator, got {type(operator).__name__}")
-    _check_oracle_size(operator.size)
+    if operator.size > _ORACLE_SIZE_CAP:
+        raise UsageError(f"oracle size {operator.size} above cap {_ORACLE_SIZE_CAP}")
     for t in times:
         if abs(t) > _ORACLE_TIME_CAP:
             raise UsageError(f"oracle |t| = {abs(t)} above cap {_ORACLE_TIME_CAP}")

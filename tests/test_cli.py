@@ -22,6 +22,7 @@ from spectral_walk.chain_families import _STEPS_CAP
 from spectral_walk.cli import build_parser, main
 
 TWO_STATE = '{"family": "custom", "lambdas": [1.0], "mus": [0.0, 2.0]}'
+THREE_STATE = '{"family": "custom", "lambdas": [1.0, 0.5], "mus": [0.0, 2.0, 1.0]}'
 
 
 def run(capsys, *argv):
@@ -364,13 +365,27 @@ def test_exit_2_for_bad_verify_grid(capsys, tmax, message):
     assert "'tmax'" in err and message in err
 
 
-@pytest.mark.parametrize("command", [["simulate"], ["return", "--scan"], ["verify"]])
+@pytest.mark.parametrize("command", [["simulate"], ["return", "--scan"], ["verify"],
+                                     ["simulate", "--tmax", "0"],
+                                     ["return", "--scan", "--tmax", "0"],
+                                     ["verify", "--tmax", "0"]])
 def test_exit_2_for_steps_above_the_cap(tmp_path, capsys, command):
-    # 2**62 steps: numpy refuses so large a grid, and no command gets to make it
+    # 2**62 steps: numpy refuses so large a grid, and no command gets to
+    # make it; a one-point grid (--tmax 0) does not need it, but is refused too
     code, _, err = run(capsys, *command, "--family", "pst-demo", "--n", "4",
                        "--steps", str(2 ** 62), "--output", str(tmp_path))
     assert code == 2
     assert "'steps'" in err and "above the cap" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_exit_2_for_a_repeated_target(tmp_path, capsys, command):
+    # a repeated --j wrote its file twice, listed it twice in the
+    # manifest and was compared twice by the oracle
+    code, out, err = run(capsys, command, "--spec", THREE_STATE, "--j", "1", "--j", "2",
+                         "--j", "1", "--output", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: field 'j' repeats 1\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -496,8 +511,11 @@ def test_verify_checks_the_uniform_closed_form_at_the_oracle_cap(capsys):
     (["verify", "--family", "meixner", "--beta", "1", "--c", "0.25"], 1, 0),
     (["simulate", "--family", "sc-d", "--k", "0.5", "--verify", "--tmax", "1"], 1, 0),
     (["verify", "--family", "meixner", "--beta", "1.3", "--c", "0.9"], 0, 2),
+    (["simulate", "--classical", "--verify", "--family", "meixner", "--beta", "1.3",
+      "--c", "0.9"], 0, 2),
+    (["simulate", "--verify", "--family", "meixner", "--beta", "1", "--c", "0.25"], 1, 0),
 ], ids=["verify-custom", "verify-pst-demo", "simulate-custom", "verify-meixner",
-        "simulate-sc-d", "verify-above-cap"])
+        "simulate-sc-d", "verify-above-cap", "simulate-above-cap", "simulate-meixner"])
 def test_verify_decomposes_at_most_once_and_only_below_the_cap(
         tmp_path, capsys, monkeypatch, argv, calls, code):
     # a measure with its own eigenvector table is checked as it is; any

@@ -155,12 +155,14 @@ def test_a_scalar_argument_gives_scalar_cn_and_dn():
 @pytest.mark.parametrize("argv, message", [
     (["--family", "uniform", "--n", "4", "--steps", "1"],
      "field 'steps' is 1, need >= 2 for a grid"),
+    (["--family", "uniform", "--n", "4", "--steps", "-3", "--tmax", "0"],
+     "field 'steps' is -3, need >= 1 for a grid"),
     ([], "exactly one of --spec or --family is required"),
     (["--family", "uniform", "--spec", '{"family": "uniform"}'],
      "exactly one of --spec or --family is required"),
     (["--family", "sc-c", "--k", "1e-170"],
      "modulus k = 1e-170 gives nome q = 0.0, below the normal doubles"),
-], ids=["one-step", "no-spec", "two-specs", "zero-nome"])
+], ids=["one-step", "one-point-negative-steps", "no-spec", "two-specs", "zero-nome"])
 def test_exit_2_names_the_bad_argument(tmp_path, capsys, argv, message):
     command = "return" if "sc-c" in argv else "simulate"
     assert main([command, *argv, "--output", str(tmp_path)]) == 2
