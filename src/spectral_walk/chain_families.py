@@ -395,8 +395,8 @@ def build_from_spec(spec: dict) -> FamilyBuild:
 
     The spec must carry "family" plus the parameters listed by
     :func:`family_schemas`, each of the type listed there; a count (n,
-    s_max, quad_order) may not exceed 4096.  Errors name the offending
-    field.
+    s_max, quad_order) may not exceed 4096, and a uniform spec gives n or
+    quad_order, not both.  Errors name the offending field.
     """
     if not isinstance(spec, dict):
         raise UsageError("chain spec must be a JSON object")
@@ -437,8 +437,11 @@ def build_from_spec(spec: dict) -> FamilyBuild:
             "sites": j_op.size, "atoms": len(measure.points),
             "omega_fitted": fitted_omega(variant, ctx, measure), "nome_q": ctx.q})
     if family == "uniform":
-        j_op, measure = uniform_chain(n=_field(spec, family, "n"),
-                                      quad_order=_field(spec, family, "quad_order", 256))
+        n, quad_order = _field(spec, family, "n"), _field(spec, family, "quad_order")
+        if n is not None and quad_order is not None:
+            raise UsageError("fields 'n' and 'quad_order' both given: 'n' builds the "
+                             "finite chain, 'quad_order' the continuous measure; give one")
+        j_op, measure = uniform_chain(n=n, quad_order=256 if quad_order is None else quad_order)
         return FamilyBuild(family=family, measure=measure,
                            info={"sites": j_op.size, "measure_kind": measure.kind})
     n = _field(spec, family, "n", 10)

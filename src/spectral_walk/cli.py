@@ -38,7 +38,7 @@ from .errors import NumericError, SpectralWalkError, UsageError
 from .jacobi_core import generator
 from .return_analysis import (LATTICE_TOL, classify_return, modified_measure,
                               return_probability_scan)
-from .spectral import eigendecompose
+from .spectral import _carries_eigenvectors, eigendecompose
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -144,7 +144,7 @@ def _cross_check(build, args, js: list[int], modes, tmax: float):
     Every mode's oracle is built first, so an operator above the
     oracle's size cap is refused before anything is decomposed.  The
     spectral path then runs on ``build.measure`` itself when it carries
-    its operator's eigenvector table (custom, pst-demo, finite uniform),
+    its operator's eigenvectors (custom, pst-demo, finite uniform),
     else on one eigendecomposition of that operator, shared by the
     modes.  All targets are evaluated over all check times in one call
     per mode, and the raw rows are compared: a NaN or out-of-band value
@@ -160,7 +160,7 @@ def _cross_check(build, args, js: list[int], modes, tmax: float):
         else:
             operator, pi = j_op, None
         checks.append((pi, _oracle_evolutions(operator, times)))
-    measure = build.measure if build.measure.weighted_chi is not None else eigendecompose(j_op)
+    measure = build.measure if _carries_eigenvectors(build.measure) else eigendecompose(j_op)
     worst = []
     for pi, evolutions in checks:
         rows = _rows(measure, range(args.i, args.i + 1), js, np.array(times), pi)[0]
@@ -185,9 +185,12 @@ def cmd_simulate(args) -> int:
     pi, kind = ((_bind(build.measure, build.rates)[0], ProbabilitySeries) if args.classical
                 else (None, AmplitudeSeries))
     # all targets in one pass over the grid; the series check each row
-    # (NaN, probability band) before the output directory is made
+    # (NaN, probability band), and the oracle refuses a chain above its
+    # caps, before the output directory is made
     rows = _rows(build.measure, range(args.i, args.i + 1), js, times, pi)[0]
     all_series = [kind(i=args.i, j=jj, times=times, values=row) for jj, row in zip(js, rows)]
+    if args.verify:
+        (worst,), at = _cross_check(build, args, js, [args.classical], times[-1])
     os.makedirs(args.output, exist_ok=True)
     written = []
     for series in all_series:
@@ -207,7 +210,6 @@ def cmd_simulate(args) -> int:
     }
     code = EXIT_OK
     if args.verify:
-        (worst,), at = _cross_check(build, args, js, [args.classical], times[-1])
         manifest["verify"] = {"max_abs_diff": worst, "times": list(at),
                               "target": "truncated-operator oracle"}
         print(f"oracle cross-check: max |diff| = {worst:.3e} over t in {list(at)}")

@@ -37,17 +37,19 @@ came from the rates, and one payload for its times:
   copy and a wrap, and only the P entries that failed go through the
   checking constructor, each raising as it would alone;
 - else, for an entry evaluated alone, its (T, S) phase table
-  e^{z x_s t}, when the measure carries its eigenvector table (no
-  quadrature rule) and 2 T <= n: later entries on the same measure and
-  times reduce their row against it block by block instead of taking
-  the exponentials again;
+  e^{z x_s t}, when the measure carries its eigenvectors (a table or a
+  closed form, no quadrature rule) and 2 T <= n: later entries on the
+  same measure and times reduce their row against it block by block
+  instead of taking the exponentials again;
 - else nothing.
 
 A record is replaced only by a call of its kind on the same measure
 with other rates or times, or a source outside its stack, and goes with
 its measure.  So each live measure holds at most one payload per kind:
-a stack of at most 2**14 values, or a phase table no larger than its
-own eigenvector table (16 T S <= 8 n S bytes complex, half that real).
+a stack of at most 2**14 values, or a phase table no larger than the
+eigenvector table the measure would hold, n S doubles
+(16 T S <= 8 n S bytes complex, half that real), whether it holds that
+table or, for a constant chain, only its closed form.
 A value depends neither on the rest of the grid, nor on the payload,
 nor on the order of calls: it is the double a call for that entry alone
 gives.
@@ -64,7 +66,8 @@ import scipy.linalg
 from .jacobi_core import (BOUNDARIES, BirthDeathRates, GeneratorMatrix, JacobiOperator,
                           PiCoefficients, _gather, _pi_of, symmetrize)
 from .errors import DomainError, NumericError, UsageError, _integer
-from .spectral import _SITE_TAIL_TOL, SpectralMeasure, _site_deficits, chi_table_scaled
+from .spectral import (_SITE_TAIL_TOL, SpectralMeasure, _carries_eigenvectors, _site_deficits,
+                       _weighted_rows, chi_table_scaled)
 
 __all__ = [
     "ProbabilitySeries",
@@ -177,29 +180,29 @@ def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets)
     shaped (len(sources), len(targets), S), as c_s = W[i, s] W[j, s] on
     the table W = sqrt(w) chi.
 
-    Eigendecomposed measures carry their orthonormal W; this keeps the
-    sum-rule identities (rows of P, unitarity) at eigensolver accuracy
-    even for chains whose chi recurrence is unstable at edge nodes.
-    Every other measure takes W from the weighted recurrence, and a
-    source or target row whose deficit 1 - sum_s W[i, s]^2 is below
-    -1e-10 (or NaN) raises NumericError: the recurrence lost that row's
-    value.
+    Eigendecomposed measures carry their orthonormal W, whose rows
+    spectral._weighted_rows reads (a closed-form measure computes just
+    these rows); this keeps the sum-rule identities (rows of P,
+    unitarity) at eigensolver accuracy even for chains whose chi
+    recurrence is unstable at edge nodes.  Every other measure takes W
+    from the weighted recurrence, and a source or target row whose
+    deficit 1 - sum_s W[i, s]^2 is below -1e-10 (or NaN) raises
+    NumericError: the recurrence lost that row's value.
     """
+    x, w = measure.nodes_and_weights()
+    if _carries_eigenvectors(measure):
+        return x, _weighted_rows(measure, sources)[:, None] * _weighted_rows(measure, targets)
     # a range reads the table by a slice; a list indexes rows, where a tuple would index axes
     rows = slice(targets.start, targets.stop) if isinstance(targets, range) else list(targets)
-    x, w = measure.nodes_and_weights()
-    if measure.weighted_chi is not None and measure.quad_points is None:
-        table = measure.weighted_chi
-    else:
-        last = max(sources.stop - 1, rows.stop - 1 if isinstance(rows, slice) else max(rows))
-        table = chi_table_scaled(measure.jacobi, last, x, w)
-        used = np.r_[sources.start:sources.stop, rows]
-        deficits = _site_deficits(table[used])
-        worst = int(np.argmin(deficits))
-        if not deficits[worst] >= -_SITE_TAIL_TOL:  # NaN fails
-            raise NumericError(
-                f"site {used[worst]}: deficit 1 - sum_s W[i, s]^2 = {deficits[worst]:.3e} "
-                f"below -{_SITE_TAIL_TOL:g}; the chi recurrence lost its value there")
+    last = max(sources.stop - 1, rows.stop - 1 if isinstance(rows, slice) else max(rows))
+    table = chi_table_scaled(measure.jacobi, last, x, w)
+    used = np.r_[sources.start:sources.stop, rows]
+    deficits = _site_deficits(table[used])
+    worst = int(np.argmin(deficits))
+    if not deficits[worst] >= -_SITE_TAIL_TOL:  # NaN fails
+        raise NumericError(
+            f"site {used[worst]}: deficit 1 - sum_s W[i, s]^2 = {deficits[worst]:.3e} "
+            f"below -{_SITE_TAIL_TOL:g}; the chi recurrence lost its value there")
     return x, table[sources.start:sources.stop, None] * table[rows]
 
 
@@ -323,10 +326,10 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     evaluated and kept as its payload, with each entry's verdict: one
     _in_band over a P stack, and one per entry only when that fails.  A
     larger entry, or one whose stack holds a row the recurrence lost, is
-    evaluated alone; when the measure carries its eigenvector table, has
-    no quadrature rule and n >= 2 T sites for T >= 1 times, the (T, S)
-    phases :func:`_phase_blocks` makes in one block are its payload,
-    which later such entries reduce their rows against.
+    evaluated alone; when the measure carries its eigenvectors
+    (spectral._carries_eigenvectors) and n >= 2 T sites for T >= 1
+    times, the (T, S) phases :func:`_phase_blocks` makes in one block
+    are its payload, which later such entries reduce their rows against.
     """
     key = (times.shape, times.tobytes())
     last = measure._entries.get(rates is not None)
@@ -358,8 +361,7 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
             payload = _rows(measure, sources, range(size), times, pi)
     if payload is None:
         sources, passed, ok = range(0), [], False
-        if (measure.weighted_chi is not None and measure.quad_points is None
-                and 0 < 2 * times.size <= size):
+        if _carries_eigenvectors(measure) and 0 < 2 * times.size <= size:
             flat = times.reshape(-1)
             payload = next(_phase_blocks(x, -1j if pi is None else -1.0, flat, flat.size))
         values = _rows(measure, range(i, i + 1), [j], times, pi, payload)[0, 0, ...]

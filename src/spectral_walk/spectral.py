@@ -16,11 +16,14 @@ weights" uniformly.
 
 An operator with one diagonal value a and one coupling c (the finite
 uniform chain) needs no eigensolve: its eigenvalues a + 2c cos(k pi/(n+1))
-and sine eigenvectors are known in closed form, and eigendecompose
-builds them directly, to within about 1e-12 of the LAPACK table.  The
-Gauss quadrature of the continuous uniform chain (chain_families) takes
-its nodes from the same closed form, :func:`_constant_points`, so both
-spectra are exactly mirrored about 0.
+and sine eigenvectors are known in closed form.  eigendecompose keeps
+that form on the measure, 2(n+1) sines and n wave numbers, instead of an
+n x n table: :func:`_weighted_rows` computes the rows a call reads, and
+the table, within about 1e-12 of the LAPACK one, is built only when
+``weighted_chi`` is read.  The Gauss quadrature of the continuous
+uniform chain (chain_families) takes its nodes from the same closed
+form, :func:`_constant_points`, so both spectra are exactly mirrored
+about 0.
 
 An operator with a zero diagonal whose couplings read the same
 reversed (persymmetric, as the perfect-transfer chain is) is still
@@ -30,10 +33,11 @@ about 0 too.  Any other operator takes one full-size LAPACK solve.
 
 The polynomials are evaluated as one weighted table W[i, s] =
 sqrt(w_s) chi_i(x_s) at the nodes x_s with weights w_s: the eigenvector
-matrix for an eigendecomposed measure, the three-term recurrence seeded
-with W_0 = sqrt(w) for any other.  On a normalized measure
-sum_s W[i, s]^2 <= 1, so every entry is at most 1 in size, and the
-coefficients w_s chi_i(x_s) chi_j(x_s) are products W[i, s] W[j, s].
+matrix for an eigendecomposed measure (:func:`_carries_eigenvectors`),
+read row by row through :func:`_weighted_rows`, the three-term
+recurrence seeded with W_0 = sqrt(w) for any other.  On a normalized
+measure sum_s W[i, s]^2 <= 1, so every entry is at most 1 in size, and
+the coefficients w_s chi_i(x_s) chi_j(x_s) are products W[i, s] W[j, s].
 """
 
 from __future__ import annotations
@@ -61,6 +65,25 @@ def _check_finite(name: str, values: np.ndarray) -> None:
     """Refuse (UsageError) an array holding a NaN or inf, by its name."""
     if not np.isfinite(values).all():
         raise UsageError(f"non-finite {name}: NaN or inf given")
+
+
+class _ClosedFormTable:
+    """The ``weighted_chi`` field of SpectralMeasure: a given table is
+    stored as is; on a measure with a closed form and no table, the
+    first read builds it from the closed form and keeps it."""
+
+    def __get__(self, measure, owner=None):
+        if measure is None:
+            return None  # the field's default
+        fields = measure.__dict__
+        if fields["weighted_chi"] is None and measure._closed_form is not None:
+            table = _closed_form_table(*measure._closed_form)
+            table.setflags(write=False)
+            fields["weighted_chi"] = table
+        return fields["weighted_chi"]
+
+    def __set__(self, measure, table):
+        measure.__dict__["weighted_chi"] = table
 
 
 @dataclass(frozen=True)
@@ -92,7 +115,10 @@ class SpectralMeasure:
         through a recessive regime can lose all relative accuracy at
         edge nodes of ill-conditioned chains, while this table is
         orthonormal by construction, so coefficient products at the
-        atoms prefer it.
+        atoms prefer it.  On a closed-form measure (a constant operator
+        from :func:`eigendecompose`) the table is built on first read
+        and kept; evaluation never reads it, it reads rows through
+        :func:`_weighted_rows`.
     """
 
     jacobi: JacobiOperator
@@ -100,7 +126,9 @@ class SpectralMeasure:
     masses: np.ndarray
     quad_points: np.ndarray | None = None
     quad_weights: np.ndarray | None = None
-    weighted_chi: np.ndarray | None = None
+    weighted_chi: np.ndarray | None = _ClosedFormTable()
+    # (sines, wave numbers) of a constant operator's table, see _constant_chain
+    _closed_form: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -144,8 +172,12 @@ class SpectralMeasure:
         ms.setflags(write=False)
 
     def __getstate__(self):
-        """Pickles and copies start with no per-entry records (see dynamics._entry)."""
-        return {**vars(self), "_entries": {}}
+        """Pickles and copies start with no per-entry records (see
+        dynamics._entry), and a closed-form measure's with its table unbuilt."""
+        state = {**vars(self), "_entries": {}}
+        if self._closed_form is not None:
+            state["weighted_chi"] = None
+        return state
 
     @classmethod
     def discrete(cls, points, masses, jacobi: JacobiOperator) -> "SpectralMeasure":
@@ -194,19 +226,23 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     eigenvector, renormalized so the masses sum to 1 exactly.
 
     The eigenvector matrix itself is kept on the measure (sign-fixed so
-    row 0 is nonnegative) as ``weighted_chi``.  Nearby and even equal
-    eigenvalues are kept as separate atoms: the divide-and-conquer solve
-    (LAPACK ``dstevd``, see :func:`_eigh`) returns eigenvectors that are
-    orthonormal to working precision however close the eigenvalues are
-    (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995), so the table
-    stays valid.
+    row 0 is nonnegative) as ``weighted_chi``, or its closed form (see
+    below), and evaluation reads its rows through :func:`_weighted_rows`.
+    Nearby and even equal eigenvalues are kept as separate atoms: the
+    divide-and-conquer solve (LAPACK ``dstevd``, see :func:`_eigh`)
+    returns eigenvectors that are orthonormal to working precision
+    however close the eigenvalues are (Gu & Eisenstat, SIAM J. Matrix
+    Anal. Appl. 16, 1995), so the table stays valid.
 
     An operator whose diagonal entries are all equal and whose
     couplings are all equal (exact equality, as for the finite uniform
-    chain) needs no eigensolve: its points and table are built from
-    their closed form by :func:`_constant_chain`.  At 2048 sites that
-    table is within 6e-13 of the LAPACK one and its Gram deviation
-    max |W^T W - I| is 5e-15 (LAPACK's: 4.5e-15).
+    chain) needs no eigensolve: its points and its table's closed form,
+    2(n+1) sines and n wave numbers, come from :func:`_constant_chain`,
+    and the measure keeps that form instead of the n x n table: each
+    call computes only the rows it reads, and the table is built only
+    when ``weighted_chi`` is read.  At 2048 sites that table is within
+    6e-13 of the LAPACK one and its Gram deviation max |W^T W - I| is
+    5e-15 (LAPACK's: 4.5e-15).
 
     Any other operator with a zero diagonal whose couplings read the
     same reversed (j[::-1] == j exactly, as for the perfect-transfer
@@ -219,16 +255,48 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     b = np.asarray(j_op.b, dtype=float)
     e = np.asarray(j_op.j, dtype=float)
     c = e[0] if e.size else 0.0
+    closed_form = table = None
     if (b == b[0]).all() and (e == c).all():
-        vals, table = _constant_chain(b[0], c, b.size)
+        vals, sines, k = _constant_chain(b[0], c, b.size)
+        closed_form = (sines, k)
+        row0 = sines[k]  # (0 + 1) k_s mod 2(n+1) is k_s
     elif not b.any() and np.array_equal(e, e[::-1]):
         vals, table = _mirrored_chain(e)
+        row0 = table[0, :]
     else:
         vals, table = _eigh(b, e)
-    masses = table[0, :] ** 2
+        row0 = table[0, :]
+    masses = row0 ** 2
     masses = masses / masses.sum()
-    return SpectralMeasure(jacobi=j_op, points=vals, masses=masses,
-                           weighted_chi=table)
+    measure = SpectralMeasure(jacobi=j_op, points=vals, masses=masses, weighted_chi=table)
+    if closed_form is not None:
+        object.__setattr__(measure, "_closed_form", closed_form)
+    return measure
+
+
+def _carries_eigenvectors(measure: SpectralMeasure) -> bool:
+    """Whether the measure's atoms are its operator's eigenvalues and it
+    carries their eigenvectors, as a table or a closed form, with no
+    quadrature rule: then :func:`_weighted_rows` reads its rows, and no
+    recurrence is needed."""
+    return measure.quad_points is None and (
+        measure.__dict__["weighted_chi"] is not None or measure._closed_form is not None)
+
+
+def _weighted_rows(measure: SpectralMeasure, sites) -> np.ndarray:
+    """Rows W[i, :] of the eigenvector table of a measure that
+    :func:`_carries_eigenvectors`, for the sites i (a range or a
+    sequence of ints, checked by the caller), shaped (len(sites), S).
+    A stored table is read (a range as a slice, a view); a closed form
+    gives sines[(i+1) k_s mod 2(n+1)], the same doubles as the rows of
+    its table, and never builds the table."""
+    # a list indexes rows, where a tuple would index axes
+    rows = slice(sites.start, sites.stop) if isinstance(sites, range) else list(sites)
+    table = measure.__dict__["weighted_chi"]
+    if table is not None:
+        return table[rows]
+    sines, k = measure._closed_form
+    return sines[_sine_index(sines, k, np.arange(k.size)[rows])]
 
 
 def _eigh(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,36 +386,57 @@ def _mirrored_chain(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, table
 
 
-def _constant_chain(a: float, c: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Points and eigenvector table of the n-site operator with every
-    diagonal entry a and every coupling c (Karlin & McGregor, Trans.
-    Amer. Math. Soc. 85, 1957):
+def _constant_chain(a: float, c: float, n: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points and the closed form of the eigenvector table of the n-site
+    operator with every diagonal entry a and every coupling c (Karlin &
+    McGregor, Trans. Amer. Math. Soc. 85, 1957):
 
         x_s = a + 2c cos(k_s pi/(n+1)),
         W[i, s] = sqrt(2/(n+1)) sin((i+1) k_s pi/(n+1)),
 
     with k_s = n, ..., 1 so the points ascend.  Row 0 is positive, so no
-    sign fix is needed.  The integer (i+1) k_s is reduced modulo
-    2(n+1) and indexes one table of 2(n+1) sines, so the argument
-    reduction is exact; that table mirrors sin(r pi/(n+1)) about
-    r = (n+1)/2 and changes its sign past r = n+1, as the sine does.
-    Rows are filled in blocks of about 2**16 entries, so no n x n
-    integer array is made.
+    sign fix is needed.  The form is one table of the 2(n+1) sines
+    sqrt(2/(n+1)) sin(r pi/(n+1)), r = 0, ..., 2n+1, and the wave
+    numbers k_s, from which :func:`_sine_index` reads any row.  The sine
+    table mirrors sin(r pi/(n+1)) about r = (n+1)/2 and changes its sign
+    past r = n+1, as the sine does.
     """
     m = n + 1
-    k = np.arange(n, 0, -1)
-    points = _constant_points(a, c, n)
     r = np.arange(m + 1)
     half = math.sqrt(2.0 / m) * np.sin(np.minimum(r, m - r) * (np.pi / m))
     sines = np.concatenate([half, -half[1:-1]])
+    k = np.arange(n, 0, -1)
+    sines.setflags(write=False)
+    k.setflags(write=False)
+    return _constant_points(a, c, n), sines, k
+
+
+def _sine_index(sines: np.ndarray, k: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Indices (i+1) k_s mod 2(n+1) into the sines of a closed-form table
+    (see :func:`_constant_chain`) of its rows W[i, s] for the int array
+    of sites i, shaped (len(sites), n).  The integer is reduced exactly,
+    so the argument reduction of the sine is exact."""
+    index = np.multiply.outer(sites + 1, k)
+    np.remainder(index, sines.size, out=index)
+    return index
+
+
+def _closed_form_table(sines: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The whole n x n table of a closed form, filled in row blocks of
+    about 2**16 entries, so no n x n integer array is made.  Each
+    block's index is made while the previous one is still held: freed
+    first, it is trimmed from glibc's heap top and its pages fault in
+    again (80 against 48 ms at 2048 sites, one thread of a 2-core
+    x86-64 host)."""
+    n = k.size
     table = np.empty((n, n))
     step = max(1, 2**16 // n)
-    sites = np.arange(1, n + 1)
+    sites = np.arange(n)
     for i0 in range(0, n, step):
-        index = np.multiply.outer(sites[i0:i0 + step], k)
-        np.remainder(index, 2 * m, out=index)
+        index = _sine_index(sines, k, sites[i0:i0 + step])
         np.take(sines, index, out=table[i0:i0 + step])
-    return points, table
+    return table
 
 
 def _constant_points(a: float, c: float, n: int) -> np.ndarray:

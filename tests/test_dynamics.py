@@ -368,6 +368,42 @@ def test_one_amplitude_call_stays_within_one_block_of_memory():
     assert peak < 2e6, peak
 
 
+# -- constant chains: rows from the closed form --------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(a=st.floats(-3.0, 3.0), c=st.floats(0.05, 3.0), sites=st.integers(1, 300),
+       steps=st.sampled_from([1, 2, 7, 65]), data=st.data())
+def test_closed_form_entries_equal_the_sums_over_table_rows_bitwise(a, c, sites, steps, data):
+    # a constant operator keeps its table as a formula, and each call
+    # computes only the rows it reads: the same doubles as the table's
+    measure = eigendecompose(JacobiOperator(b=np.full(sites, a), j=np.full(sites - 1, c)))
+    t = np.linspace(0.0, 5.0, steps)
+    site = st.integers(0, sites - 1)
+    pairs = data.draw(st.lists(st.tuples(site, site), min_size=1, max_size=4))
+    values = [quantum_amplitude(measure, i, j, t).values for i, j in pairs]
+    assert vars(measure)["weighted_chi"] is None  # no call built the table
+    W = measure.weighted_chi
+    for (i, j), got in zip(pairs, values):
+        assert same_bits(got, spectral_walk.dynamics._spectral_sum(measure.points, W[i] * W[j],
+                                                                   t, -1j)), (i, j)
+
+
+def test_a_closed_form_chain_never_builds_its_table():
+    tracemalloc.start()
+    try:
+        _, measure = uniform_chain(n=2047)
+        built = tracemalloc.get_traced_memory()[1]
+        t = np.linspace(0.0, 10.0, 65)
+        for i, j in ((0, 5), (3, 2047), (1000, 1000)):
+            quantum_amplitude(measure, i, j, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 2048 x 2048 table is 33.5 MB; the kept (65, 2048) phases 2.1 MB
+    assert built < 1e6, built
+    assert peak < 8e6, peak
+
+
 @pytest.mark.parametrize("kind", ["quadrature", "eigenvectors"])
 def test_any_sequence_of_targets_gives_the_single_target_rows(kind, rng):
     if kind == "quadrature":

@@ -162,7 +162,13 @@ def test_a_scalar_argument_gives_scalar_cn_and_dn():
      "exactly one of --spec or --family is required"),
     (["--family", "sc-c", "--k", "1e-170"],
      "modulus k = 1e-170 gives nome q = 0.0, below the normal doubles"),
-], ids=["one-step", "one-point-negative-steps", "no-spec", "two-specs", "zero-nome"])
+    (["--classical", "--verify", "--family", "meixner", "--beta", "1.3", "--c", "0.9"],
+     "oracle size 1092 above cap 512"),
+    (["--family", "uniform", "--n", "5", "--quad-order", "64"],
+     "fields 'n' and 'quad_order' both given: 'n' builds the finite chain, "
+     "'quad_order' the continuous measure; give one"),
+], ids=["one-step", "one-point-negative-steps", "no-spec", "two-specs", "zero-nome",
+        "verify-above-oracle-cap", "uniform-n-and-quad-order"])
 def test_exit_2_names_the_bad_argument(tmp_path, capsys, argv, message):
     command = "return" if "sc-c" in argv else "simulate"
     assert main([command, *argv, "--output", str(tmp_path)]) == 2

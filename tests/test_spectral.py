@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import copy
+import pickle
 import unittest.mock
 
 import numpy as np
@@ -17,6 +19,7 @@ from spectral_walk import (
     UsageError,
     eigendecompose,
     pi_coefficients,
+    quantum_amplitude,
     symmetrize,
     uniform_chain,
 )
@@ -164,6 +167,26 @@ class TestConstantChain:
         j_op, measure = uniform_chain(n=2047)
         assert measure.weighted_chi.shape == (2048, 2048)
         assert measure.total_mass == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("sites", [41, 400], ids=["stacked", "alone"])
+def test_a_closed_form_measure_pickles_and_copies(sites):
+    # the measure keeps sines and wave numbers, not its n x n table
+    _, measure = uniform_chain(n=sites - 1)
+    t = np.linspace(0.0, 3.0, 5)
+    pairs = [(0, 0), (3, sites - 1), (sites // 2, 7)]
+    want = [quantum_amplitude(measure, i, j, t).values.tobytes() for i, j in pairs]
+    copies = [pickle.loads(pickle.dumps(measure)), copy.copy(measure), copy.deepcopy(measure)]
+    table = measure.weighted_chi
+    assert measure.weighted_chi.tobytes() == table.tobytes()
+    # a copy made once the table is built leaves it out, and rebuilds it
+    assert len(pickle.dumps(measure)) < table.nbytes
+    copies.append(pickle.loads(pickle.dumps(measure)))
+    for copied in copies:
+        got = [quantum_amplitude(copied, i, j, t).values.tobytes() for i, j in pairs]
+        assert got == want
+        assert copied.weighted_chi.tobytes() == table.tobytes()
+        assert not copied.weighted_chi.flags.writeable
 
 
 def _mirrored(half_b, half_j, n):
