@@ -17,9 +17,12 @@ eigensolve:
 The semi-infinite discrete measures (meixner, sc-c, sc-d) share one
 truncation policy: each constructor picks a starting support whose
 excluded mass is below 1e-12, and ``_truncated`` doubles it until the
-chi_i^2-weighted tail of every site i <= 10 is below 1e-10, so the
-polynomial table reaches well past the degrees the test tolerances are
-stated for.
+Lanczos rows of every site i <= 10 are certified, the recurrence
+coefficients Lanczos recovers from the support matching the operator's
+within 1e-10 of its scale (spectral._lanczos), and the chi_i^2-weighted
+tail of each, read off the same coefficients, is below 1e-10 too.
+Evaluation reads the same certified rows, which at the default supports
+reach sites 15 to 21, and a site past them raises NumericError.
 
 :func:`build_from_spec` reads each spec field as the type
 :func:`family_schemas` names.  The elliptic functions live in ``elliptic``.
@@ -39,8 +42,8 @@ from .elliptic import EllipticContext, elliptic_context
 from .errors import ConfigurationError, DomainError, UsageError, _integer
 from .jacobi_core import BirthDeathRates, JacobiOperator, symmetrize
 from .return_analysis import detect_lattice
-from .spectral import (_SITE_TAIL_TOL, SpectralMeasure, _constant_points, _site_deficits,
-                       chi_table_scaled, eigendecompose)
+from .spectral import (_CERTIFICATE_TOL, SpectralMeasure, _constant_gauss_rule, _lanczos,
+                       eigendecompose)
 
 __all__ = [
     "FamilyBuild",
@@ -64,35 +67,50 @@ _SC_MIN_HALF_SUPPORT = 12
 
 # Default truncations start from the smallest support whose excluded
 # mass is below _TAIL_TOL and keep return amplitudes and the polynomial
-# Gram accurate beyond site 0: the excluded tail of sum_s W[i, s]^2
-# grows with i (chi_i is a degree-i polynomial), so the support is
-# extended until the deficit stays below _SITE_TAIL_TOL for every site
-# up to the probe order.
+# Gram accurate beyond site 0: the truncation bites harder as the site
+# grows (chi_i is a degree-i polynomial), so the support is extended
+# until the Lanczos rows of every site up to the probe order are
+# certified (spectral._lanczos) and the chi_i^2-weighted tail of each
+# is at most _CERTIFICATE_TOL (see _truncated).
 _TAIL_TOL = 1e-12
 _SITE_PROBE_ORDER = 10
 
 
 def _truncated(support, size: int, probe: JacobiOperator, cap: int):
     """Double ``size`` from its starting value until the support
-    ``support(size) -> (points, masses)`` leaves a chi_i^2-weighted tail
-    below _SITE_TAIL_TOL at every site of ``probe``; ``size`` never
-    exceeds ``cap``.
+    ``support(size) -> (points, masses)`` certifies the Lanczos rows of
+    every site i of ``probe`` and leaves a chi_i^2-weighted tail at most
+    _CERTIFICATE_TOL at each; ``size`` never exceeds ``cap``.
 
-    The tail of site i is its deficit 1 - sum_s W[i, s]^2 on the weighted
-    table W = sqrt(M) chi: over the full (untruncated) support that sum
-    is 1 exactly.  A row that overflows is left to that test, unwarned."""
-    points, masses = support(size)
+    Row i is certified when the recurrence coefficients Lanczos recovers
+    from the support match the probe's up to row i, within
+    _CERTIFICATE_TOL of its scale (spectral._lanczos): over the full
+    (untruncated) support they match exactly.  The tail of site i is its
+    deficit 1 - sum_s w_s chi_i(x_s)^2, the mass of site i's modified
+    measure that the support leaves out.  On certified rows W_k it is
+    1 - ||sqrt(w)||^2 prod_{k <= i} (beta_k / J_k)^2, beta_k =
+    <x W_{k-1}, W_k> / ||sqrt(w)||^2, up to terms of second order in the
+    certificate: chi_i is the Lanczos row times the ratio of their
+    leading coefficients plus lower rows of first-order size, which
+    enter its norm only squared.  A certified support can leave a tail
+    of about twice the certificate (sc-d at k = 0.8 certifies its rows
+    at 49 atoms, with a site-10 tail of 1.8e-10), so both are tested.
+    Masses that hold a NaN, or too few nonzero masses for the probe's
+    rows, never certify."""
     while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = chi_table_scaled(probe, probe.size - 1, points, masses)
-        if np.max(_site_deficits(table)) <= _SITE_TAIL_TOL:  # NaN fails
-            return points, masses
+        points, masses = support(size)
+        table = np.empty((probe.size, points.size))
+        table[0] = np.sqrt(masses)
+        if _lanczos(points, table, 1, probe, probe.size)[1] is None:
+            norm2 = table[0] @ table[0]
+            betas = np.einsum("is,s,is->i", table[:-1], points, table[1:]) / norm2
+            if np.max(1.0 - np.cumprod(np.r_[norm2, (betas / probe.j) ** 2])) <= _CERTIFICATE_TOL:
+                return points, masses
         if 2 * size > cap:
             raise ConfigurationError(
-                f"site-weighted tail still above {_SITE_TAIL_TOL} at "
+                f"site-weighted tail still above {_CERTIFICATE_TOL} at "
                 f"size {size}; cap {cap} reached")
         size *= 2
-        points, masses = support(size)
 
 
 def meixner_chain(beta: float, c: float, n: int | None = None
@@ -104,10 +122,10 @@ def meixner_chain(beta: float, c: float, n: int | None = None
     the integers s = 0, 1, 2, ...; the chain is truncated at the
     smallest support (or the given n) whose excluded mass is below
     1e-12.  Without an explicit n the support is then doubled
-    until the chi_i^2-weighted tail is also below 1e-10 for sites
-    i <= 10, so return amplitudes and the polynomial Gram stay accurate
-    away from site 0 (the plain mass rule alone leaves site-5
-    amplitudes off by ~1e-2).
+    until the Lanczos rows of sites i <= 10 are also certified and their
+    chi_i^2-weighted tails below 1e-10 (see ``_truncated``), so return
+    amplitudes and the polynomial Gram stay accurate away from site 0
+    (the plain mass rule alone leaves site-5 amplitudes off by ~1e-2).
     Masses are NOT renormalized: their deficit from 1 is exactly the
     documented tail.
 
@@ -194,9 +212,13 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
     eta is fixed numerically so the truncated masses sum to 1 exactly;
     s_max defaults to the excluded-mass rule (< 1e-12) with a floor
     that keeps the polynomial table usable to degree ~20, then doubles
-    until the chi_i^2-weighted tail for sites i <= 10 is below 1e-10
-    (the weights only decay like q^|s|, which at large modulus is too
-    slow for the plain mass rule to cover excited sites).
+    until the Lanczos rows of sites i <= 10 are certified and their
+    chi_i^2-weighted tails below 1e-10 (see ``_truncated``; the weights
+    only decay like q^|s|, which at large modulus is too slow for the
+    plain mass rule to cover excited sites).
+    A modulus so small that too few masses are nonzero for those rows
+    (k = 1e-50 leaves six) reaches the cap and raises
+    ConfigurationError.
     """
     variant = variant.upper()
     ctx = elliptic_context(k)
@@ -211,22 +233,19 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
         even_scaled = (n % 2 == 0) == (variant == "C")
         return JacobiOperator(b=np.zeros(size), j=np.where(even_scaled, ctx.k * n, n * 1.0))
 
+    offset = 0.5 if variant == "C" else 0.0
+
     def support(half: int):
-        # q^-s beyond the double range is inf, and its atom gets mass 0
+        # lattice indices s + 1/2 for s = -half..half-1 (C) or s for
+        # s = -half..half (D), and the atoms pi/K times them; q^-s beyond
+        # the double range is inf, and its atom gets mass 0
+        s = np.arange(-half, half + (variant == "D")) + offset
         with np.errstate(over="ignore"):
-            if variant == "C":
-                s_range = np.arange(-half, half)
-                pts = (math.pi / (2.0 * ctx.K)) * (2.0 * s_range + 1.0)
-                raw = 1.0 / (q ** (s_range + 0.5) + q ** (-(s_range + 0.5)))
-            else:
-                s_range = np.arange(-half, half + 1)
-                pts = (math.pi / ctx.K) * s_range
-                raw = 1.0 / (q ** s_range.astype(float) + q ** (-s_range.astype(float)))
-        return pts, raw / raw.sum()
+            raw = 1.0 / (q ** s + q ** -s)
+        return (math.pi / ctx.K) * s, raw / raw.sum()
 
     if s_max is None:
-        half = max(_sc_half_support(q, 0.5 if variant == "C" else 0.0),
-                   _SC_MIN_HALF_SUPPORT)
+        half = max(_sc_half_support(q, offset), _SC_MIN_HALF_SUPPORT)
         points, masses = _truncated(support, half, jacobi(_SITE_PROBE_ORDER + 1), _SC_S_CAP)
     elif (s_max := _integer("s_max", s_max)) < 1:
         raise UsageError(f"s_max = {s_max} must be >= 1")
@@ -266,7 +285,9 @@ def uniform_chain(n: int | None = None, quad_order: int = 256
     semi-infinite chain's continuous measure (2/pi) sqrt(1-x^2) on
     [-1, 1] under a Gauss quadrature of order ``quad_order``, with the
     operator sized to the quadrature so high-degree polynomials remain
-    evaluable.
+    evaluable: the rule is that operator's eigen-measure, and its rows at
+    every site come from the closed form of its eigenvectors
+    (spectral._constant_gauss_rule).
     """
     if n is not None:
         n = _integer("n", n)
@@ -278,11 +299,7 @@ def uniform_chain(n: int | None = None, quad_order: int = 256
     if m < 2:
         raise UsageError(f"quadrature order {m} must be >= 2")
     j_op = JacobiOperator(b=np.zeros(m), j=np.full(m - 1, 0.5))
-    idx = np.arange(1, m + 1, dtype=float)
-    # the finite m-site chain's points: cos(k pi/(m+1)) ascending, exactly mirrored
-    nodes = _constant_points(0.0, 0.5, m)
-    weights = (2.0 / (m + 1)) * np.sin(idx * math.pi / (m + 1))[::-1] ** 2
-    return j_op, SpectralMeasure.continuous(nodes, weights, j_op)
+    return j_op, _constant_gauss_rule(j_op)
 
 
 def pst_demo_chain(n: int = 10) -> JacobiOperator:

@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 invalid spec or arguments (wrong JSON types,
 malformed JSON, non-finite rates and grid bounds included; the message
 names the offending field or flag), 3 a result failed a check: an oracle
 mismatch above tolerance, or a NumericError (a value that cannot be
-trusted, such as a recurrence row that lost its value; the message names
-the site).
+trusted, such as a site past the certified Lanczos rows of a Meixner, sc
+or directly built measure; the message names the site and its certificate,
+and no series or verdict is written).
 
 Every run is deterministic at a fixed BLAS thread count: each time point
 is an ordered reduction over the spectral nodes, so the same inputs give
@@ -144,7 +145,7 @@ def _cross_check(build, args, js: list[int], modes, tmax: float):
     Every mode's oracle is built first, so an operator above the
     oracle's size cap is refused before anything is decomposed.  The
     spectral path then runs on ``build.measure`` itself when it carries
-    its operator's eigenvectors (custom, pst-demo, finite uniform),
+    its operator's eigenvectors (custom, pst-demo, uniform),
     else on one eigendecomposition of that operator, shared by the
     modes.  All targets are evaluated over all check times in one call
     per mode, and the raw rows are compared: a NaN or out-of-band value

@@ -22,7 +22,11 @@ and pi prefactor in one vector operation.  Each coefficient is a
 product W[i, s] W[j, s] of the weighted table W = sqrt(w) chi, whose
 entries are at most 1 in size on a normalized measure
 (sum_s W[i, s]^2 <= 1), so by Cauchy-Schwarz |c_s| <= 1 and no
-product overflows.
+product overflows.  Its rows are a measure's eigenvectors, or else its
+Lanczos rows, each certified by the recurrence coefficients Lanczos
+recovers (spectral._lanczos): a site whose row is not certified
+raises NumericError, naming the site and the certificate, before any
+kernel pass.
 
 Per-entry calls keep one record per kind on the measure itself (a call
 is classical exactly when it carries pi): the rates of the last call,
@@ -32,10 +36,12 @@ came from the rates, and one payload for its times:
 
 - a stack of whole rows when n S T <= 2**14 for n sites, S nodes and T
   times: the rows of k = floor(2**14 / (n S T)) sources around i from
-  :func:`_rows`, checked once when made (each entry of a classical
-  stack against the probability band), so a hit is a key compare, a
-  copy and a wrap, and only the P entries that failed go through the
-  checking constructor, each raising as it would alone;
+  :func:`_rows`, over every target whose row is certified (all of them
+  on a measure with its eigenvectors), checked once when made (each
+  entry of a classical stack against the probability band), so a hit
+  is a key compare, a copy and a wrap, and only the P entries that
+  failed go through the checking constructor, each raising as it would
+  alone;
 - else, for an entry evaluated alone, its (T, S) phase table
   e^{z x_s t}, when the measure carries its eigenvectors (a table or a
   closed form, no quadrature rule) and 2 T <= n: later entries on the
@@ -57,7 +63,6 @@ gives.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +71,8 @@ import scipy.linalg
 from .jacobi_core import (BOUNDARIES, BirthDeathRates, GeneratorMatrix, JacobiOperator,
                           PiCoefficients, _gather, _pi_of, symmetrize)
 from .errors import DomainError, NumericError, UsageError, _integer
-from .spectral import (_SITE_TAIL_TOL, SpectralMeasure, _carries_eigenvectors, _site_deficits,
-                       _weighted_rows, chi_table_scaled)
+from .spectral import (SpectralMeasure, _carries_eigenvectors, _lanczos_rows,
+                       _weighted_rows)
 
 __all__ = [
     "ProbabilitySeries",
@@ -173,39 +178,6 @@ def _check_times(times: np.ndarray, classical: bool) -> None:
         raise UsageError("times must be finite (NaN or inf given)")
 
 
-def _chi_product_coefficients(measure: SpectralMeasure, sources: range, targets):
-    """Nodes x_s and coefficients c_s = w_s chi_i(x_s) chi_j(x_s) of the
-    sources i (a nonempty range) and the targets j (a nonempty range or
-    sequence of ints), sites of the measure that its callers have checked,
-    shaped (len(sources), len(targets), S), as c_s = W[i, s] W[j, s] on
-    the table W = sqrt(w) chi.
-
-    Eigendecomposed measures carry their orthonormal W, whose rows
-    spectral._weighted_rows reads (a closed-form measure computes just
-    these rows); this keeps the sum-rule identities (rows of P,
-    unitarity) at eigensolver accuracy even for chains whose chi
-    recurrence is unstable at edge nodes.  Every other measure takes W
-    from the weighted recurrence, and a source or target row whose
-    deficit 1 - sum_s W[i, s]^2 is below -1e-10 (or NaN) raises
-    NumericError: the recurrence lost that row's value.
-    """
-    x, w = measure.nodes_and_weights()
-    if _carries_eigenvectors(measure):
-        return x, _weighted_rows(measure, sources)[:, None] * _weighted_rows(measure, targets)
-    # a range reads the table by a slice; a list indexes rows, where a tuple would index axes
-    rows = slice(targets.start, targets.stop) if isinstance(targets, range) else list(targets)
-    last = max(sources.stop - 1, rows.stop - 1 if isinstance(rows, slice) else max(rows))
-    table = chi_table_scaled(measure.jacobi, last, x, w)
-    used = np.r_[sources.start:sources.stop, rows]
-    deficits = _site_deficits(table[used])
-    worst = int(np.argmin(deficits))
-    if not deficits[worst] >= -_SITE_TAIL_TOL:  # NaN fails
-        raise NumericError(
-            f"site {used[worst]}: deficit 1 - sum_s W[i, s]^2 = {deficits[worst]:.3e} "
-            f"below -{_SITE_TAIL_TOL:g}; the chi recurrence lost its value there")
-    return x, table[sources.start:sources.stop, None] * table[rows]
-
-
 def _spectral_sum(x, coeff, times, z, table=None):
     """values[..., k] = sum_s coeff[..., s] * exp(z * x[s] * times[k]),
     shaped coeff.shape[:-1] + times.shape: coeff is one row of S
@@ -302,8 +274,16 @@ def _rows(measure: SpectralMeasure, sources: range, targets, times: np.ndarray,
     block of phases, or the rows of a table of the measure's phases over
     these times (a payload :func:`_entry` keeps).  Every finished P_ij
     and f_ij is made here, and an entry is the same double in any stack,
-    with or without a table."""
-    x, coeff = _chi_product_coefficients(measure, sources, targets)
+    with or without a table.
+
+    The coefficients c_s = w_s chi_i(x_s) chi_j(x_s) are the products
+    W[i, s] W[j, s] of the rows of W = sqrt(w) chi that
+    spectral._weighted_rows reads: an eigendecomposed measure's
+    eigenvectors (a closed-form measure computes just these rows), any
+    other measure's certified Lanczos rows, where a site past them
+    raises NumericError before the kernel runs."""
+    x = measure.nodes_and_weights()[0]
+    coeff = _weighted_rows(measure, sources)[:, None] * _weighted_rows(measure, targets)
     z = -1j if pi is None else -1.0
     rows = _spectral_sum(x, coeff, times, z, table)
     if pi is not None:
@@ -325,11 +305,15 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     sources [i0, i0 + k) holding i, k = _BLOCK_TERMS // (n S T), are
     evaluated and kept as its payload, with each entry's verdict: one
     _in_band over a P stack, and one per entry only when that fails.  A
-    larger entry, or one whose stack holds a row the recurrence lost, is
-    evaluated alone; when the measure carries its eigenvectors
-    (spectral._carries_eigenvectors) and n >= 2 T sites for T >= 1
-    times, the (T, S) phases :func:`_phase_blocks` makes in one block
-    are its payload, which later such entries reduce their rows against.
+    stack holds only rows _weighted_rows serves, so on a measure without
+    its eigenvectors its sources and targets are the certified rows
+    (spectral._lanczos_rows), and an entry past them raises
+    NumericError before any kernel pass.  A larger entry is evaluated
+    alone; when the measure carries its eigenvectors
+    (spectral._carries_eigenvectors) with no quadrature rule and n >= 2 T
+    sites for T >= 1 times, the (T, S) phases :func:`_phase_blocks`
+    makes in one block are its payload, which later such entries reduce
+    their rows against.
     """
     key = (times.shape, times.tobytes())
     last = measure._entries.get(rates is not None)
@@ -344,33 +328,30 @@ def _entry(measure: SpectralMeasure, i: int, j: int, times: np.ndarray,
     size = measure.jacobi.size
     _check_sites(size, i, j)
     if same and not last[3]:
-        # no stack for these times: a large entry, or a stack that lost a
-        # row (for this pair and these times, for good: not retried)
+        # no stack for these times: a large entry
         return _rows(measure, range(i, i + 1), [j], times, pi, last[5])[0, 0, ...], False
     # a hit skips this: a record's key holds only times that passed
     _check_times(times, rates is not None)
     x = measure.nodes_and_weights()[0]
     per_row = size * x.size * times.size
-    payload = None
-    # a stack holds every row as a target, so a row the recurrence lost
-    # fails it, and then only the entries that use that row
-    if per_row <= _BLOCK_TERMS:
+    held = (0 if per_row > _BLOCK_TERMS else size if _carries_eigenvectors(measure)
+            else len(_lanczos_rows(measure, size)[0]))
+    if max(i, j) < held:
         k = _BLOCK_TERMS // max(per_row, 1)
-        sources = range(i - i % k, min(i - i % k + k, size))
-        with contextlib.suppress(NumericError):
-            payload = _rows(measure, sources, range(size), times, pi)
-    if payload is None:
-        sources, passed, ok = range(0), [], False
-        if _carries_eigenvectors(measure) and 0 < 2 * times.size <= size:
-            flat = times.reshape(-1)
-            payload = next(_phase_blocks(x, -1j if pi is None else -1.0, flat, flat.size))
-        values = _rows(measure, range(i, i + 1), [j], times, pi, payload)[0, 0, ...]
-    else:
+        sources = range(i - i % k, min(i - i % k + k, held))
+        payload = _rows(measure, sources, range(held), times, pi)
         # the row lists are only read, so one list may serve every row
-        passed = ([[True] * size] * len(sources) if pi is None or _in_band(payload)
+        passed = ([[True] * held] * len(sources) if pi is None or _in_band(payload)
                   else _band(payload).all(axis=tuple(range(2, payload.ndim))).tolist())
         row = i - sources.start
         values, ok = payload[row, j, ...].copy(), passed[row][j]
+    else:
+        sources, passed, ok, payload = range(0), [], False, None
+        if (_carries_eigenvectors(measure) and measure.quad_points is None
+                and 0 < 2 * times.size <= size):
+            flat = times.reshape(-1)
+            payload = next(_phase_blocks(x, -1j if pi is None else -1.0, flat, flat.size))
+        values = _rows(measure, range(i, i + 1), [j], times, pi, payload)[0, 0, ...]
     measure._entries[rates is not None] = (rates, key, pi, sources, passed, payload)
     return values, ok
 
@@ -448,7 +429,14 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
     times : array_like
         Nonnegative, finite time grid, else UsageError.
 
-    Every P returned holds no NaN and lies in [-1e-6, 1 + 1e-6], else NumericError.
+    Every P returned holds no NaN and lies in [-1e-6, 1 + 1e-6], else
+    NumericError.  On a measure that does not carry its eigenvectors
+    (Meixner, sc and directly built measures), chi_i is read
+    from the measure's Lanczos rows, whose certificate is the cumulative
+    mismatch of the recurrence coefficients Lanczos recovers against the
+    operator's own, relative to its scale: a site i or j whose
+    certificate exceeds 1e-10 raises NumericError naming the site and
+    the certificate.
     """
     i, j = _integer("i", i), _integer("j", j)
     times_arr = np.asarray(times, dtype=float)
@@ -463,9 +451,15 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
 
     The sign convention is f(t) = exp(-iJt), so the spectral kernel is
     e^{-i x t} and f_ij(-t) = conj(f_ij(t)).  Unlike P, f is not checked
-    against [-1e-6, 1 + 1e-6]; a lost chi row raises NumericError, and
-    a site i or j that is not a site of the operator (2.7, 2.0, "1",
-    None, -1, N) or a NaN or infinite time raises UsageError.
+    against [-1e-6, 1 + 1e-6].  A site i or j that is not a site of the
+    operator (2.7, 2.0, "1", None, -1, N) or a NaN or infinite time
+    raises UsageError.  On a measure that does not carry its
+    eigenvectors (Meixner, sc and directly built measures),
+    chi_i is read from the measure's Lanczos rows, whose certificate is
+    the cumulative mismatch of the recurrence coefficients Lanczos
+    recovers against the operator's own, relative to its scale: a site
+    whose certificate exceeds 1e-10 is past the certified rows and
+    raises NumericError naming the site and the certificate.
     """
     i, j = _integer("i", i), _integer("j", j)
     times_arr = np.asarray(times, dtype=float)

@@ -12,8 +12,8 @@ regimes follow from the measure type:
     return of either kind.
 
 The masses of dmu_i are the products W[i, s]^2 = w_s chi_i(x_s)^2 that
-dynamics._chi_product_coefficients gives for f_ii, from one weighted
-table W for both.
+dynamics._rows sums for f_ii, from one row of the weighted table W
+(spectral._weighted_rows) for both.
 
 Floating-point spectra are never exactly commensurate, so lattice
 detection is a tolerance-and-cap policy (documented at
@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_sites, _check_times, _chi_product_coefficients, _spectral_sum
+from .dynamics import _check_sites, _check_times, _spectral_sum
 from .errors import UsageError, _integer
 from .jacobi_core import JacobiOperator
-from .spectral import SpectralMeasure, _check_finite
+from .spectral import SpectralMeasure, _check_finite, _weighted_rows
 
 __all__ = [
     "ReturnVerdict",
@@ -105,6 +105,14 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
     are left as computed (no renormalization) so the 1e-12 mass invariant
     stays a real check on the polynomial table.  ``j_op`` must equal the
     measure's operator and i an integer site of it (not 2.7 or 2.0), else UsageError.
+
+    On a measure that does not carry its eigenvectors (Meixner, sc
+    and directly built measures), the row of site i is a
+    Lanczos row, whose certificate is the cumulative mismatch of the
+    recurrence coefficients Lanczos recovers against the operator's own,
+    relative to its scale: a site whose certificate exceeds 1e-10 is past
+    the certified rows and raises NumericError naming the site and the
+    certificate.
     """
     own = measure.jacobi
     if not (np.array_equal(j_op.b, own.b) and np.array_equal(j_op.j, own.j)):
@@ -113,7 +121,7 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
     _check_sites(own.size, i)
     if i == 0:
         return measure
-    coeff = _chi_product_coefficients(measure, range(i, i + 1), [i])[1][0, 0]
+    coeff = _weighted_rows(measure, [i])[0] ** 2
     n_atoms = len(measure.points)
     return SpectralMeasure(
         jacobi=own, points=measure.points, masses=coeff[:n_atoms],

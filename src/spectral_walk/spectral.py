@@ -21,9 +21,10 @@ that form on the measure, 2(n+1) sines and n wave numbers, instead of an
 n x n table: :func:`_weighted_rows` computes the rows a call reads, and
 the table, within about 1e-12 of the LAPACK one, is built only when
 ``weighted_chi`` is read.  The Gauss quadrature of the continuous
-uniform chain (chain_families) takes its nodes from the same closed
-form, :func:`_constant_points`, so both spectra are exactly mirrored
-about 0.
+uniform chain (chain_families) is the eigen-measure of the chain sized
+to it (Golub-Welsch): :func:`_constant_gauss_rule` takes its nodes from
+the same closed form, :func:`_constant_points`, so both spectra are
+exactly mirrored about 0, and keeps the closed form of its rows.
 
 An operator with a zero diagonal whose couplings read the same
 reversed (persymmetric, as the perfect-transfer chain is) is still
@@ -32,12 +33,21 @@ even size one block gives both, and the points are exactly mirrored
 about 0 too.  Any other operator takes one full-size LAPACK solve.
 
 The polynomials are evaluated as one weighted table W[i, s] =
-sqrt(w_s) chi_i(x_s) at the nodes x_s with weights w_s: the eigenvector
-matrix for an eigendecomposed measure (:func:`_carries_eigenvectors`),
-read row by row through :func:`_weighted_rows`, the three-term
-recurrence seeded with W_0 = sqrt(w) for any other.  On a normalized
-measure sum_s W[i, s]^2 <= 1, so every entry is at most 1 in size, and
-the coefficients w_s chi_i(x_s) chi_j(x_s) are products W[i, s] W[j, s].
+sqrt(w_s) chi_i(x_s) at the nodes x_s with weights w_s, read row by row
+through :func:`_weighted_rows`: the eigenvectors of a measure that
+carries them (:func:`_carries_eigenvectors`), and for any other measure
+the rows that Lanczos on diag(x) from sqrt(w) builds (:func:`_lanczos`;
+Gragg & Harrod, Numer. Math. 44, 1984).  Those rows are the orthonormal
+polynomials of the measure as given, orthonormal to roundoff, and the
+recurrence coefficients (alpha_i, beta_i) that Lanczos recovers certify
+them against the operator's own (B_i, J_i): row i is sqrt(w) chi_i
+exactly when the coefficients that build it match.  Its certificate is the
+cumulative mismatch of those coefficients relative to the operator's
+scale; a row whose certificate exceeds _CERTIFICATE_TOL = 1e-10 is not
+certified, nor is any later row, and reading it raises NumericError.
+On a normalized measure sum_s W[i, s]^2 <= 1, so every entry is at most
+1 in size, and the coefficients w_s chi_i(x_s) chi_j(x_s) are products
+W[i, s] W[j, s].
 """
 
 from __future__ import annotations
@@ -56,9 +66,8 @@ __all__ = [
     "eigendecompose",
 ]
 
-# scale of a site deficit (see _site_deficits) that is roundoff or an
-# accepted truncation tail, not a lost value
-_SITE_TAIL_TOL = 1e-10
+# largest certificate of a certified Lanczos row (see _lanczos)
+_CERTIFICATE_TOL = 1e-10
 
 
 def _check_finite(name: str, values: np.ndarray) -> None:
@@ -76,7 +85,8 @@ class _ClosedFormTable:
         if measure is None:
             return None  # the field's default
         fields = measure.__dict__
-        if fields["weighted_chi"] is None and measure._closed_form is not None:
+        if (fields["weighted_chi"] is None and measure._closed_form is not None
+                and measure.quad_points is None):
             table = _closed_form_table(*measure._closed_form)
             table.setflags(write=False)
             fields["weighted_chi"] = table
@@ -110,15 +120,13 @@ class SpectralMeasure:
     weighted_chi : ndarray or None
         Table W[i, s] = sqrt(M_s) chi_i(x_s), present when the atoms are
         the operator's own eigenvalues (it is then the sign-fixed
-        eigenvector matrix).  :func:`chi_table_scaled` builds the same W
-        by recurrence for every other measure.  Forward recurrence
-        through a recessive regime can lose all relative accuracy at
-        edge nodes of ill-conditioned chains, while this table is
-        orthonormal by construction, so coefficient products at the
-        atoms prefer it.  On a closed-form measure (a constant operator
-        from :func:`eigendecompose`) the table is built on first read
-        and kept; evaluation never reads it, it reads rows through
-        :func:`_weighted_rows`.
+        eigenvector matrix), and then read by evaluation.  On a
+        closed-form measure (a constant operator from
+        :func:`eigendecompose`) it is built on first read and kept;
+        evaluation never reads it, it reads rows through
+        :func:`_weighted_rows`.  Any other measure has none: evaluation
+        reads its certified Lanczos rows (see :func:`_lanczos`),
+        and a site past them raises NumericError.
     """
 
     jacobi: JacobiOperator
@@ -129,6 +137,8 @@ class SpectralMeasure:
     weighted_chi: np.ndarray | None = _ClosedFormTable()
     # (sines, wave numbers) of a constant operator's table, see _constant_chain
     _closed_form: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # (table, count, certificate) of the Lanczos rows read, see _lanczos_rows
+    _lanczos: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,8 +183,9 @@ class SpectralMeasure:
 
     def __getstate__(self):
         """Pickles and copies start with no per-entry records (see
-        dynamics._entry), and a closed-form measure's with its table unbuilt."""
-        state = {**vars(self), "_entries": {}}
+        dynamics._entry) and no Lanczos rows, and a closed-form measure's
+        with its table unbuilt."""
+        state = {**vars(self), "_entries": {}, "_lanczos": None}
         if self._closed_form is not None:
             state["weighted_chi"] = None
         return state
@@ -259,44 +270,146 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     if (b == b[0]).all() and (e == c).all():
         vals, sines, k = _constant_chain(b[0], c, b.size)
         closed_form = (sines, k)
-        row0 = sines[k]  # (0 + 1) k_s mod 2(n+1) is k_s
     elif not b.any() and np.array_equal(e, e[::-1]):
         vals, table = _mirrored_chain(e)
-        row0 = table[0, :]
     else:
         vals, table = _eigh(b, e)
-        row0 = table[0, :]
-    masses = row0 ** 2
-    masses = masses / masses.sum()
-    measure = SpectralMeasure(jacobi=j_op, points=vals, masses=masses, weighted_chi=table)
+    # row 0 of a closed form: (0 + 1) k_s mod 2(n+1) is k_s
+    masses = (sines[k] if table is None else table[0, :]) ** 2
+    measure = SpectralMeasure(jacobi=j_op, points=vals, masses=masses / masses.sum(),
+                              weighted_chi=table)
     if closed_form is not None:
         object.__setattr__(measure, "_closed_form", closed_form)
     return measure
 
 
 def _carries_eigenvectors(measure: SpectralMeasure) -> bool:
-    """Whether the measure's atoms are its operator's eigenvalues and it
-    carries their eigenvectors, as a table or a closed form, with no
-    quadrature rule: then :func:`_weighted_rows` reads its rows, and no
-    recurrence is needed."""
-    return measure.quad_points is None and (
-        measure.__dict__["weighted_chi"] is not None or measure._closed_form is not None)
+    """Whether the measure's nodes are its operator's eigenvalues and it
+    carries their eigenvectors: a table of its atoms with no quadrature
+    rule, or a closed form (of an eigendecomposed constant chain, or of
+    :func:`_constant_gauss_rule`).  Then :func:`_weighted_rows` reads its
+    rows from them, and every row is exact to the eigensolver's
+    accuracy."""
+    return measure._closed_form is not None or (
+        measure.quad_points is None and measure.__dict__["weighted_chi"] is not None)
+
+
+def _constant_gauss_rule(j_op: JacobiOperator) -> SpectralMeasure:
+    """The continuous measure of the m-site operator j_op with every
+    diagonal entry a and every coupling c under the order-m Gauss rule of
+    its semicircle density: nodes a + 2c cos(k_s pi/(m+1))
+    (:func:`_constant_points`) and weights (2/(m+1)) sin^2(k_s pi/(m+1)),
+    k_s = m, ..., 1.
+
+    By Golub-Welsch that rule is the eigen-measure of j_op, so the
+    measure keeps the closed form of its table (:func:`_constant_chain`)
+    and evaluation reads its rows as it does an eigendecomposed constant
+    chain's, at any site for the cost of the rows read, with no Lanczos
+    rows.  The form's sines are taken from the weights, sqrt(w_s) =
+    sqrt(2/(m+1)) |sin(k_s pi/(m+1))|, each within an ulp of
+    :func:`_constant_chain`'s, so row 0 is sqrt(w) itself."""
+    m = j_op.size
+    k = np.arange(m, 0, -1)
+    weights = (2.0 / (m + 1)) * np.sin(k * math.pi / (m + 1)) ** 2
+    measure = SpectralMeasure.continuous(_constant_points(j_op.b[0], j_op.j[0], m), weights, j_op)
+    # sqrt(2/(m+1)) sin(r pi/(m+1)), r = 0..2m+1: weight s gives r = k_s
+    root = np.sqrt(measure.quad_weights[::-1])
+    sines = np.concatenate(([0.0], root, [0.0], -root))
+    sines.setflags(write=False)
+    k.setflags(write=False)
+    object.__setattr__(measure, "_closed_form", (sines, k))
+    return measure
 
 
 def _weighted_rows(measure: SpectralMeasure, sites) -> np.ndarray:
-    """Rows W[i, :] of the eigenvector table of a measure that
-    :func:`_carries_eigenvectors`, for the sites i (a range or a
-    sequence of ints, checked by the caller), shaped (len(sites), S).
-    A stored table is read (a range as a slice, a view); a closed form
-    gives sines[(i+1) k_s mod 2(n+1)], the same doubles as the rows of
-    its table, and never builds the table."""
+    """Rows W[i, :] of the measure's weighted table for the sites i (a
+    nonempty range or sequence of ints, sites of the operator checked by
+    the caller), shaped (len(sites), S).
+
+    A measure that :func:`_carries_eigenvectors` reads a stored table
+    (a range as a slice, a view), or from a closed form computes
+    sines[(i+1) k_s mod 2(n+1)], the same doubles as the rows of its
+    table, and never builds the table.  Any other measure reads its
+    certified Lanczos rows (:func:`_lanczos_rows`), and a site past them
+    raises NumericError naming the site and the certificate."""
     # a list indexes rows, where a tuple would index axes
     rows = slice(sites.start, sites.stop) if isinstance(sites, range) else list(sites)
-    table = measure.__dict__["weighted_chi"]
+    if _carries_eigenvectors(measure):
+        table = measure.__dict__["weighted_chi"]
+    else:
+        table, certificate = _lanczos_rows(measure, max(sites) + 1)
+        if len(table) <= max(sites):
+            raise NumericError(
+                f"site {min(s for s in sites if s >= len(table))}: certificate "
+                f"{certificate:.3e} of row {len(table)} is above {_CERTIFICATE_TOL:g}")
     if table is not None:
         return table[rows]
     sines, k = measure._closed_form
     return sines[_sine_index(sines, k, np.arange(k.size)[rows])]
+
+
+def _lanczos_rows(measure: SpectralMeasure, stop: int) -> tuple[np.ndarray, float | None]:
+    """The certified Lanczos rows 0..stop-1 of a measure that does not
+    carry its eigenvectors, fewer when one is not certified, and the
+    certificate of the first row that is not (row len(rows)), or None.
+
+    The measure keeps its rows as (table, count, certificate) and grows
+    them by :func:`_lanczos` only when a call asks for more and no row
+    has failed; the table's capacity at least doubles when it grows, so
+    reading rows one site at a time copies O(K S) doubles in all."""
+    x, w = measure.nodes_and_weights()
+    table, count, certificate = measure._lanczos or (np.sqrt(w)[None, :], 1, None)
+    if certificate is None and count < stop:
+        if len(table) < stop:  # rows past count are made before they are read
+            table = np.resize(table, (max(stop, min(2 * len(table), measure.jacobi.size)), x.size))
+        count, certificate = _lanczos(x, table, count, measure.jacobi, stop)
+        object.__setattr__(measure, "_lanczos", (table, count, certificate))
+    return table[:count], certificate
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # NaN is not certified
+def _lanczos(x: np.ndarray, table: np.ndarray, count: int, j_op: JacobiOperator,
+             stop: int) -> tuple[int, float | None]:
+    """Fill rows count..stop-1 of ``table`` (stop rows or more, its rows
+    0..count-1 certified, row 0 sqrt(w)) in place with the rows of
+    W[i, s] = sqrt(w_s) p_i(x_s), p_i the orthonormal polynomials of the
+    nodes x with weights w, that j_op certifies; return how many rows
+    are certified and the certificate of the first that is not, or None.
+
+    The rows come from Lanczos on diag(x) from sqrt(w) with full
+    reorthogonalization (Gragg & Harrod, Numer. Math. 44, 1984;
+    Gautschi, Orthogonal Polynomials, OUP 2004, section 2.2.3), one at
+    a time.  Every row has the norm ||sqrt(w)|| of row 0, as the rows
+    sqrt(w) chi_i have on a full support.  Row i is made from the
+    coefficients alpha_k = <W_k, x W_k> / ||sqrt(w)||^2 of the rows
+    k < i and the norms beta_k of the residuals that give rows 1..i, and
+    it is sqrt(w) chi_i exactly when those match B_k and J_k of j_op.
+    Its certificate is their cumulative mismatch relative to the
+    operator's scale,
+
+        max over 1 <= k <= i of max(|alpha_{k-1} - B_{k-1}|, |beta_k - J_k|) / s_k,
+
+    with s_k the largest |B| and J that rows 0..k read.  Row i is
+    certified while that is at most _CERTIFICATE_TOL (NaN is not), and
+    row 0, which no coefficient makes, always is.  A breakdown, beta_i =
+    0 (fewer nonzero weights than rows), leaves row i uncertified.  No
+    row past the first uncertified one is made, and the certificate
+    reported for that row is its own mismatch, the earlier ones being
+    smaller.
+    """
+    norm2 = table[0] @ table[0]
+    for i in range(count, stop):
+        residual = x * table[i - 1]
+        alpha = table[i - 1] @ residual / norm2
+        for _ in range(2):  # twice is enough (Parlett, SIAM 1998, section 6.9)
+            residual -= (table[:i] @ residual / norm2) @ table[:i]
+        beta = np.sqrt(residual @ residual / norm2)
+        scale = max(np.abs(j_op.b[:i]).max(), j_op.j[:i].max())
+        certificate = np.maximum(abs(alpha - j_op.b[i - 1]), abs(beta - j_op.j[i - 1])) / scale
+        if not (certificate <= _CERTIFICATE_TOL and beta > 0.0):  # NaN fails
+            return i, float(certificate)
+        table[i] = residual / beta
+    return stop, None
 
 
 def _eigh(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -459,13 +572,15 @@ def _constant_points(a: float, c: float, n: int) -> np.ndarray:
 def chi_table_scaled(j_op: JacobiOperator, n: int, x, w):
     """Rows 0..n of W[i, s] = sqrt(w_s) chi_i(x_s), shape (n+1, len(x)),
     for nodes x and nonnegative weights w (scalars or arrays of the
-    same length).
+    same length), by the forward three-term recurrence.
 
-    The three-term recurrence is linear, so seeding it with
-    W_0 = sqrt(w) instead of 1 carries the weight through every degree.
-    Under a normalized measure sum_s W[i, s]^2 <= 1, so no entry needs
-    rescaling, and a zero weight gives an exact zero column however
-    large chi_i grows there.  With w = 1 the rows are chi_i itself.
+    The recurrence is linear, so seeding it with W_0 = sqrt(w) instead
+    of 1 carries the weight through every degree, and a zero weight
+    gives an exact zero column however large chi_i grows there.  With
+    w = 1 the rows are chi_i itself.  Forward recursion loses a row past
+    an atom's turning point (Gautschi, SIAM Rev. 9, 1967), so no
+    evaluation path reads this table: it serves as an independent
+    reference, and :func:`_weighted_rows` reads certified Lanczos rows.
     """
     if n < 0:
         raise UsageError(f"polynomial index {n} is negative")
@@ -484,12 +599,3 @@ def chi_table_scaled(j_op: JacobiOperator, n: int, x, w):
             table[i + 1] = ((flat - b[i]) * table[i] - j[i - 1] * table[i - 1]) / j[i]
     return table
 
-
-def _site_deficits(table: np.ndarray) -> np.ndarray:
-    """d_i = 1 - sum_s W[i, s]^2 for each row i of a weighted table W:
-    the mass of site i's modified measure that the nodes leave out, 0 on
-    the full support.  Below -_SITE_TAIL_TOL no truncation explains it:
-    the forward recurrence lost row i in its recessive regime.  A square
-    beyond the double range gives -inf, which says the same, unwarned."""
-    with np.errstate(over="ignore"):
-        return 1.0 - (table * table).sum(axis=1)

@@ -24,6 +24,7 @@ from spectral_walk import (
     ConfigurationError,
     NumericError,
     ProbabilitySeries,
+    SpectralMeasure,
     UsageError,
     characteristic,
     classical_transition,
@@ -199,11 +200,11 @@ def test_integer_counts_of_any_integer_type_build_the_same_chain():
 
 
 def test_a_bad_time_takes_precedence_over_a_lost_row():
-    # the sc-d chain at k = 0.01 and s_max = 60 loses its recurrence row at
-    # site 16: a finite time gets the row's NumericError, a NaN time the
-    # argument's UsageError, which is checked first
-    _, measure = stieltjes_carlitz_chain("D", 0.01, s_max=60)
-    with pytest.raises(NumericError, match="site 16"):
+    # the sc-d chain at k = 0.01 and s_max = 9 certifies its Lanczos rows
+    # up to site 14: at site 16 a finite time gets the row's NumericError,
+    # a NaN time the argument's UsageError, which is checked first
+    _, measure = stieltjes_carlitz_chain("D", 0.01, s_max=9)
+    with pytest.raises(NumericError, match="site 16: certificate"):
         quantum_amplitude(measure, 16, 0, np.array([1.0]))
     with pytest.raises(UsageError, match="times must be finite"):
         quantum_amplitude(measure, 16, 0, np.array([np.nan]))
@@ -211,12 +212,14 @@ def test_a_bad_time_takes_precedence_over_a_lost_row():
 
 def test_full_row_targets_give_the_rows_of_their_list(rng):
     # a range of targets reads the weighted table by a slice: the same
-    # bits as the list of its sites, with and without the recurrence
+    # bits as the list of its sites, from eigenvectors, from a closed form
+    # and from Lanczos rows (the same rule built directly)
     rates = random_rates(rng, sites=9)
     rows = spectral_walk.dynamics._rows
     pi = pi_coefficients(rates)
-    for measure, p in ((eigendecompose(symmetrize(rates)), pi),
-                       (uniform_chain(quad_order=9)[1], None)):
+    rule = uniform_chain(quad_order=9)[1]
+    direct = SpectralMeasure.continuous(rule.quad_points, rule.quad_weights, rule.jacobi)
+    for measure, p in ((eigendecompose(symmetrize(rates)), pi), (rule, None), (direct, None)):
         size = measure.jacobi.size
         for sources in (range(0, 3), range(4, size)):
             assert same_bits(rows(measure, sources, range(size), TIMES, p),

@@ -8,6 +8,7 @@ well below the stated tolerances.
 from __future__ import annotations
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -41,7 +42,7 @@ from spectral_walk import (
     uniform_chain,
 )
 from spectral_walk.dynamics import _spectral_sum
-from spectral_walk.spectral import chi_table_scaled
+from spectral_walk.spectral import _weighted_rows, chi_table_scaled
 
 from conftest import plain_chi
 
@@ -400,38 +401,38 @@ def test_sc_small_modulus_far_atoms_get_zero_mass_without_warning(variant):
     # at k = 0.01 the nome is ~6e-6, so q^-s leaves the double range
     # near |s| = 57: those atoms get the exact mass 0 (no overflow
     # warning under the suite's error filter), and their weighted-table
-    # columns are exact zeros.  No truncation certificate covers a far
-    # site, and there the recurrence lost its value (1 - sum_s W^2 is
-    # about -1e198), so its amplitude raises instead of returning a
-    # finite number with no accuracy
+    # columns are exact zeros.  The Lanczos rows certify sites up to 109
+    # (C) or 110 (D), and no further: the far site's amplitude raises,
+    # naming its certificate, instead of returning a finite number with
+    # no accuracy
     j_op, measure = stieltjes_carlitz_chain(variant, 0.01, s_max=60)
     zero = measure.masses == 0.0
     assert zero.any() and (measure.masses >= 0.0).all()
     assert abs(measure.total_mass - 1.0) < 1e-14
-    table = chi_table_scaled(j_op, j_op.size - 1, measure.points, measure.masses)
-    assert not table[:, zero].any()
+    assert not _weighted_rows(measure, range(100))[:, zero].any()
     t = np.linspace(0.0, 10.0, 11)
     far = j_op.size - 1
-    with pytest.raises(NumericError, match=f"site {far}: deficit"):
+    with pytest.raises(NumericError, match=f"site {far}: certificate"):
         quantum_amplitude(measure, far, far, t)
 
 
 def test_rows_the_recurrence_lost_raise_wherever_they_are_used():
-    # sc-d at k = 0.01 with s_max = 60 loses sites 13, 15, 16, ...; at
-    # site 120, 1 - sum_s W^2 = -1.4e198
+    # the forward recurrence lost sites 13, 15, 16, ... of sc-d at
+    # k = 0.01 with s_max = 60; the Lanczos rows certify sites 0 to 110,
+    # and row 111's certificate is 3.6e-10, so site 120 raises
     j_op, measure = stieltjes_carlitz_chain("D", 0.01, s_max=60)
     t = np.array([0.0, 1.0])
-    with pytest.raises(NumericError, match=r"site 120: deficit .* = -1\.4\d*e\+198"):
+    with pytest.raises(NumericError, match=r"site 120: certificate 3\.56\de-10 of row 111 "):
         quantum_amplitude(measure, 120, 120, t)
-    with pytest.raises(NumericError, match="site 120"):
+    with pytest.raises(NumericError, match="site 120: certificate"):
         quantum_amplitude(measure, 0, 120, t)
-    with pytest.raises(NumericError, match="site 120"):
+    with pytest.raises(NumericError, match="site 120: certificate"):
         modified_measure(measure, j_op, 120)
-    # the Meixner chain of beta = 1, c = 0.5 loses sites 121 to 159
+    # the Meixner chain of beta = 1, c = 0.5 certifies sites 0 to 17
     rates, _, meixner = meixner_chain(1.0, 0.5)
-    with pytest.raises(NumericError, match="site 159"):
+    with pytest.raises(NumericError, match="site 159: certificate"):
         quantum_amplitude(meixner, 159, 159, t)
-    with pytest.raises(NumericError, match="site 159"):
+    with pytest.raises(NumericError, match="site 159: certificate"):
         classical_transition(meixner, rates, 0, 159, t)
 
 
@@ -443,12 +444,14 @@ def test_rows_the_recurrence_lost_raise_wherever_they_are_used():
 ], ids=["meixner-1-0.25", "meixner-2.5-0.5", "sc-c-0.01", "sc-d-0.01", "sc-c-0.9", "sc-d-0.5",
         "uniform-256"])
 def test_sites_up_to_10_of_default_builds_keep_their_values(build):
-    # the sc builds at k = 0.01 lose their sites from 12 or 13 on, inside
-    # the stacks per-entry calls would take: an entry of sites <= 10 is
-    # still the plain product sum of its two table rows, not a refusal
+    # every entry of sites <= 10, from a stack or alone, is the plain
+    # product sum of its two held rows (Lanczos rows, or the closed form
+    # of the continuous uniform), and row 0 is sqrt(w) itself, so site-0
+    # values keep their bytes
     measure = build()
     x, w = measure.nodes_and_weights()
-    table = chi_table_scaled(measure.jacobi, 10, x, w)
+    table = _weighted_rows(measure, range(11))
+    assert table[0].tobytes() == np.sqrt(w).tobytes()
     t = np.array([0.0, 0.7, 2 * math.pi])
     for i in range(11):
         for j in (0, 3, i, 10):
@@ -462,6 +465,60 @@ def test_sc_orthonormality_to_degree_10():
         table = chi_table_scaled(j_op, 10, measure.points, measure.masses)
         gram = table @ table.T
         assert np.max(np.abs(gram - np.eye(11))) < 1e-8
+
+
+def sc_oracle_amplitudes(variant, k, sites, times, s_far=60):
+    """f_ij(t) of the semi-infinite sc chain for i, j < sites, shaped
+    (sites, sites, len(times)), from its exact spectral measure at 80
+    digits: K, the nome and the atoms with their masses for |s| <= s_far
+    (the masses left out are below q^s_far), and chi_i by the three-term
+    recurrence, which loses nothing at 80 digits."""
+    with mpmath.workdps(80):
+        kk = mpmath.mpf(k)
+        K = mpmath.ellipk(kk ** 2)
+        q = mpmath.exp(-mpmath.pi * mpmath.ellipk(1 - kk ** 2) / K)
+        # C: atoms (pi/2K)(2s+1), s = -s_far..s_far-1; D: pi s/K, s = -s_far..s_far
+        half = ([s + mpmath.mpf(0.5) for s in range(-s_far, s_far)] if variant == "C"
+                else [mpmath.mpf(s) for s in range(-s_far, s_far + 1)])
+        x = [mpmath.pi / K * h for h in half]
+        raw = [1 / (q ** h + q ** -h) for h in half]
+        total = mpmath.fsum(raw)
+        w = [r / total for r in raw]
+
+        def coupling(n):
+            return kk * n if (n % 2 == 0) == (variant == "C") else mpmath.mpf(n)
+
+        chi = [[mpmath.mpf(1)] * len(x), [xs / coupling(1) for xs in x]]
+        for i in range(1, sites - 1):
+            chi.append([(xs * c - coupling(i) * p) / coupling(i + 1)
+                        for xs, c, p in zip(x, chi[i], chi[i - 1])])
+        out = np.empty((sites, sites, len(times)), dtype=complex)
+        for a, t in enumerate(times):
+            phases = [ws * mpmath.expj(-xs * mpmath.mpf(t)) for xs, ws in zip(x, w)]
+            for i in range(sites):
+                weighted = [c * p for c, p in zip(chi[i], phases)]
+                for j in range(i, sites):
+                    out[i, j, a] = out[j, i, a] = complex(mpmath.fsum(
+                        u * c for u, c in zip(weighted, chi[j])))
+    return out
+
+
+@pytest.mark.parametrize("variant, k", [
+    ("C", 0.01), ("D", 0.01), ("C", 0.5), ("D", 0.5),
+    ("C", 0.2), ("D", 0.25), ("C", 0.8), ("D", 0.8),
+])
+def test_sc_sites_up_to_10_match_the_exact_measure(variant, k):
+    # the forward recurrence was off by 3.9e-7 on sc-c at k = 0.01 (and by
+    # 3e-9 on sc-d), while the one-sided truncation test passed it; on
+    # sc-c at 0.2, sc-d at 0.25 and sc-d at 0.8 a support chosen by the
+    # row certificate alone is half as large, and sc-d at 0.8 is then
+    # 1.7e-10 off
+    times = [0.7, 2.0, 5.0]
+    want = sc_oracle_amplitudes(variant, k, 11, times)
+    _, measure = stieltjes_carlitz_chain(variant, k)
+    got = np.array([[quantum_amplitude(measure, i, j, times).values for j in range(11)]
+                    for i in range(11)])
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_sc_amplitude_matches_cn_dn_with_fitted_omega():
@@ -562,6 +619,24 @@ def test_uniform_quadrature_nodes_and_weights_against_cosine_form(m):
         exact = [mpmath.cos(k * mpmath.pi / (m + 1)) for k in range(m, 0, -1)]
         worst = max(abs(mpmath.mpf(float(v)) - e) for v, e in zip(measure.quad_points, exact))
     assert worst <= 2 * np.spacing(1.0)
+
+
+def test_deep_rows_of_the_continuous_uniform_come_from_its_closed_form():
+    # the order-m rule is the m-site chain's eigen-measure, so its rows at
+    # any site come from that chain's closed form, with row 0 sqrt(w) and
+    # no Lanczos rows: site 4000 of a 4096-node rule by Lanczos with full
+    # reorthogonalization took minutes, by the closed form under 1 ms
+    j_op, measure = uniform_chain(quad_order=4096)
+    t = np.array([0.3, 1.7, 5.0])
+    start = time.perf_counter()
+    got = quantum_amplitude(measure, 4000, 4000, t).values
+    assert time.perf_counter() - start < 0.5
+    assert measure._lanczos is None
+    rows = _weighted_rows(measure, [0, 1, 4000])
+    assert rows[0].tobytes() == np.sqrt(measure.quad_weights).tobytes()
+    chain = eigendecompose(j_op)
+    assert np.max(np.abs(rows - _weighted_rows(chain, [0, 1, 4000]))) <= 1e-16
+    assert np.max(np.abs(got - quantum_amplitude(chain, 4000, 4000, t).values)) <= 1e-14
 
 
 def test_uniform_rejects_degenerate_orders():

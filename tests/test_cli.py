@@ -121,16 +121,17 @@ def test_simulate_verify_exit_3_when_tolerance_unmeetable(tmp_path, capsys):
 
 
 def test_numeric_error_exits_3_and_writes_no_series(tmp_path, capsys, monkeypatch):
-    # the recurrence lost site 159 of this build (|f_159,159(0)| read 2e11
-    # where the exact value is 1, and the truncated-operator oracle
-    # passed it): a result that failed a check exits 3, invalid usage 2,
-    # and neither makes the output directory
+    # site 159 of this build is past its certified Lanczos rows (the
+    # forward recurrence lost it, |f_159,159(0)| read 2e11 where the exact
+    # value is 1, and the truncated-operator oracle passed it): a result
+    # that failed a check exits 3, invalid usage 2, and neither makes the
+    # output directory
     output = tmp_path / "out"
     argv = ["simulate", "--family", "meixner", "--beta", "1", "--c", "0.5", "--verify",
             "--output", str(output)]
     code, out, err = run(capsys, *argv, "--i", "159", "--j", "159")
     assert code == 3
-    assert "site 159: deficit" in err and out == ""
+    assert "site 159: certificate" in err and out == ""
     assert not output.exists()
     code, _, err = run(capsys, *argv, "--i", "160")
     assert code == 2
@@ -514,21 +515,28 @@ def test_verify_checks_the_uniform_closed_form_at_the_oracle_cap(capsys):
     (["simulate", "--classical", "--verify", "--family", "meixner", "--beta", "1.3",
       "--c", "0.9"], 0, 2),
     (["simulate", "--verify", "--family", "meixner", "--beta", "1", "--c", "0.25"], 1, 0),
+    (["return", "--family", "meixner", "--beta", "1", "--c", "0.5", "--i", "30"], 0, 3),
+    (["simulate", "--verify", "--family", "sc-c", "--k", "0.5", "--i", "32"], 0, 3),
 ], ids=["verify-custom", "verify-pst-demo", "simulate-custom", "verify-meixner",
-        "simulate-sc-d", "verify-above-cap", "simulate-above-cap", "simulate-meixner"])
+        "simulate-sc-d", "verify-above-cap", "simulate-above-cap", "simulate-meixner",
+        "return-meixner-past-certified-rows", "simulate-sc-c-past-certified-rows"])
 def test_verify_decomposes_at_most_once_and_only_below_the_cap(
         tmp_path, capsys, monkeypatch, argv, calls, code):
     # a measure with its own eigenvector table is checked as it is; any
     # other is eigendecomposed once per command, both modes sharing it,
-    # and an operator above the oracle's cap is refused before that
+    # and an operator above the oracle's cap is refused before that, as
+    # is a site past the measure's certified rows (exit 3, no verdict)
     seen = []
     real = spectral_walk.cli.eigendecompose
     monkeypatch.setattr(spectral_walk.cli, "eigendecompose",
                         lambda j_op: seen.append(j_op.size) or real(j_op))
-    got, _, err = run(capsys, *argv, "--output", str(tmp_path))
+    got, out, err = run(capsys, *argv, "--output", str(tmp_path))
     assert (got, len(seen)) == (code, calls)
     if code == 2:
         assert "oracle size 1092 above cap 512" in err
+    if code == 3:
+        assert out == "" and f"site {argv[-1]}: certificate" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 # -- the command-line surface ----------------------------------------------------------

@@ -621,8 +621,9 @@ def test_stacked_rows_of_an_f_ordered_table_equal_single_rows(rng):
 def direct_entry(rates, measure, i, j, t, z):
     """The entry evaluated for its target alone, its prefactor inline."""
     dynamics = spectral_walk.dynamics
-    x, coeff = dynamics._chi_product_coefficients(measure, range(i, i + 1), [j])
-    values = dynamics._spectral_sum(x, coeff[0, 0], np.asarray(t, dtype=float), z)
+    rows = spectral_walk.spectral._weighted_rows(measure, [i, j])
+    values = dynamics._spectral_sum(measure.nodes_and_weights()[0], rows[0] * rows[1],
+                                    np.asarray(t, dtype=float), z)
     if z == -1.0:
         lv = pi_coefficients(rates, measure.jacobi.size - 1).log_values
         values = ((-1.0) ** ((i + j) % 2) * float(np.exp(0.5 * (lv[j] - lv[i])))) * values
@@ -831,20 +832,23 @@ def test_memo_holds_at_most_one_block_of_values(two_state, monkeypatch):
     assert kept_stacks(measure) == []
 
 
-def test_a_stack_that_lost_a_row_is_not_retried(monkeypatch):
-    # sc-c at k = 0.01 loses its sites from 12 on, so no stack of its 24
-    # rows can be kept: one stack fails, then each entry builds one table
+def test_a_stack_holds_only_certified_rows(monkeypatch):
+    # sc-c at k = 0.01 certifies the Lanczos rows of its sites 0 to 18 of
+    # 24: a stack takes those rows as its targets, and an entry past them
+    # raises before any kernel pass and leaves the stack in place
     _, measure = stieltjes_carlitz_chain("C", 0.01)
-    calls = []
-    real = spectral_walk.dynamics.chi_table_scaled
-    monkeypatch.setattr(spectral_walk.dynamics, "chi_table_scaled",
-                        lambda j_op, n, x, w: calls.append(n) or real(j_op, n, x, w))
+    calls = counted_kernel(monkeypatch)
     t = np.array([0.0, 1.0])
     for i in range(11):
         for j in range(11):
             quantum_amplitude(measure, i, j, t)
-    assert calls.count(measure.jacobi.size - 1) == 1
-    assert len(calls) == 1 + 11 * 11
+    assert [shape for shape, _ in calls] == [(14, 19, 24)]
+    for i, j, site in ((19, 0, 19), (0, 19, 19), (3, 23, 23), (23, 20, 23)):
+        with pytest.raises(NumericError, match=f"site {site}: certificate"):
+            quantum_amplitude(measure, i, j, t)
+    quantum_amplitude(measure, 5, 18, t)
+    assert len(calls) == 1
+    assert [stack.shape for stack in kept_stacks(measure)] == [(14, 19, 2)]
 
 
 def test_full_sweep_runs_one_kernel_pass_per_kind(rng, monkeypatch):

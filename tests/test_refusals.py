@@ -13,16 +13,19 @@ from spectral_walk import (
     ConfigurationError,
     DomainError,
     JacobiOperator,
+    NumericError,
     ProbabilitySeries,
     SpectralMeasure,
     UsageError,
     build_from_spec,
+    classical_transition,
     detect_lattice,
     eigendecompose,
     elliptic_context,
     fitted_omega,
     jacobi_cn_dn,
     meixner_chain,
+    quantum_amplitude,
     return_probability_scan,
     stieltjes_carlitz_chain,
     symmetrize,
@@ -104,6 +107,24 @@ REFUSALS = {
         lambda: stieltjes_carlitz_chain("C", 1e-100),
         ConfigurationError,
         "site-weighted tail still above 1e-10 at size 6144; cap 10000 reached"),
+    "sc-truncation-cap-through-spec": (
+        lambda: build_from_spec({"family": "sc-c", "k": 1e-50}),
+        ConfigurationError,
+        "field 'k' is 1e-50, too small a modulus: site-weighted tail still above 1e-10 "
+        "at size 6144; cap 10000 reached"),
+    "meixner-site-30-past-certified-rows": (
+        lambda: quantum_amplitude(meixner_chain(1.0, 0.5)[2], 30, 30, [2 * np.pi]),
+        NumericError,
+        "site 30: certificate 3.300e-10 of row 18 is above 1e-10"),
+    "meixner-site-159-past-certified-rows": (
+        lambda: (lambda rates, _, measure: classical_transition(measure, rates, 0, 159, [1.0]))(
+            *meixner_chain(1.0, 0.5)),
+        NumericError,
+        "site 159: certificate 3.300e-10 of row 18 is above 1e-10"),
+    "sc-c-site-32-past-certified-rows": (
+        lambda: quantum_amplitude(stieltjes_carlitz_chain("C", 0.5)[1], 32, 32, [2.0]),
+        NumericError,
+        "site 32: certificate 3.708e-10 of row 18 is above 1e-10"),
     "nan-site-deficit-never-converges": (
         lambda: _truncated(lambda size: (np.arange(size, dtype=float), np.full(size, np.nan)),
                            4, THREE_SITES, 8),

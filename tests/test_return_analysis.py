@@ -27,7 +27,7 @@ from spectral_walk import (
     symmetrize,
     uniform_chain,
 )
-from spectral_walk.dynamics import _chi_product_coefficients
+from spectral_walk.spectral import _weighted_rows
 from spectral_walk.return_analysis import _limit_denominator
 
 from conftest import random_rates
@@ -148,11 +148,13 @@ def test_modified_measure_rejects_foreign_operator():
 
 @pytest.mark.parametrize("case", ["meixner", "sc-d", "uniform"])
 def test_modified_masses_are_the_diagonal_amplitude_coefficients(measures, case):
-    # one chi-product table for f_ii and for the site-i measure
+    # one weighted row for f_ii, whose coefficients are its products with
+    # itself, and for the site-i measure
     j_op, measure = measures[case]
     for i in (1, 3, 7):
         m_i = modified_measure(measure, j_op, i)
-        coeff = _chi_product_coefficients(measure, range(i, i + 1), [i])[1][0, 0]
+        row = _weighted_rows(measure, [i])[0]
+        coeff = row * row
         masses = m_i.nodes_and_weights()[1]
         assert masses.tobytes() == coeff.tobytes()
         assert np.array_equal(m_i.nodes_and_weights()[0], measure.nodes_and_weights()[0])
