@@ -17,12 +17,14 @@ eigensolve:
 The semi-infinite discrete measures (meixner, sc-c, sc-d) share one
 truncation policy: each constructor picks a starting support whose
 excluded mass is below 1e-12, and ``_truncated`` doubles it until the
-Lanczos rows of every site i <= 10 are certified, the recurrence
-coefficients Lanczos recovers from the support matching the operator's
-within 1e-10 of its scale (spectral._lanczos), and the chi_i^2-weighted
-tail of each, read off the same coefficients, is below 1e-10 too.
-Evaluation reads the same certified rows, which at the default supports
-reach sites 15 to 21, and a site past them raises NumericError.
+Lanczos rows of every site i <= 10 are certified.  The certificate is
+the one spectral._lanczos computes for each row, and evaluation reads
+rows by the same rule: the larger of the mismatch between the recurrence
+coefficients Lanczos recovers from the support and the operator's,
+relative to its scale, and the chi_i^2-weighted tail read off the same
+coefficients, at most 1e-10; a breakdown or a NaN mass never certifies.
+At the default supports 11 to 28 rows certify (sites up to 10 to 27),
+and a site past them raises NumericError.
 
 :func:`build_from_spec` reads each spec field as the type
 :func:`family_schemas` names.  The elliptic functions live in ``elliptic``.
@@ -70,8 +72,8 @@ _SC_MIN_HALF_SUPPORT = 12
 # Gram accurate beyond site 0: the truncation bites harder as the site
 # grows (chi_i is a degree-i polynomial), so the support is extended
 # until the Lanczos rows of every site up to the probe order are
-# certified (spectral._lanczos) and the chi_i^2-weighted tail of each
-# is at most _CERTIFICATE_TOL (see _truncated).
+# certified, their coefficient mismatch and chi_i^2-weighted tail both
+# at most _CERTIFICATE_TOL (spectral._lanczos, see _truncated).
 _TAIL_TOL = 1e-12
 _SITE_PROBE_ORDER = 10
 
@@ -79,33 +81,16 @@ _SITE_PROBE_ORDER = 10
 def _truncated(support, size: int, probe: JacobiOperator, cap: int):
     """Double ``size`` from its starting value until the support
     ``support(size) -> (points, masses)`` certifies the Lanczos rows of
-    every site i of ``probe`` and leaves a chi_i^2-weighted tail at most
-    _CERTIFICATE_TOL at each; ``size`` never exceeds ``cap``.
-
-    Row i is certified when the recurrence coefficients Lanczos recovers
-    from the support match the probe's up to row i, within
-    _CERTIFICATE_TOL of its scale (spectral._lanczos): over the full
-    (untruncated) support they match exactly.  The tail of site i is its
-    deficit 1 - sum_s w_s chi_i(x_s)^2, the mass of site i's modified
-    measure that the support leaves out.  On certified rows W_k it is
-    1 - ||sqrt(w)||^2 prod_{k <= i} (beta_k / J_k)^2, beta_k =
-    <x W_{k-1}, W_k> / ||sqrt(w)||^2, up to terms of second order in the
-    certificate: chi_i is the Lanczos row times the ratio of their
-    leading coefficients plus lower rows of first-order size, which
-    enter its norm only squared.  A certified support can leave a tail
-    of about twice the certificate (sc-d at k = 0.8 certifies its rows
-    at 49 atoms, with a site-10 tail of 1.8e-10), so both are tested.
-    Masses that hold a NaN, or too few nonzero masses for the probe's
-    rows, never certify."""
+    every site of ``probe`` (spectral._lanczos: the recovered recurrence
+    coefficients match the probe's and each site's chi_i^2-weighted tail
+    is small, both within _CERTIFICATE_TOL); ``size`` never exceeds
+    ``cap``.  Over the full (untruncated) support the coefficients match
+    exactly and no tail is left.  Masses that hold a NaN, or too few
+    nonzero masses for the probe's rows, never certify."""
     while True:
         points, masses = support(size)
-        table = np.empty((probe.size, points.size))
-        table[0] = np.sqrt(masses)
-        if _lanczos(points, table, 1, probe, probe.size)[1] is None:
-            norm2 = table[0] @ table[0]
-            betas = np.einsum("is,s,is->i", table[:-1], points, table[1:]) / norm2
-            if np.max(1.0 - np.cumprod(np.r_[norm2, (betas / probe.j) ** 2])) <= _CERTIFICATE_TOL:
-                return points, masses
+        if _lanczos(points, masses, probe, probe.size)[2] is None:
+            return points, masses
         if 2 * size > cap:
             raise ConfigurationError(
                 f"site-weighted tail still above {_CERTIFICATE_TOL} at "
@@ -122,8 +107,9 @@ def meixner_chain(beta: float, c: float, n: int | None = None
     the integers s = 0, 1, 2, ...; the chain is truncated at the
     smallest support (or the given n) whose excluded mass is below
     1e-12.  Without an explicit n the support is then doubled
-    until the Lanczos rows of sites i <= 10 are also certified and their
-    chi_i^2-weighted tails below 1e-10 (see ``_truncated``), so return
+    until the Lanczos rows of sites i <= 10 are also certified, their
+    coefficient mismatch and chi_i^2-weighted tails at most 1e-10
+    (spectral._lanczos, see ``_truncated``), so return
     amplitudes and the polynomial Gram stay accurate away from site 0
     (the plain mass rule alone leaves site-5 amplitudes off by ~1e-2).
     Masses are NOT renormalized: their deficit from 1 is exactly the
@@ -212,8 +198,9 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
     eta is fixed numerically so the truncated masses sum to 1 exactly;
     s_max defaults to the excluded-mass rule (< 1e-12) with a floor
     that keeps the polynomial table usable to degree ~20, then doubles
-    until the Lanczos rows of sites i <= 10 are certified and their
-    chi_i^2-weighted tails below 1e-10 (see ``_truncated``; the weights
+    until the Lanczos rows of sites i <= 10 are certified, their
+    coefficient mismatch and chi_i^2-weighted tails at most 1e-10
+    (spectral._lanczos, see ``_truncated``; the weights
     only decay like q^|s|, which at large modulus is too slow for the
     plain mass rule to cover excited sites).
     A modulus so small that too few masses are nonzero for those rows

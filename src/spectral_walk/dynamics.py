@@ -23,10 +23,13 @@ product W[i, s] W[j, s] of the weighted table W = sqrt(w) chi, whose
 entries are at most 1 in size on a normalized measure
 (sum_s W[i, s]^2 <= 1), so by Cauchy-Schwarz |c_s| <= 1 and no
 product overflows.  Its rows are a measure's eigenvectors, or else its
-Lanczos rows, each certified by the recurrence coefficients Lanczos
-recovers (spectral._lanczos): a site whose row is not certified
-raises NumericError, naming the site and the certificate, before any
-kernel pass.
+Lanczos rows, each with the one certificate spectral._lanczos computes:
+the larger of the mismatch between the recurrence coefficients Lanczos
+recovers and the operator's, relative to its scale, and the site's tail,
+the mass of its modified measure that the nodes leave out.  A site whose
+certificate exceeds 1e-10 (a breakdown makes the tail 1, a NaN weight
+the certificate NaN) raises NumericError, naming the site and the
+certificate, before any kernel pass.
 
 Per-entry calls keep one record per kind on the measure itself (a call
 is classical exactly when it carries pi): the rates of the last call,
@@ -431,12 +434,14 @@ def classical_transition(measure: SpectralMeasure, rates: BirthDeathRates,
 
     Every P returned holds no NaN and lies in [-1e-6, 1 + 1e-6], else
     NumericError.  On a measure that does not carry its eigenvectors
-    (Meixner, sc and directly built measures), chi_i is read
-    from the measure's Lanczos rows, whose certificate is the cumulative
+    (Meixner, sc and directly built measures), chi_i is read from the
+    measure's Lanczos rows, each with one certificate: the larger of the
     mismatch of the recurrence coefficients Lanczos recovers against the
-    operator's own, relative to its scale: a site i or j whose
-    certificate exceeds 1e-10 raises NumericError naming the site and
-    the certificate.
+    operator's own, relative to its scale, and the site's tail, the mass
+    of its modified measure that the nodes leave out (1 after a
+    breakdown; NaN with a NaN weight).  A site i or j whose certificate
+    exceeds 1e-10 raises NumericError naming the site and the
+    certificate.
     """
     i, j = _integer("i", i), _integer("j", j)
     times_arr = np.asarray(times, dtype=float)
@@ -454,12 +459,14 @@ def quantum_amplitude(measure: SpectralMeasure, i: int, j: int, times) -> Amplit
     against [-1e-6, 1 + 1e-6].  A site i or j that is not a site of the
     operator (2.7, 2.0, "1", None, -1, N) or a NaN or infinite time
     raises UsageError.  On a measure that does not carry its
-    eigenvectors (Meixner, sc and directly built measures),
-    chi_i is read from the measure's Lanczos rows, whose certificate is
-    the cumulative mismatch of the recurrence coefficients Lanczos
-    recovers against the operator's own, relative to its scale: a site
-    whose certificate exceeds 1e-10 is past the certified rows and
-    raises NumericError naming the site and the certificate.
+    eigenvectors (Meixner, sc and directly built measures), chi_i is
+    read from the measure's Lanczos rows, each with one certificate: the
+    larger of the mismatch of the recurrence coefficients Lanczos
+    recovers against the operator's own, relative to its scale, and the
+    site's tail, the mass of its modified measure that the nodes leave
+    out (1 after a breakdown; NaN with a NaN weight).  A site whose
+    certificate exceeds 1e-10 is past the certified rows and raises
+    NumericError naming the site and the certificate.
     """
     i, j = _integer("i", i), _integer("j", j)
     times_arr = np.asarray(times, dtype=float)

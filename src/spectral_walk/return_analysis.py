@@ -106,12 +106,14 @@ def modified_measure(measure: SpectralMeasure, j_op: JacobiOperator, i: int) -> 
     stays a real check on the polynomial table.  ``j_op`` must equal the
     measure's operator and i an integer site of it (not 2.7 or 2.0), else UsageError.
 
-    On a measure that does not carry its eigenvectors (Meixner, sc
-    and directly built measures), the row of site i is a
-    Lanczos row, whose certificate is the cumulative mismatch of the
-    recurrence coefficients Lanczos recovers against the operator's own,
-    relative to its scale: a site whose certificate exceeds 1e-10 is past
-    the certified rows and raises NumericError naming the site and the
+    On a measure that does not carry its eigenvectors (Meixner, sc and
+    directly built measures), the row of site i is a Lanczos row with
+    one certificate: the larger of the mismatch of the recurrence
+    coefficients Lanczos recovers against the operator's own, relative
+    to its scale, and the site's tail, the mass of this modified measure
+    that the nodes leave out (1 after a breakdown; NaN with a NaN
+    weight).  A site whose certificate exceeds 1e-10 is past the
+    certified rows and raises NumericError naming the site and the
     certificate.
     """
     own = measure.jacobi

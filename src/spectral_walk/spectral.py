@@ -41,10 +41,16 @@ Gragg & Harrod, Numer. Math. 44, 1984).  Those rows are the orthonormal
 polynomials of the measure as given, orthonormal to roundoff, and the
 recurrence coefficients (alpha_i, beta_i) that Lanczos recovers certify
 them against the operator's own (B_i, J_i): row i is sqrt(w) chi_i
-exactly when the coefficients that build it match.  Its certificate is the
+exactly when the coefficients that build it match.  Each row has one
+certificate, computed in :func:`_lanczos` alone: the larger of the
 cumulative mismatch of those coefficients relative to the operator's
-scale; a row whose certificate exceeds _CERTIFICATE_TOL = 1e-10 is not
-certified, nor is any later row, and reading it raises NumericError.
+scale and the site tail 1 - prod_{k <= i} (beta_k / J_k)^2, the mass of
+site i's modified measure that the nodes leave out.  A row whose
+certificate exceeds _CERTIFICATE_TOL = 1e-10 is not certified, nor is
+any later row, and reading it raises NumericError; a breakdown (too few
+nonzero weights) makes the tail 1 and a NaN weight makes the
+certificate NaN, so neither certifies.  The family builders size their
+supports by the same certificate (chain_families._truncated).
 On a normalized measure sum_s W[i, s]^2 <= 1, so every entry is at most
 1 in size, and the coefficients w_s chi_i(x_s) chi_j(x_s) are products
 W[i, s] W[j, s].
@@ -137,7 +143,7 @@ class SpectralMeasure:
     weighted_chi: np.ndarray | None = _ClosedFormTable()
     # (sines, wave numbers) of a constant operator's table, see _constant_chain
     _closed_form: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # (table, count, certificate) of the Lanczos rows read, see _lanczos_rows
+    # (table, count, certificate, kept) of the Lanczos rows read, see _lanczos
     _lanczos: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -352,29 +358,29 @@ def _lanczos_rows(measure: SpectralMeasure, stop: int) -> tuple[np.ndarray, floa
     """The certified Lanczos rows 0..stop-1 of a measure that does not
     carry its eigenvectors, fewer when one is not certified, and the
     certificate of the first row that is not (row len(rows)), or None.
-
-    The measure keeps its rows as (table, count, certificate) and grows
-    them by :func:`_lanczos` only when a call asks for more and no row
-    has failed; the table's capacity at least doubles when it grows, so
-    reading rows one site at a time copies O(K S) doubles in all."""
-    x, w = measure.nodes_and_weights()
-    table, count, certificate = measure._lanczos or (np.sqrt(w)[None, :], 1, None)
-    if certificate is None and count < stop:
-        if len(table) < stop:  # rows past count are made before they are read
-            table = np.resize(table, (max(stop, min(2 * len(table), measure.jacobi.size)), x.size))
-        count, certificate = _lanczos(x, table, count, measure.jacobi, stop)
-        object.__setattr__(measure, "_lanczos", (table, count, certificate))
+    The measure keeps the state of :func:`_lanczos` and resumes it only
+    when a call asks for more rows and no row has failed."""
+    state = measure._lanczos
+    if state is None or (state[2] is None and state[1] < stop):
+        state = _lanczos(*measure.nodes_and_weights(), measure.jacobi, stop, state)
+        object.__setattr__(measure, "_lanczos", state)
+    table, count, certificate, _ = state
     return table[:count], certificate
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # NaN is not certified
-def _lanczos(x: np.ndarray, table: np.ndarray, count: int, j_op: JacobiOperator,
-             stop: int) -> tuple[int, float | None]:
-    """Fill rows count..stop-1 of ``table`` (stop rows or more, its rows
-    0..count-1 certified, row 0 sqrt(w)) in place with the rows of
+def _lanczos(x: np.ndarray, w: np.ndarray, j_op: JacobiOperator, stop: int,
+             state: tuple | None = None) -> tuple:
+    """The state (table, count, certificate, kept) of the Lanczos rows
     W[i, s] = sqrt(w_s) p_i(x_s), p_i the orthonormal polynomials of the
-    nodes x with weights w, that j_op certifies; return how many rows
-    are certified and the certificate of the first that is not, or None.
+    nodes x with weights w, grown from an earlier state of the same
+    arguments whose rows all certified (None: row 0, sqrt(w), alone)
+    until stop rows or the first row that j_op does not certify:
+    table[:count] holds the certified rows, certificate is that of row
+    count when it is not certified, else None, and kept is the product
+    prod_k (beta_k / J_k)^2 over the rows tried.  The table's capacity
+    doubles with the rows made, never past j_op.size, whatever stop is,
+    so reading rows one site at a time copies O(K S) doubles in all.
 
     The rows come from Lanczos on diag(x) from sqrt(w) with full
     reorthogonalization (Gragg & Harrod, Numer. Math. 44, 1984;
@@ -384,32 +390,50 @@ def _lanczos(x: np.ndarray, table: np.ndarray, count: int, j_op: JacobiOperator,
     coefficients alpha_k = <W_k, x W_k> / ||sqrt(w)||^2 of the rows
     k < i and the norms beta_k of the residuals that give rows 1..i, and
     it is sqrt(w) chi_i exactly when those match B_k and J_k of j_op.
-    Its certificate is their cumulative mismatch relative to the
-    operator's scale,
+    Its certificate is the larger of their cumulative mismatch relative
+    to the operator's scale,
 
         max over 1 <= k <= i of max(|alpha_{k-1} - B_{k-1}|, |beta_k - J_k|) / s_k,
 
-    with s_k the largest |B| and J that rows 0..k read.  Row i is
-    certified while that is at most _CERTIFICATE_TOL (NaN is not), and
-    row 0, which no coefficient makes, always is.  A breakdown, beta_i =
-    0 (fewer nonzero weights than rows), leaves row i uncertified.  No
-    row past the first uncertified one is made, and the certificate
-    reported for that row is its own mismatch, the earlier ones being
-    smaller.
+    with s_k the largest |B| and J that rows 0..k read, and the site
+    tail 1 - prod_{k <= i} (beta_k / J_k)^2.  The tail is the deficit
+    1 - sum_s w_s chi_i(x_s)^2 relative to row 0, the mass of site i's
+    modified measure that the nodes leave out, up to terms of second
+    order in the mismatch (chi_i is the row times the ratio
+    prod beta_k / J_k of their leading coefficients plus lower rows of
+    first-order size, which enter its norm only squared).  Rows can
+    certify their coefficients and still leave a tail of about twice the
+    mismatch (sc-d at k = 0.8 on 49 atoms: mismatch below 1e-10 to row
+    10, site-10 tail 1.8e-10, values 1.7e-10 off the exact measure), so
+    both count.  The tail can err toward refusing: Meixner (1.3, 0.9)
+    has a site-18 tail of 1.1e-10 and an error of 1e-11 there.
+
+    Row i is certified while its certificate is at most
+    _CERTIFICATE_TOL, and row 0, which no coefficient makes, always is.
+    A breakdown, beta_i = 0 (fewer nonzero weights than rows), makes the
+    tail 1, and a NaN weight makes every later certificate NaN, so
+    neither certifies.  No row past the first uncertified one is made,
+    and the certificate reported for that row is its own, the earlier
+    ones being at most _CERTIFICATE_TOL.
     """
+    table, count, certificate, kept = state or (np.sqrt(w)[None, :], 1, None, 1.0)
     norm2 = table[0] @ table[0]
     for i in range(count, stop):
+        if i == len(table):  # rows past i are made before they are read
+            table = np.resize(table, (min(2 * i, j_op.size), x.size))
         residual = x * table[i - 1]
         alpha = table[i - 1] @ residual / norm2
         for _ in range(2):  # twice is enough (Parlett, SIAM 1998, section 6.9)
             residual -= (table[:i] @ residual / norm2) @ table[:i]
         beta = np.sqrt(residual @ residual / norm2)
+        kept *= (beta / j_op.j[i - 1]) ** 2
         scale = max(np.abs(j_op.b[:i]).max(), j_op.j[:i].max())
-        certificate = np.maximum(abs(alpha - j_op.b[i - 1]), abs(beta - j_op.j[i - 1])) / scale
-        if not (certificate <= _CERTIFICATE_TOL and beta > 0.0):  # NaN fails
-            return i, float(certificate)
+        certificate = np.max([abs(alpha - j_op.b[i - 1]) / scale,
+                              abs(beta - j_op.j[i - 1]) / scale, 1.0 - kept])
+        if not certificate <= _CERTIFICATE_TOL:  # NaN fails
+            return table, i, float(certificate), kept
         table[i] = residual / beta
-    return stop, None
+    return table, stop, None, kept
 
 
 def _eigh(b: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

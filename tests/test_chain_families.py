@@ -401,8 +401,8 @@ def test_sc_small_modulus_far_atoms_get_zero_mass_without_warning(variant):
     # at k = 0.01 the nome is ~6e-6, so q^-s leaves the double range
     # near |s| = 57: those atoms get the exact mass 0 (no overflow
     # warning under the suite's error filter), and their weighted-table
-    # columns are exact zeros.  The Lanczos rows certify sites up to 109
-    # (C) or 110 (D), and no further: the far site's amplitude raises,
+    # columns are exact zeros.  The Lanczos rows certify sites up to 107
+    # (C) or 108 (D), and no further: the far site's amplitude raises,
     # naming its certificate, instead of returning a finite number with
     # no accuracy
     j_op, measure = stieltjes_carlitz_chain(variant, 0.01, s_max=60)
@@ -418,11 +418,12 @@ def test_sc_small_modulus_far_atoms_get_zero_mass_without_warning(variant):
 
 def test_rows_the_recurrence_lost_raise_wherever_they_are_used():
     # the forward recurrence lost sites 13, 15, 16, ... of sc-d at
-    # k = 0.01 with s_max = 60; the Lanczos rows certify sites 0 to 110,
-    # and row 111's certificate is 3.6e-10, so site 120 raises
+    # k = 0.01 with s_max = 60; the Lanczos rows certify sites 0 to 108,
+    # and row 109's certificate, its site tail, is 2.0e-10, so site 120
+    # raises
     j_op, measure = stieltjes_carlitz_chain("D", 0.01, s_max=60)
     t = np.array([0.0, 1.0])
-    with pytest.raises(NumericError, match=r"site 120: certificate 3\.56\de-10 of row 111 "):
+    with pytest.raises(NumericError, match=r"site 120: certificate 2\.00\de-10 of row 109 "):
         quantum_amplitude(measure, 120, 120, t)
     with pytest.raises(NumericError, match="site 120: certificate"):
         quantum_amplitude(measure, 0, 120, t)
@@ -503,22 +504,45 @@ def sc_oracle_amplitudes(variant, k, sites, times, s_far=60):
     return out
 
 
-@pytest.mark.parametrize("variant, k", [
-    ("C", 0.01), ("D", 0.01), ("C", 0.5), ("D", 0.5),
-    ("C", 0.2), ("D", 0.25), ("C", 0.8), ("D", 0.8),
-])
-def test_sc_sites_up_to_10_match_the_exact_measure(variant, k):
-    # the forward recurrence was off by 3.9e-7 on sc-c at k = 0.01 (and by
+# (variant, k, s_max, bound at sites <= 10): the default sc-d build at
+# k = 0.2 leaves a site-10 tail of 6.3e-12, so it is held to the 1e-10 of
+# every served entry, as is an explicit support
+SC_ORACLE_CASES = [("C", 0.01, None, 1e-13), ("D", 0.01, None, 1e-13), ("C", 0.5, None, 1e-13),
+                   ("D", 0.5, None, 1e-13), ("C", 0.2, None, 1e-13), ("D", 0.25, None, 1e-13),
+                   ("C", 0.8, None, 1e-13), ("D", 0.8, None, 1e-13), ("D", 0.2, None, 1e-10),
+                   ("D", 0.8, 24, 1e-10)]
+
+
+@pytest.mark.parametrize("variant, k, s_max, near", SC_ORACLE_CASES,
+                         ids=[f"{v}-{k}" + (f"-{s}" if s else "") for v, k, s, _ in SC_ORACLE_CASES])
+def test_sc_sites_up_to_10_match_the_exact_measure(variant, k, s_max, near):
+    # every entry a build serves is within 1e-10 of the exact measure, and
+    # a default build serves sites <= 10; every other site raises.  The
+    # forward recurrence was off by 3.9e-7 on sc-c at k = 0.01 (and by
     # 3e-9 on sc-d), while the one-sided truncation test passed it; on
     # sc-c at 0.2, sc-d at 0.25 and sc-d at 0.8 a support chosen by the
-    # row certificate alone is half as large, and sc-d at 0.8 is then
-    # 1.7e-10 off
+    # coefficient mismatch alone is half as large, and sc-d at 0.8 is
+    # then 1.7e-10 off.  Rows certified by the mismatch alone served
+    # sc-d at 0.2 6.4e-10 off at site 11, and sc-d at 0.8 with
+    # s_max = 24 1.7e-10 off at site 10
     times = [0.7, 2.0, 5.0]
-    want = sc_oracle_amplitudes(variant, k, 11, times)
-    _, measure = stieltjes_carlitz_chain(variant, k)
-    got = np.array([[quantum_amplitude(measure, i, j, times).values for j in range(11)]
-                    for i in range(11)])
-    assert np.max(np.abs(got - want)) <= 1e-13
+    j_op, measure = stieltjes_carlitz_chain(variant, k, s_max=s_max)
+    served = 0
+    while served < j_op.size:
+        try:
+            quantum_amplitude(measure, served, served, times)
+        except NumericError:
+            break
+        served += 1
+    for site in range(served, j_op.size):
+        with pytest.raises(NumericError, match=f"site {site}: certificate"):
+            quantum_amplitude(measure, site, site, times)
+    assert served >= 11 or s_max is not None
+    want = sc_oracle_amplitudes(variant, k, served, times)
+    got = np.array([[quantum_amplitude(measure, i, j, times).values for j in range(served)]
+                    for i in range(served)])
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert np.max(np.abs(got[:11, :11] - want[:11, :11])) <= near
 
 
 def test_sc_amplitude_matches_cn_dn_with_fitted_omega():

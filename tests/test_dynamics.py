@@ -39,6 +39,7 @@ from spectral_walk import (
     classify_return,
     eigendecompose,
     generator,
+    meixner_chain,
     modified_measure,
     oracle_expm,
     pi_coefficients,
@@ -366,6 +367,21 @@ def test_one_amplitude_call_stays_within_one_block_of_memory():
         tracemalloc.stop()
     # a whole (T, S) table of complex terms is 2001 * 1024 * 16 B = 33 MB
     assert peak < 2e6, peak
+
+
+def test_a_site_past_the_certified_rows_allocates_only_the_rows_made():
+    # Meixner (2, 0.99) has 12380 atoms and certifies 20 Lanczos rows; a
+    # table sized to site 8000 would hold 8001 rows, 793 MB, where the
+    # table doubled up to the first uncertified row holds 32, 3.2 MB
+    measure = meixner_chain(2.0, 0.99)[2]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError, match="site 8000: certificate"):
+            quantum_amplitude(measure, 0, 8000, [0.0, 1.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 # -- constant chains: rows from the closed form --------------------------------------
@@ -833,7 +849,7 @@ def test_memo_holds_at_most_one_block_of_values(two_state, monkeypatch):
 
 
 def test_a_stack_holds_only_certified_rows(monkeypatch):
-    # sc-c at k = 0.01 certifies the Lanczos rows of its sites 0 to 18 of
+    # sc-c at k = 0.01 certifies the Lanczos rows of its sites 0 to 17 of
     # 24: a stack takes those rows as its targets, and an entry past them
     # raises before any kernel pass and leaves the stack in place
     _, measure = stieltjes_carlitz_chain("C", 0.01)
@@ -842,13 +858,13 @@ def test_a_stack_holds_only_certified_rows(monkeypatch):
     for i in range(11):
         for j in range(11):
             quantum_amplitude(measure, i, j, t)
-    assert [shape for shape, _ in calls] == [(14, 19, 24)]
-    for i, j, site in ((19, 0, 19), (0, 19, 19), (3, 23, 23), (23, 20, 23)):
+    assert [shape for shape, _ in calls] == [(14, 18, 24)]
+    for i, j, site in ((5, 18, 18), (19, 0, 19), (0, 19, 19), (3, 23, 23), (23, 20, 23)):
         with pytest.raises(NumericError, match=f"site {site}: certificate"):
             quantum_amplitude(measure, i, j, t)
-    quantum_amplitude(measure, 5, 18, t)
+    quantum_amplitude(measure, 5, 17, t)
     assert len(calls) == 1
-    assert [stack.shape for stack in kept_stacks(measure)] == [(14, 19, 2)]
+    assert [stack.shape for stack in kept_stacks(measure)] == [(14, 18, 2)]
 
 
 def test_full_sweep_runs_one_kernel_pass_per_kind(rng, monkeypatch):

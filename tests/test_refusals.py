@@ -115,16 +115,16 @@ REFUSALS = {
     "meixner-site-30-past-certified-rows": (
         lambda: quantum_amplitude(meixner_chain(1.0, 0.5)[2], 30, 30, [2 * np.pi]),
         NumericError,
-        "site 30: certificate 3.300e-10 of row 18 is above 1e-10"),
+        "site 30: certificate 1.433e-09 of row 18 is above 1e-10"),
     "meixner-site-159-past-certified-rows": (
         lambda: (lambda rates, _, measure: classical_transition(measure, rates, 0, 159, [1.0]))(
             *meixner_chain(1.0, 0.5)),
         NumericError,
-        "site 159: certificate 3.300e-10 of row 18 is above 1e-10"),
+        "site 159: certificate 1.433e-09 of row 18 is above 1e-10"),
     "sc-c-site-32-past-certified-rows": (
         lambda: quantum_amplitude(stieltjes_carlitz_chain("C", 0.5)[1], 32, 32, [2.0]),
         NumericError,
-        "site 32: certificate 3.708e-10 of row 18 is above 1e-10"),
+        "site 32: certificate 1.478e-09 of row 18 is above 1e-10"),
     "nan-site-deficit-never-converges": (
         lambda: _truncated(lambda size: (np.arange(size, dtype=float), np.full(size, np.nan)),
                            4, THREE_SITES, 8),

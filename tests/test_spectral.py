@@ -18,13 +18,15 @@ from spectral_walk import (
     SpectralMeasure,
     UsageError,
     eigendecompose,
+    meixner_chain,
     pi_coefficients,
     quantum_amplitude,
+    stieltjes_carlitz_chain,
     symmetrize,
     uniform_chain,
 )
 from spectral_walk.dynamics import oracle_expm
-from spectral_walk.spectral import _mirrored_chain, chi_table_scaled
+from spectral_walk.spectral import _lanczos_rows, _mirrored_chain, chi_table_scaled
 
 from conftest import plain_chi, random_rates
 
@@ -579,3 +581,18 @@ def test_Q_at_zero_is_one_when_mu0_vanishes(rng):
     for i in range(8):
         q = (-1.0) ** i * chi[i] / np.sqrt(pi.value(i))
         assert q == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("build", [lambda: meixner_chain(1.0, 0.5)[2],
+                                   lambda: stieltjes_carlitz_chain("D", 0.01, s_max=60)[1]],
+                         ids=["meixner-1-0.5", "sc-d-0.01-60"])
+def test_lanczos_rows_read_one_site_at_a_time_equal_those_read_at_once(build):
+    # a measure resumes its Lanczos state, the site tail's running
+    # product included, so the rows it certifies and the certificate of
+    # the first it does not are the same however the reads are split
+    once, steps = build(), build()
+    size = once.jacobi.size
+    rows, certificate = _lanczos_rows(once, size)
+    for stop in range(1, size + 1):
+        got, got_certificate = _lanczos_rows(steps, stop)
+    assert got.tobytes() == rows.tobytes() and got_certificate == certificate
