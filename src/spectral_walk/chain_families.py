@@ -273,8 +273,8 @@ def uniform_chain(n: int | None = None, quad_order: int = 256
     [-1, 1] under a Gauss quadrature of order ``quad_order``, with the
     operator sized to the quadrature so high-degree polynomials remain
     evaluable: the rule is that operator's eigen-measure, and its rows at
-    every site come from the closed form of its eigenvectors
-    (spectral._constant_gauss_rule).
+    every site come from the closed form of its eigenvectors, the one the
+    truncation with ``n = quad_order - 1`` keeps (spectral._constant_chain).
     """
     if n is not None:
         n = _integer("n", n)

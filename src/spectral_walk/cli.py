@@ -227,6 +227,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_return(args) -> int:
     build = build_from_spec(_load_spec(args))
+    times = _time_grid(args)
     site = args.i
     measure = build.measure
     _check_site("i", site, measure.jacobi.size)
@@ -235,7 +236,6 @@ def cmd_return(args) -> int:
     if build.info:
         payload["evidence"] = dict(payload["evidence"]) | {"family_info": build.info}
     if args.scan:
-        times = _time_grid(args)
         series = quantum_amplitude(build.measure, site, site, times)
         os.makedirs(args.output, exist_ok=True)
         name = series_filename(series)

@@ -16,15 +16,15 @@ weights" uniformly.
 
 An operator with one diagonal value a and one coupling c (the finite
 uniform chain) needs no eigensolve: its eigenvalues a + 2c cos(k pi/(n+1))
-and sine eigenvectors are known in closed form.  eigendecompose keeps
-that form on the measure, 2(n+1) sines and n wave numbers, instead of an
-n x n table: :func:`_weighted_rows` computes the rows a call reads, and
-the table, within about 1e-12 of the LAPACK one, is built only when
-``weighted_chi`` is read.  The Gauss quadrature of the continuous
-uniform chain (chain_families) is the eigen-measure of the chain sized
-to it (Golub-Welsch): :func:`_constant_gauss_rule` takes its nodes from
-the same closed form, :func:`_constant_points`, so both spectra are
-exactly mirrored about 0, and keeps the closed form of its rows.
+and sine eigenvectors are known in closed form, which one function,
+:func:`_constant_chain`, makes.  eigendecompose keeps that form on the
+measure, 2(n+1) sines and n wave numbers, instead of an n x n table.
+The Gauss quadrature of the continuous uniform chain (chain_families)
+is the eigen-measure of the chain sized to it (Golub-Welsch), so
+:func:`_constant_gauss_rule` keeps the same form, byte for byte.  Only
+:func:`_weighted_rows` reads the form: it computes the rows a call
+reads, and an eigendecomposed chain's whole table, within about 1e-12
+of the LAPACK one, is made from it only when ``weighted_chi`` is read.
 
 An operator with a zero diagonal whose couplings read the same
 reversed (persymmetric, as the perfect-transfer chain is) is still
@@ -93,7 +93,7 @@ class _ClosedFormTable:
         fields = measure.__dict__
         if (fields["weighted_chi"] is None and measure._closed_form is not None
                 and measure.quad_points is None):
-            table = _closed_form_table(*measure._closed_form)
+            table = _weighted_rows(measure, range(measure.jacobi.size))
             table.setflags(write=False)
             fields["weighted_chi"] = table
         return fields["weighted_chi"]
@@ -128,7 +128,8 @@ class SpectralMeasure:
         the operator's own eigenvalues (it is then the sign-fixed
         eigenvector matrix), and then read by evaluation.  On a
         closed-form measure (a constant operator from
-        :func:`eigendecompose`) it is built on first read and kept;
+        :func:`eigendecompose`) it is built on first read, as every row
+        :func:`_weighted_rows` computes from the closed form, and kept;
         evaluation never reads it, it reads rows through
         :func:`_weighted_rows`.  Any other measure has none: evaluation
         reads its certified Lanczos rows (see :func:`_lanczos`),
@@ -256,10 +257,11 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     chain) needs no eigensolve: its points and its table's closed form,
     2(n+1) sines and n wave numbers, come from :func:`_constant_chain`,
     and the measure keeps that form instead of the n x n table: each
-    call computes only the rows it reads, and the table is built only
-    when ``weighted_chi`` is read.  At 2048 sites that table is within
-    6e-13 of the LAPACK one and its Gram deviation max |W^T W - I| is
-    5e-15 (LAPACK's: 4.5e-15).
+    call computes only the rows it reads (:func:`_weighted_rows`), and
+    the table is built only when ``weighted_chi`` is read.  The masses
+    are the squares of row 0 normalized, as for a solved table.  At 2048
+    sites that table is within 6e-13 of the LAPACK one and its Gram
+    deviation max |W^T W - I| is 9e-16 (LAPACK's: 4.5e-15).
 
     Any other operator with a zero diagonal whose couplings read the
     same reversed (j[::-1] == j exactly, as for the perfect-transfer
@@ -269,12 +271,11 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     operator, a mirror-symmetric one with a nonzero diagonal included,
     goes to ``scipy.linalg.eigh_tridiagonal`` whole.
     """
-    b = np.asarray(j_op.b, dtype=float)
-    e = np.asarray(j_op.j, dtype=float)
+    b, e = j_op.b, j_op.j
     c = e[0] if e.size else 0.0
     closed_form = table = None
     if (b == b[0]).all() and (e == c).all():
-        vals, sines, k = _constant_chain(b[0], c, b.size)
+        vals, _, sines, k = _constant_chain(b[0], c, b.size)
         closed_form = (sines, k)
     elif not b.any() and np.array_equal(e, e[::-1]):
         vals, table = _mirrored_chain(e)
@@ -303,26 +304,13 @@ def _carries_eigenvectors(measure: SpectralMeasure) -> bool:
 def _constant_gauss_rule(j_op: JacobiOperator) -> SpectralMeasure:
     """The continuous measure of the m-site operator j_op with every
     diagonal entry a and every coupling c under the order-m Gauss rule of
-    its semicircle density: nodes a + 2c cos(k_s pi/(m+1))
-    (:func:`_constant_points`) and weights (2/(m+1)) sin^2(k_s pi/(m+1)),
-    k_s = m, ..., 1.
-
-    By Golub-Welsch that rule is the eigen-measure of j_op, so the
-    measure keeps the closed form of its table (:func:`_constant_chain`)
-    and evaluation reads its rows as it does an eigendecomposed constant
+    its semicircle density, the points and weights of
+    :func:`_constant_chain`, keeping that function's closed form of the
+    rows: evaluation reads them as it does an eigendecomposed constant
     chain's, at any site for the cost of the rows read, with no Lanczos
-    rows.  The form's sines are taken from the weights, sqrt(w_s) =
-    sqrt(2/(m+1)) |sin(k_s pi/(m+1))|, each within an ulp of
-    :func:`_constant_chain`'s, so row 0 is sqrt(w) itself."""
-    m = j_op.size
-    k = np.arange(m, 0, -1)
-    weights = (2.0 / (m + 1)) * np.sin(k * math.pi / (m + 1)) ** 2
-    measure = SpectralMeasure.continuous(_constant_points(j_op.b[0], j_op.j[0], m), weights, j_op)
-    # sqrt(2/(m+1)) sin(r pi/(m+1)), r = 0..2m+1: weight s gives r = k_s
-    root = np.sqrt(measure.quad_weights[::-1])
-    sines = np.concatenate(([0.0], root, [0.0], -root))
-    sines.setflags(write=False)
-    k.setflags(write=False)
+    rows, and row 0 is sqrt(w) itself."""
+    points, weights, sines, k = _constant_chain(j_op.b[0], j_op.j[0], j_op.size)
+    measure = SpectralMeasure.continuous(points, weights, j_op)
     object.__setattr__(measure, "_closed_form", (sines, k))
     return measure
 
@@ -333,9 +321,11 @@ def _weighted_rows(measure: SpectralMeasure, sites) -> np.ndarray:
     the caller), shaped (len(sites), S).
 
     A measure that :func:`_carries_eigenvectors` reads a stored table
-    (a range as a slice, a view), or from a closed form computes
-    sines[(i+1) k_s mod 2(n+1)], the same doubles as the rows of its
-    table, and never builds the table.  Any other measure reads its
+    (a range as a slice, a view), or from a closed form (see
+    :func:`_constant_chain`) computes W[i, s] = sines[(i+1) k_s mod
+    2(n+1)] and never builds the table; this is the one reader of a
+    closed form.  The integer index is reduced exactly, so the argument
+    reduction of the sine is exact.  Any other measure reads its
     certified Lanczos rows (:func:`_lanczos_rows`), and a site past them
     raises NumericError naming the site and the certificate."""
     # a list indexes rows, where a tuple would index axes
@@ -351,7 +341,9 @@ def _weighted_rows(measure: SpectralMeasure, sites) -> np.ndarray:
     if table is not None:
         return table[rows]
     sines, k = measure._closed_form
-    return sines[_sine_index(sines, k, np.arange(k.size)[rows])]
+    index = np.multiply.outer(np.arange(1, k.size + 1)[rows], k)
+    np.remainder(index, sines.size, out=index)
+    return sines[index]
 
 
 def _lanczos_rows(measure: SpectralMeasure, stop: int) -> tuple[np.ndarray, float | None]:
@@ -524,65 +516,35 @@ def _mirrored_chain(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _constant_chain(a: float, c: float, n: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Points and the closed form of the eigenvector table of the n-site
-    operator with every diagonal entry a and every coupling c (Karlin &
-    McGregor, Trans. Amer. Math. Soc. 85, 1957):
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Points, Gauss weights, sines and wave numbers of the n-site
+    operator with every diagonal entry a and every coupling c: the one
+    place a constant chain's closed form is made.  Its eigenvalues and
+    normalized eigenvectors are (Karlin & McGregor, Trans. Amer. Math.
+    Soc. 85, 1957)
 
         x_s = a + 2c cos(k_s pi/(n+1)),
         W[i, s] = sqrt(2/(n+1)) sin((i+1) k_s pi/(n+1)),
 
-    with k_s = n, ..., 1 so the points ascend.  Row 0 is positive, so no
-    sign fix is needed.  The form is one table of the 2(n+1) sines
-    sqrt(2/(n+1)) sin(r pi/(n+1)), r = 0, ..., 2n+1, and the wave
-    numbers k_s, from which :func:`_sine_index` reads any row.  The sine
-    table mirrors sin(r pi/(n+1)) about r = (n+1)/2 and changes its sign
-    past r = n+1, as the sine does.
-    """
-    m = n + 1
-    r = np.arange(m + 1)
-    half = math.sqrt(2.0 / m) * np.sin(np.minimum(r, m - r) * (np.pi / m))
-    sines = np.concatenate([half, -half[1:-1]])
-    k = np.arange(n, 0, -1)
-    sines.setflags(write=False)
-    k.setflags(write=False)
-    return _constant_points(a, c, n), sines, k
+    with k_s = n, ..., 1 so the points ascend; row 0 is positive, so no
+    sign fix is needed.  The points are computed as
+    a + 2c sin((n+1-2k_s) pi/(2(n+1))), whose arguments are exact
+    negatives of each other about the middle: with a = 0 they are
+    exactly mirrored (x[::-1] == -x) and the middle point of an odd n is
+    exactly 0, where cos(k pi/(n+1)) itself is not mirrored.
 
-
-def _sine_index(sines: np.ndarray, k: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Indices (i+1) k_s mod 2(n+1) into the sines of a closed-form table
-    (see :func:`_constant_chain`) of its rows W[i, s] for the int array
-    of sites i, shaped (len(sites), n).  The integer is reduced exactly,
-    so the argument reduction of the sine is exact."""
-    index = np.multiply.outer(sites + 1, k)
-    np.remainder(index, sines.size, out=index)
-    return index
-
-
-def _closed_form_table(sines: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The whole n x n table of a closed form, filled in row blocks of
-    about 2**16 entries, so no n x n integer array is made.  Each
-    block's index is made while the previous one is still held: freed
-    first, it is trimmed from glibc's heap top and its pages fault in
-    again (80 against 48 ms at 2048 sites, one thread of a 2-core
-    x86-64 host)."""
-    n = k.size
-    table = np.empty((n, n))
-    step = max(1, 2**16 // n)
-    sites = np.arange(n)
-    for i0 in range(0, n, step):
-        index = _sine_index(sines, k, sites[i0:i0 + step])
-        np.take(sines, index, out=table[i0:i0 + step])
-    return table
-
-
-def _constant_points(a: float, c: float, n: int) -> np.ndarray:
-    """Points a + 2c cos(k pi/(n+1)), k = n, ..., 1 (ascending), of the
-    n-site operator with every diagonal entry a and every coupling c,
-    computed as a + 2c sin((n+1-2k) pi/(2(n+1))).  The sine's arguments
-    are exact negatives of each other about the middle, so with a = 0
-    the points are exactly mirrored (x[::-1] == -x) and the middle node
-    of an odd n is exactly 0; cos(k pi/(n+1)) itself is not mirrored.
+    The weights w_s = (2/(n+1)) sin^2(k_s pi/(n+1)) are the squares of
+    row 0.  By Golub-Welsch (Math. Comp. 23, 1969) the points and
+    weights are also the order-n Gauss rule of the semicircle density
+    of the operator's infinite extension (:func:`_constant_gauss_rule`).
+    The sines are the 2(n+1) values sqrt(2/(n+1)) sin(r pi/(n+1)),
+    r = 0, ..., 2n+1, taken from the weights as [0, sqrt(w) reversed,
+    0, -sqrt(w) reversed], so row 0 is sqrt(w) itself; any row is read
+    from them by :func:`_weighted_rows`.  The square root of a squared
+    sine costs a few ulps at the spectral edges, where k pi/(n+1) is
+    near pi: at 2048 sites the sines are within 4.6 ulps of
+    sqrt(2/(n+1)), where sines of the reduced argument min(r, n+1-r)
+    are within 1.4.
     """
     m = n + 1
     k = np.arange(n, 0, -1)
@@ -590,7 +552,13 @@ def _constant_points(a: float, c: float, n: int) -> np.ndarray:
     # at the middle node), which SpectralMeasure refuses by name, as it
     # does the eigensolver's non-finite points.
     with np.errstate(over="ignore", invalid="ignore"):
-        return a + 2.0 * c * np.sin((m - 2 * k) * (np.pi / (2 * m)))
+        points = a + 2.0 * c * np.sin((m - 2 * k) * (np.pi / (2 * m)))
+    weights = (2.0 / m) * np.sin(k * math.pi / m) ** 2
+    root = np.sqrt(weights[::-1])
+    sines = np.concatenate(([0.0], root, [0.0], -root))
+    sines.setflags(write=False)
+    k.setflags(write=False)
+    return points, weights, sines, k
 
 
 def chi_table_scaled(j_op: JacobiOperator, n: int, x, w):

@@ -627,9 +627,13 @@ def test_uniform_quadrature_nodes_are_the_finite_chain_points(m):
     _, measure = uniform_chain(quad_order=m)
     x = measure.quad_points
     assert np.array_equal(x[::-1], -x)
-    assert x.tobytes() == uniform_chain(n=m - 1)[1].points.tobytes()
+    chain = uniform_chain(n=m - 1)[1]
+    assert x.tobytes() == chain.points.tobytes()
     if m % 2:
         assert x[m // 2] == 0.0 and not np.signbit(x[m // 2])
+    # and one closed form of the rows: the same sines and wave numbers
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(measure._closed_form, chain._closed_form, strict=True))
 
 
 @pytest.mark.parametrize("m", UNIFORM_ORDERS)
@@ -643,6 +647,30 @@ def test_uniform_quadrature_nodes_and_weights_against_cosine_form(m):
         exact = [mpmath.cos(k * mpmath.pi / (m + 1)) for k in range(m, 0, -1)]
         worst = max(abs(mpmath.mpf(float(v)) - e) for v, e in zip(measure.quad_points, exact))
     assert worst <= 2 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("sites", [2, 64, 1001, 2048])
+def test_uniform_closed_form_sines_against_mpmath(sites):
+    # every entry of the sine table of the finite chain within 8 ulps of
+    # sqrt(2/(N+1)) sin(r pi/(N+1)) at 40 digits: the sqrt of a squared
+    # sine loses a few ulps at the spectral edges, where r pi/(N+1) nears pi
+    sines, _ = uniform_chain(n=sites - 1)[1]._closed_form
+    m = sites + 1
+    with mpmath.workdps(40):
+        scale = mpmath.sqrt(mpmath.mpf(2) / m)
+        worst = max(abs(mpmath.mpf(float(v)) - scale * mpmath.sin(r * mpmath.pi / m))
+                    for r, v in enumerate(sines))
+    assert sines.size == 2 * m
+    assert worst <= 8 * np.spacing(math.sqrt(2.0 / m))
+
+
+@pytest.mark.parametrize("m", [64, 1024])
+def test_uniform_quadrature_weights_against_mpmath(m):
+    weights = uniform_chain(quad_order=m)[1].quad_weights
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpf(float(w)) - 2 * mpmath.sin(k * mpmath.pi / (m + 1)) ** 2
+                        / (m + 1)) for k, w in zip(range(m, 0, -1), weights))
+    assert worst <= 8 * np.spacing(2.0 / (m + 1))
 
 
 def test_deep_rows_of_the_continuous_uniform_come_from_its_closed_form():

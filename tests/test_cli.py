@@ -247,10 +247,11 @@ def test_exit_2_for_bad_grid(capsys):
     assert "tmax" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "return"])
 @pytest.mark.parametrize("flag, value", [("--tmax", "nan"), ("--tmax", "inf"),
                                          ("--tmin", "nan")])
-def test_exit_2_for_non_finite_grid_bound(tmp_path, capsys, flag, value):
-    code, _, err = run(capsys, "simulate", "--family", "pst-demo", "--n", "4",
+def test_exit_2_for_non_finite_grid_bound(tmp_path, capsys, command, flag, value):
+    code, _, err = run(capsys, command, "--family", "pst-demo", "--n", "4",
                        "--steps", "3", flag, value, "--output", str(tmp_path))
     assert code == 2
     assert f"'{flag[2:]}'" in err and "finite" in err
@@ -369,7 +370,7 @@ def test_exit_2_for_bad_verify_grid(capsys, tmax, message):
 @pytest.mark.parametrize("command", [["simulate"], ["return", "--scan"], ["verify"],
                                      ["simulate", "--tmax", "0"],
                                      ["return", "--scan", "--tmax", "0"],
-                                     ["verify", "--tmax", "0"]])
+                                     ["verify", "--tmax", "0"], ["return"]])
 def test_exit_2_for_steps_above_the_cap(tmp_path, capsys, command):
     # 2**62 steps: numpy refuses so large a grid, and no command gets to
     # make it; a one-point grid (--tmax 0) does not need it, but is refused too
