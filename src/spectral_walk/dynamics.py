@@ -479,8 +479,8 @@ def oracle_expm(operator, t: float) -> np.ndarray:
     GeneratorMatrix -> exp(t A) by scaling-and-squaring;
     JacobiOperator -> exp(-i J t) by dense symmetric eigendecomposition;
     anything else is refused.  Accuracy target 1e-12 at sizes <= 32;
-    sizes above 512 or |t| > 1e3 are refused rather than returned
-    inaccurate.
+    sizes above 512 and times with |t| > 1e3 or NaN are refused rather
+    than returned inaccurate.
     """
     return next(_oracle_evolutions(operator, [t]))
 
@@ -496,7 +496,7 @@ def _oracle_evolutions(operator, times):
     if operator.size > _ORACLE_SIZE_CAP:
         raise UsageError(f"oracle size {operator.size} above cap {_ORACLE_SIZE_CAP}")
     for t in times:
-        if abs(t) > _ORACLE_TIME_CAP:
+        if not abs(t) <= _ORACLE_TIME_CAP:  # NaN fails
             raise UsageError(f"oracle |t| = {abs(t)} above cap {_ORACLE_TIME_CAP}")
     mat = operator.dense()
     if isinstance(operator, GeneratorMatrix):

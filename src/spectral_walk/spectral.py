@@ -22,9 +22,9 @@ measure, 2(n+1) sines and n wave numbers, instead of an n x n table.
 The Gauss quadrature of the continuous uniform chain (chain_families)
 is the eigen-measure of the chain sized to it (Golub-Welsch), so
 :func:`_constant_gauss_rule` keeps the same form, byte for byte.  Only
-:func:`_weighted_rows` reads the form: it computes the rows a call
-reads, and an eigendecomposed chain's whole table, within about 1e-12
-of the LAPACK one, is made from it only when ``weighted_chi`` is read.
+:func:`_weighted_rows` reads the form: it computes only the rows a call
+reads, each within about 1e-12 of LAPACK's, and the measure's
+``weighted_chi`` is None.
 
 An operator with a zero diagonal whose couplings read the same
 reversed (persymmetric, as the perfect-transfer chain is) is still
@@ -82,26 +82,6 @@ def _check_finite(name: str, values: np.ndarray) -> None:
         raise UsageError(f"non-finite {name}: NaN or inf given")
 
 
-class _ClosedFormTable:
-    """The ``weighted_chi`` field of SpectralMeasure: a given table is
-    stored as is; on a measure with a closed form and no table, the
-    first read builds it from the closed form and keeps it."""
-
-    def __get__(self, measure, owner=None):
-        if measure is None:
-            return None  # the field's default
-        fields = measure.__dict__
-        if (fields["weighted_chi"] is None and measure._closed_form is not None
-                and measure.quad_points is None):
-            table = _weighted_rows(measure, range(measure.jacobi.size))
-            table.setflags(write=False)
-            fields["weighted_chi"] = table
-        return fields["weighted_chi"]
-
-    def __set__(self, measure, table):
-        measure.__dict__["weighted_chi"] = table
-
-
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Probability measure with a discrete and/or continuous part.
@@ -126,14 +106,14 @@ class SpectralMeasure:
     weighted_chi : ndarray or None
         Table W[i, s] = sqrt(M_s) chi_i(x_s), present when the atoms are
         the operator's own eigenvalues (it is then the sign-fixed
-        eigenvector matrix), and then read by evaluation.  On a
-        closed-form measure (a constant operator from
-        :func:`eigendecompose`) it is built on first read, as every row
-        :func:`_weighted_rows` computes from the closed form, and kept;
-        evaluation never reads it, it reads rows through
-        :func:`_weighted_rows`.  Any other measure has none: evaluation
-        reads its certified Lanczos rows (see :func:`_lanczos`),
-        and a site past them raises NumericError.
+        eigenvector matrix), and then read by evaluation; a table given
+        beside a quadrature rule is refused.  A closed-form measure (a
+        constant operator from :func:`eigendecompose`, or
+        :func:`_constant_gauss_rule`) has none: :func:`_weighted_rows`
+        computes the rows a call reads from the closed form.  Any other
+        measure has none either: evaluation reads its certified Lanczos
+        rows (see :func:`_lanczos`), and a site past them raises
+        NumericError.
     """
 
     jacobi: JacobiOperator
@@ -141,9 +121,9 @@ class SpectralMeasure:
     masses: np.ndarray
     quad_points: np.ndarray | None = None
     quad_weights: np.ndarray | None = None
-    weighted_chi: np.ndarray | None = _ClosedFormTable()
+    weighted_chi: np.ndarray | None = None
     # (sines, wave numbers) of a constant operator's table, see _constant_chain
-    _closed_form: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _closed_form: tuple | None = field(default=None, repr=False, compare=False)
     # (table, count, certificate, kept) of the Lanczos rows read, see _lanczos
     _lanczos: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _entries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -178,6 +158,9 @@ class SpectralMeasure:
             qp.setflags(write=False)
             qw.setflags(write=False)
         if self.weighted_chi is not None:
+            if self.quad_points is not None:
+                raise UsageError("weighted_chi given beside a quadrature rule; "
+                                 "a table is kept only for a discrete measure")
             wc = np.asarray(self.weighted_chi, dtype=float)
             if wc.shape != (self.jacobi.size, len(pts)):
                 raise UsageError(
@@ -190,12 +173,8 @@ class SpectralMeasure:
 
     def __getstate__(self):
         """Pickles and copies start with no per-entry records (see
-        dynamics._entry) and no Lanczos rows, and a closed-form measure's
-        with its table unbuilt."""
-        state = {**vars(self), "_entries": {}, "_lanczos": None}
-        if self._closed_form is not None:
-            state["weighted_chi"] = None
-        return state
+        dynamics._entry) and no Lanczos rows."""
+        return {**vars(self), "_entries": {}, "_lanczos": None}
 
     @classmethod
     def discrete(cls, points, masses, jacobi: JacobiOperator) -> "SpectralMeasure":
@@ -258,10 +237,10 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
     2(n+1) sines and n wave numbers, come from :func:`_constant_chain`,
     and the measure keeps that form instead of the n x n table: each
     call computes only the rows it reads (:func:`_weighted_rows`), and
-    the table is built only when ``weighted_chi`` is read.  The masses
-    are the squares of row 0 normalized, as for a solved table.  At 2048
-    sites that table is within 6e-13 of the LAPACK one and its Gram
-    deviation max |W^T W - I| is 9e-16 (LAPACK's: 4.5e-15).
+    ``weighted_chi`` is None.  The masses are the squares of row 0
+    normalized, as for a solved table.  At 2048 sites the rows are
+    within 6e-13 of the LAPACK table and their Gram deviation
+    max |W^T W - I| is 9e-16 (LAPACK's: 4.5e-15).
 
     Any other operator with a zero diagonal whose couplings read the
     same reversed (j[::-1] == j exactly, as for the perfect-transfer
@@ -283,22 +262,18 @@ def eigendecompose(j_op: JacobiOperator) -> SpectralMeasure:
         vals, table = _eigh(b, e)
     # row 0 of a closed form: (0 + 1) k_s mod 2(n+1) is k_s
     masses = (sines[k] if table is None else table[0, :]) ** 2
-    measure = SpectralMeasure(jacobi=j_op, points=vals, masses=masses / masses.sum(),
-                              weighted_chi=table)
-    if closed_form is not None:
-        object.__setattr__(measure, "_closed_form", closed_form)
-    return measure
+    return SpectralMeasure(jacobi=j_op, points=vals, masses=masses / masses.sum(),
+                           weighted_chi=table, _closed_form=closed_form)
 
 
 def _carries_eigenvectors(measure: SpectralMeasure) -> bool:
     """Whether the measure's nodes are its operator's eigenvalues and it
-    carries their eigenvectors: a table of its atoms with no quadrature
-    rule, or a closed form (of an eigendecomposed constant chain, or of
-    :func:`_constant_gauss_rule`).  Then :func:`_weighted_rows` reads its
-    rows from them, and every row is exact to the eigensolver's
-    accuracy."""
-    return measure._closed_form is not None or (
-        measure.quad_points is None and measure.__dict__["weighted_chi"] is not None)
+    carries their eigenvectors: a table of its atoms (``weighted_chi``,
+    never given beside a quadrature rule), or a closed form (of an
+    eigendecomposed constant chain, or of :func:`_constant_gauss_rule`).
+    Then :func:`_weighted_rows` reads its rows from them, and every row
+    is exact to the eigensolver's accuracy."""
+    return measure._closed_form is not None or measure.weighted_chi is not None
 
 
 def _constant_gauss_rule(j_op: JacobiOperator) -> SpectralMeasure:
@@ -320,18 +295,18 @@ def _weighted_rows(measure: SpectralMeasure, sites) -> np.ndarray:
     nonempty range or sequence of ints, sites of the operator checked by
     the caller), shaped (len(sites), S).
 
-    A measure that :func:`_carries_eigenvectors` reads a stored table
-    (a range as a slice, a view), or from a closed form (see
-    :func:`_constant_chain`) computes W[i, s] = sines[(i+1) k_s mod
-    2(n+1)] and never builds the table; this is the one reader of a
-    closed form.  The integer index is reduced exactly, so the argument
+    A measure that :func:`_carries_eigenvectors` reads its stored
+    ``weighted_chi`` (a range as a slice, a view), or from a closed form
+    (see :func:`_constant_chain`) computes W[i, s] = sines[(i+1) k_s mod
+    2(n+1)] for those rows alone; this is the one reader of a closed
+    form.  The integer index is reduced exactly, so the argument
     reduction of the sine is exact.  Any other measure reads its
     certified Lanczos rows (:func:`_lanczos_rows`), and a site past them
     raises NumericError naming the site and the certificate."""
     # a list indexes rows, where a tuple would index axes
     rows = slice(sites.start, sites.stop) if isinstance(sites, range) else list(sites)
     if _carries_eigenvectors(measure):
-        table = measure.__dict__["weighted_chi"]
+        table = measure.weighted_chi
     else:
         table, certificate = _lanczos_rows(measure, max(sites) + 1)
         if len(table) <= max(sites):

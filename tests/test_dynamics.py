@@ -397,8 +397,8 @@ def test_closed_form_entries_equal_the_sums_over_table_rows_bitwise(a, c, sites,
     site = st.integers(0, sites - 1)
     pairs = data.draw(st.lists(st.tuples(site, site), min_size=1, max_size=4))
     values = [quantum_amplitude(measure, i, j, t).values for i, j in pairs]
-    assert vars(measure)["weighted_chi"] is None  # no call built the table
-    W = measure.weighted_chi
+    assert measure.weighted_chi is None  # no call built the table
+    W = spectral_walk.spectral._weighted_rows(measure, range(sites))
     for (i, j), got in zip(pairs, values):
         assert same_bits(got, spectral_walk.dynamics._spectral_sum(measure.points, W[i] * W[j],
                                                                    t, -1j)), (i, j)
@@ -412,12 +412,36 @@ def test_a_closed_form_chain_never_builds_its_table():
         t = np.linspace(0.0, 10.0, 65)
         for i, j in ((0, 5), (3, 2047), (1000, 1000)):
             quantum_amplitude(measure, i, j, t)
+        table = measure.weighted_chi  # a read of the field, as a tracer makes
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # the 2048 x 2048 table is 33.5 MB; the kept (65, 2048) phases 2.1 MB
+    assert table is None
     assert built < 1e6, built
     assert peak < 8e6, peak
+
+
+@pytest.mark.parametrize("build", [
+    lambda: eigendecompose(symmetrize(random_rates(np.random.default_rng(5), sites=9))),
+    lambda: eigendecompose(pst_demo_chain(12)),
+    lambda: uniform_chain(n=40)[1],
+    lambda: uniform_chain(quad_order=64)[1],
+    lambda: meixner_chain(1.0, 0.5)[2],
+], ids=["lapack", "mirrored", "finite-uniform", "continuous-uniform", "meixner"])
+def test_a_measure_keeps_its_public_fields(build):
+    # evaluation, modification and copies read a measure's fields and
+    # never replace or add one
+    measure = build()
+    public = {name: value for name, value in vars(measure).items() if not name.startswith("_")}
+    for name in public:
+        getattr(measure, name)
+    quantum_amplitude(measure, 0, 3, [0.0, 1.5])
+    modified_measure(measure, measure.jacobi, 2)
+    pickle.loads(pickle.dumps(measure))
+    assert public.keys() == {name for name in vars(measure) if not name.startswith("_")}
+    for name, value in public.items():
+        assert vars(measure)[name] is value, name
 
 
 @pytest.mark.parametrize("kind", ["quadrature", "eigenvectors"])

@@ -23,8 +23,10 @@ from spectral_walk import (
     eigendecompose,
     elliptic_context,
     fitted_omega,
+    generator,
     jacobi_cn_dn,
     meixner_chain,
+    oracle_expm,
     quantum_amplitude,
     return_probability_scan,
     stieltjes_carlitz_chain,
@@ -67,6 +69,13 @@ REFUSALS = {
         lambda: SpectralMeasure(jacobi=THREE_SITES, points=THREE_SITE_MEASURE.points,
                                 masses=THREE_SITE_MEASURE.masses, weighted_chi=np.ones((2, 3))),
         UsageError, "weighted_chi has shape (2, 3), expected (3, 3)"),
+    "weighted-chi-beside-quadrature": (
+        lambda: SpectralMeasure(jacobi=THREE_SITES, points=np.empty(0), masses=np.empty(0),
+                                quad_points=THREE_SITE_MEASURE.points,
+                                quad_weights=THREE_SITE_MEASURE.masses,
+                                weighted_chi=np.zeros((3, 0))),
+        UsageError, "weighted_chi given beside a quadrature rule; "
+                    "a table is kept only for a discrete measure"),
     "chi-table-negative-order": (
         lambda: chi_table_scaled(THREE_SITES, -1, THREE_SITE_MEASURE.points,
                                  THREE_SITE_MEASURE.masses),
@@ -90,6 +99,10 @@ REFUSALS = {
         UsageError, "points spread 1e+300 overflows a double in the lattice fit"),
     "lattice-masses-length": (lambda: detect_lattice([0.0, 1.0, 2.0], masses=[0.5, 0.5]),
                               UsageError, "masses and points differ in length"),
+    "oracle-nan-time-jacobi": (lambda: oracle_expm(THREE_SITES, np.nan),
+                               UsageError, "oracle |t| = nan above cap 1000.0"),
+    "oracle-nan-time-generator": (lambda: oracle_expm(generator(TWO_SITES), np.nan),
+                                  UsageError, "oracle |t| = nan above cap 1000.0"),
     "scan-empty": (lambda: return_probability_scan(amplitudes([], [])),
                    UsageError, "cannot scan an empty series"),
     "fitted-omega-variant": (lambda: fitted_omega("E", elliptic_context(0.5), NON_LATTICE),

@@ -26,7 +26,12 @@ from spectral_walk import (
     uniform_chain,
 )
 from spectral_walk.dynamics import oracle_expm
-from spectral_walk.spectral import _lanczos_rows, _mirrored_chain, chi_table_scaled
+from spectral_walk.spectral import (
+    _lanczos_rows,
+    _mirrored_chain,
+    _weighted_rows,
+    chi_table_scaled,
+)
 
 from conftest import plain_chi, random_rates
 
@@ -115,7 +120,7 @@ class TestConstantChain:
         j_op = JacobiOperator(b=np.full(size, a), j=np.full(size - 1, c))
         measure = eigendecompose(j_op)
         vals, table = _lapack_reference(j_op)
-        W = measure.weighted_chi
+        W = _weighted_rows(measure, range(size))
         assert np.max(np.abs(measure.points - vals)) <= 1e-14 * max(1.0, abs(a) + 2 * c)
         assert np.max(np.abs(W - table)) <= 1e-12
         assert np.max(np.abs(measure.masses - table[0] ** 2)) <= 1e-12
@@ -135,7 +140,7 @@ class TestConstantChain:
         assert calls == [1]
         closed = eigendecompose(JacobiOperator(b=np.zeros(64), j=np.full(63, 0.5)))
         assert np.max(np.abs(measure.points - closed.points)) < 1e-14
-        assert np.max(np.abs(measure.weighted_chi - closed.weighted_chi)) < 1e-12
+        assert np.max(np.abs(measure.weighted_chi - _weighted_rows(closed, range(64)))) < 1e-12
 
     @pytest.mark.parametrize("b", [np.full(3, 1e308), np.array([1e308, 1e308, 0.0])],
                              ids=["closed-form", "eigensolver"])
@@ -167,7 +172,7 @@ class TestConstantChain:
 
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
         j_op, measure = uniform_chain(n=2047)
-        assert measure.weighted_chi.shape == (2048, 2048)
+        assert _weighted_rows(measure, range(2048)).shape == (2048, 2048)
         assert measure.total_mass == pytest.approx(1.0, abs=1e-14)
 
 
@@ -178,17 +183,16 @@ def test_a_closed_form_measure_pickles_and_copies(sites):
     t = np.linspace(0.0, 3.0, 5)
     pairs = [(0, 0), (3, sites - 1), (sites // 2, 7)]
     want = [quantum_amplitude(measure, i, j, t).values.tobytes() for i, j in pairs]
-    copies = [pickle.loads(pickle.dumps(measure)), copy.copy(measure), copy.deepcopy(measure)]
-    table = measure.weighted_chi
-    assert measure.weighted_chi.tobytes() == table.tobytes()
-    # a copy made once the table is built leaves it out, and rebuilds it
+    table = _weighted_rows(measure, range(sites))
     assert len(pickle.dumps(measure)) < table.nbytes
-    copies.append(pickle.loads(pickle.dumps(measure)))
+    copies = [pickle.loads(pickle.dumps(measure)), copy.copy(measure), copy.deepcopy(measure)]
     for copied in copies:
         got = [quantum_amplitude(copied, i, j, t).values.tobytes() for i, j in pairs]
         assert got == want
-        assert copied.weighted_chi.tobytes() == table.tobytes()
-        assert not copied.weighted_chi.flags.writeable
+        assert copied.weighted_chi is None
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(copied._closed_form, measure._closed_form, strict=True))
+        assert _weighted_rows(copied, range(sites)).tobytes() == table.tobytes()
 
 
 def _mirrored(half_b, half_j, n):
@@ -269,9 +273,9 @@ class TestMirroredChain:
     def test_matches_dense_and_full_solves(self, j_op):
         with _solve_sizes() as sizes:
             measure = eigendecompose(j_op)
-        self.check(j_op, measure.points, measure.weighted_chi)
-        assert np.array_equal(measure.masses, measure.weighted_chi[0] ** 2
-                              / (measure.weighted_chi[0] ** 2).sum())
+        table = _weighted_rows(measure, range(j_op.size))
+        self.check(j_op, measure.points, table)
+        assert np.array_equal(measure.masses, table[0] ** 2 / (table[0] ** 2).sum())
         n, m = j_op.size, j_op.size // 2
         if (j_op.b == j_op.b[0]).all() and (j_op.j == j_op.j[0]).all():
             assert sizes == []  # the closed form, 2 sites always among them
@@ -279,7 +283,7 @@ class TestMirroredChain:
             assert sizes == [n]
             vals, W = _lapack_reference(j_op)
             assert np.array_equal(measure.points, vals)
-            assert np.array_equal(measure.weighted_chi, W)
+            assert np.array_equal(table, W)
         else:
             # the split is taken at every spread: no full-size solve
             assert sizes == ([m + 1, m] if n % 2 else [m])
