@@ -163,7 +163,7 @@ def meixner_chain(beta: float, c: float, n: int | None = None
                 f">= {_TAIL_TOL}; increase n")
         points, masses = support(size)
     j_op = symmetrize(rates, len(points) - 1, boundary="absorbing-tail")
-    return rates, j_op, SpectralMeasure.discrete(points, masses, j_op)
+    return rates, j_op, SpectralMeasure(jacobi=j_op, points=points, masses=masses)
 
 
 def _sc_half_support(q: float, offset: float) -> int:
@@ -239,7 +239,7 @@ def stieltjes_carlitz_chain(variant: str, k: float, s_max: int | None = None
     else:
         points, masses = support(s_max)
     j_op = jacobi(len(points))
-    return j_op, SpectralMeasure.discrete(points, masses, j_op)
+    return j_op, SpectralMeasure(jacobi=j_op, points=points, masses=masses)
 
 
 def fitted_omega(variant: str, context: EllipticContext,

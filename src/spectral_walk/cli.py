@@ -7,8 +7,11 @@ Subcommands:
   verify     standalone oracle cross-check of the spectral evaluation paths
 
 Exit codes: 0 success, 2 invalid spec or arguments (wrong JSON types,
-malformed JSON, non-finite rates and grid bounds included; the message
-names the offending field or flag), 3 a result failed a check: an oracle
+malformed JSON, non-finite rates and grid bounds, a --spec path that
+cannot be read, such as a directory, and an --output directory or output
+file that cannot be written, such as an existing file at the directory's
+path or a directory at a file's, included; the message names the
+offending field or flag), 3 a result failed a check: an oracle
 mismatch above tolerance, or a NumericError (a value that cannot be
 trusted, such as a site past the certified Lanczos rows of a Meixner, sc
 or directly built measure; the message names the site and its certificate,
@@ -19,11 +22,18 @@ is an ordered reduction over the spectral nodes, so the same inputs give
 byte-identical CSV files.  The eigensolver's BLAS may round differently
 under another thread count (OPENBLAS_NUM_THREADS, say), so runs compared
 byte for byte should fix it.
+
+Each output file (series CSV, manifest.json) is written as a new file:
+whatever is at its path is unlinked first, never truncated and rewritten
+in place, so a hard or symbolic link at an output path is replaced, not
+written through.  Nothing is fsynced, so a crash right after a run can
+lose what it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -113,9 +123,30 @@ def _load_spec(args) -> dict:
         return spec
     text = args.spec
     if os.path.exists(args.spec):
-        with open(args.spec) as fh:
-            text = fh.read()
+        try:
+            with open(args.spec) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"--spec cannot be read: {exc}") from exc
     return _json(text, "--spec is neither an existing file nor valid JSON")
+
+
+def _write(args, name: str, text: str) -> None:
+    """Write ``text`` as a new file ``name`` in the --output directory,
+    made if missing, unlinking any file at that path first: rewriting a
+    file in place can wait on the writeback of its old blocks (ext4's
+    auto_da_alloc forces one on truncation), and a new file does not.
+    An OS error (the directory is a file, the path a directory) names
+    the flag."""
+    path = os.path.join(args.output, name)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--output cannot be written: {exc}") from exc
 
 
 def _check_site(name: str, value: int, size: int) -> None:
@@ -192,12 +223,10 @@ def cmd_simulate(args) -> int:
     all_series = [kind(i=args.i, j=jj, times=times, values=row) for jj, row in zip(js, rows)]
     if args.verify:
         (worst,), at = _cross_check(build, args, js, [args.classical], times[-1])
-    os.makedirs(args.output, exist_ok=True)
     written = []
     for series in all_series:
         name = series_filename(series)
-        with open(os.path.join(args.output, name), "w") as fh:
-            fh.write(series_csv(series))
+        _write(args, name, series_csv(series))
         written.append(name)
     manifest = {
         "command": "simulate",
@@ -217,9 +246,7 @@ def cmd_simulate(args) -> int:
         if not worst <= verify_tol:  # NaN fails
             print(f"verification FAILED: {worst:.3e} > {verify_tol:.1e}", file=sys.stderr)
             code = EXIT_MISMATCH
-    with open(os.path.join(args.output, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(args, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     for name in written:
         print(os.path.join(args.output, name))
     return code
@@ -237,10 +264,8 @@ def cmd_return(args) -> int:
         payload["evidence"] = dict(payload["evidence"]) | {"family_info": build.info}
     if args.scan:
         series = quantum_amplitude(build.measure, site, site, times)
-        os.makedirs(args.output, exist_ok=True)
         name = series_filename(series)
-        with open(os.path.join(args.output, name), "w") as fh:
-            fh.write(series_csv(series))
+        _write(args, name, series_csv(series))
         maxima = return_probability_scan(series)
         payload["scan"] = {
             "file": os.path.join(args.output, name),

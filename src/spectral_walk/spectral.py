@@ -21,7 +21,8 @@ and sine eigenvectors are known in closed form, which one function,
 measure, 2(n+1) sines and n wave numbers, instead of an n x n table.
 The Gauss quadrature of the continuous uniform chain (chain_families)
 is the eigen-measure of the chain sized to it (Golub-Welsch), so
-:func:`_constant_gauss_rule` keeps the same form, byte for byte.  Only
+:func:`_constant_gauss_rule` keeps the same form, byte for byte, passed
+to the measure's constructor in the one call that builds it.  Only
 :func:`_weighted_rows` reads the form: it computes only the rows a call
 reads, each within about 1e-12 of LAPACK's, and the measure's
 ``weighted_chi`` is None.
@@ -84,7 +85,8 @@ def _check_finite(name: str, values: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Probability measure with a discrete and/or continuous part.
+    """Probability measure with a discrete and/or continuous part, made
+    by one constructor call that checks and freezes every field.
 
     Attributes
     ----------
@@ -93,7 +95,8 @@ class SpectralMeasure:
         orthonormalizes; also the evaluator used for chi_i(x).
     points, masses : ndarray
         Discrete atoms (points in increasing order, nonnegative masses;
-        a negative mass is refused, since the table takes its square root).
+        points out of order are refused, not sorted, and a negative mass
+        is refused, since the table takes its square root).
         Every point, mass, quadrature point and weight must be finite.
         Equal consecutive points are allowed: an operator can have
         eigenvalues that coincide in floating point, each with its own
@@ -175,20 +178,6 @@ class SpectralMeasure:
         """Pickles and copies start with no per-entry records (see
         dynamics._entry) and no Lanczos rows."""
         return {**vars(self), "_entries": {}, "_lanczos": None}
-
-    @classmethod
-    def discrete(cls, points, masses, jacobi: JacobiOperator) -> "SpectralMeasure":
-        order = np.argsort(np.asarray(points, dtype=float))
-        return cls(jacobi=jacobi,
-                   points=np.asarray(points, dtype=float)[order],
-                   masses=np.asarray(masses, dtype=float)[order])
-
-    @classmethod
-    def continuous(cls, quad_points, quad_weights,
-                   jacobi: JacobiOperator) -> "SpectralMeasure":
-        return cls(jacobi=jacobi,
-                   points=np.empty(0), masses=np.empty(0),
-                   quad_points=quad_points, quad_weights=quad_weights)
 
     @property
     def kind(self) -> str:
@@ -283,11 +272,12 @@ def _constant_gauss_rule(j_op: JacobiOperator) -> SpectralMeasure:
     :func:`_constant_chain`, keeping that function's closed form of the
     rows: evaluation reads them as it does an eigendecomposed constant
     chain's, at any site for the cost of the rows read, with no Lanczos
-    rows, and row 0 is sqrt(w) itself."""
+    rows, and row 0 is sqrt(w) itself.  The measure is built in one
+    constructor call, closed form included, as eigendecompose builds its
+    own."""
     points, weights, sines, k = _constant_chain(j_op.b[0], j_op.j[0], j_op.size)
-    measure = SpectralMeasure.continuous(points, weights, j_op)
-    object.__setattr__(measure, "_closed_form", (sines, k))
-    return measure
+    return SpectralMeasure(jacobi=j_op, points=np.empty(0), masses=np.empty(0),
+                           quad_points=points, quad_weights=weights, _closed_form=(sines, k))
 
 
 def _weighted_rows(measure: SpectralMeasure, sites) -> np.ndarray:

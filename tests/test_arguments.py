@@ -218,7 +218,8 @@ def test_full_row_targets_give_the_rows_of_their_list(rng):
     rows = spectral_walk.dynamics._rows
     pi = pi_coefficients(rates)
     rule = uniform_chain(quad_order=9)[1]
-    direct = SpectralMeasure.continuous(rule.quad_points, rule.quad_weights, rule.jacobi)
+    direct = SpectralMeasure(jacobi=rule.jacobi, points=np.empty(0), masses=np.empty(0),
+                             quad_points=rule.quad_points, quad_weights=rule.quad_weights)
     for measure, p in ((eigendecompose(symmetrize(rates)), pi), (rule, None), (direct, None)):
         size = measure.jacobi.size
         for sources in (range(0, 3), range(4, size)):

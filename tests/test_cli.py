@@ -296,6 +296,55 @@ def test_exit_2_for_malformed_spec_json(capsys):
     assert "--spec" in err
 
 
+def test_exit_2_for_a_spec_path_that_is_a_directory(tmp_path, capsys):
+    # reading it raised IsADirectoryError: exit 1 with a traceback
+    code, out, err = run(capsys, "simulate", "--spec", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --spec") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["return", "--scan"]])
+def test_exit_2_for_an_output_path_that_is_a_file(tmp_path, capsys, command):
+    # os.makedirs raised FileExistsError: exit 1 with a traceback
+    path = tmp_path / "out"
+    path.write_bytes(b"kept\n")
+    code, out, err = run(capsys, *command, "--family", "pst-demo", "--n", "4",
+                         "--steps", "3", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --output") and "File exists" in err
+    assert path.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["return", "--scan"]])
+def test_exit_2_for_an_output_file_path_that_is_a_directory(tmp_path, capsys, command):
+    # writing the series raised IsADirectoryError: exit 1 with a traceback
+    (tmp_path / "f_0_0.csv").mkdir()
+    code, out, err = run(capsys, *command, "--family", "pst-demo", "--n", "4",
+                         "--steps", "3", "--output", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --output") and "Is a directory" in err
+    assert (tmp_path / "f_0_0.csv").is_dir()
+
+
+@pytest.mark.parametrize("command, names", [(["simulate"], ["f_0_0.csv", "manifest.json"]),
+                                            (["return", "--scan"], ["f_0_0.csv"])])
+def test_an_output_is_replaced_not_written_through(tmp_path, capsys, command, names):
+    # each output file is unlinked and made anew: a second name hard-linked
+    # to an output path keeps its old bytes, where a rewrite in place
+    # changed them too
+    argv = [*command, "--family", "pst-demo", "--n", "4", "--steps", "3"]
+    assert run(capsys, *argv, "--output", str(tmp_path / "fresh"))[0] == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in names:
+        (tmp_path / name).write_bytes(b"old\n")
+        os.link(tmp_path / name, out / name)
+    assert run(capsys, *argv, "--output", str(out))[0] == 0
+    for name in names:
+        assert (tmp_path / name).read_bytes() == b"old\n"
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 @pytest.mark.parametrize("spec, field", [
     ('{"family": "meixner", "beta": "abc", "c": 0.5}', "'beta' is 'abc'"),
     ('{"family": "meixner", "beta": null, "c": 0.5}', "'beta' is None"),

@@ -608,7 +608,8 @@ def test_binding_tolerance_is_allclose(seed, sites, rate_scale, boundary, part, 
     moved = JacobiOperator(b=b, j=j)
     want = allclose_match(rates, moved)
     try:
-        got = spectral_walk.dynamics._bind(SpectralMeasure.discrete([0.0], [1.0], moved), rates)[1]
+        measure = SpectralMeasure(jacobi=moved, points=np.array([0.0]), masses=np.array([1.0]))
+        got = spectral_walk.dynamics._bind(measure, rates)[1]
     except UsageError as exc:
         assert "provenance" in str(exc)
         got = None

@@ -37,7 +37,7 @@ def _atoms(points, masses, size=4):
     """A bare discrete measure over a throwaway operator."""
     j_op = JacobiOperator(b=np.zeros(size), j=np.full(size - 1, 0.5))
     from spectral_walk import SpectralMeasure
-    return SpectralMeasure.discrete(points, masses, j_op)
+    return SpectralMeasure(jacobi=j_op, points=points, masses=masses)
 
 
 # -- characteristic function ---------------------------------------------------

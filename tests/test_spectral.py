@@ -405,7 +405,9 @@ class TestSpectralMeasure:
                             masses=np.array([1.0, -1e-16]))
         with pytest.raises(UsageError,
                            match="negative quadrature weight -0.25 in continuous part"):
-            SpectralMeasure.continuous([0.0, 1.0], [1.25, -0.25], j_op)
+            SpectralMeasure(jacobi=j_op, points=np.empty(0), masses=np.empty(0),
+                            quad_points=np.array([0.0, 1.0]),
+                            quad_weights=np.array([1.25, -0.25]))
         # zero masses and weights are admitted
         SpectralMeasure(jacobi=j_op, points=np.array([0.0, 1.0]), masses=np.array([1.0, 0.0]),
                         quad_points=np.array([0.5]), quad_weights=np.array([0.0]))
@@ -424,12 +426,6 @@ class TestSpectralMeasure:
                   "quad_points": [0.5], "quad_weights": [0.25]} | bad
         with pytest.raises(UsageError, match=f"non-finite {part}"):
             SpectralMeasure(jacobi=j_op, **{k: np.array(v) for k, v in fields.items()})
-
-    def test_discrete_constructor_sorts(self):
-        j_op = JacobiOperator(b=np.zeros(2), j=np.array([1.0]))
-        m = SpectralMeasure.discrete([2.0, -1.0], [0.25, 0.75], j_op)
-        assert list(m.points) == [-1.0, 2.0]
-        assert list(m.masses) == [0.75, 0.25]
 
     def test_nodes_and_weights_atoms_first(self):
         j_op = JacobiOperator(b=np.zeros(3), j=np.array([1.0, 1.0]))
