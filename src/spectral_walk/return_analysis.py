@@ -288,7 +288,9 @@ def return_probability_scan(series) -> list[tuple[float, float]]:
     Plateaus count as maxima (a single-atom amplitude has |f| constant
     at 1, and every sample should be reported).  Interior maxima are
     refined by a three-point parabola through |f|; the list is sorted by
-    |f| descending, ties by t ascending.
+    |f| descending, ties by t ascending.  The interior samples are
+    tested and refined as whole arrays, each with the arithmetic of one
+    sample alone.
     """
     times = np.atleast_1d(np.asarray(series.times, dtype=float))
     y = np.abs(np.atleast_1d(np.asarray(series.values)))
@@ -296,20 +298,19 @@ def return_probability_scan(series) -> list[tuple[float, float]]:
         raise UsageError("cannot scan an empty series")
     if y.size == 1:
         return [(float(times[0]), float(y[0]))]
-    found: list[tuple[float, float]] = []
+    # the interior maxima k (a plateau counts), with their neighbours
+    k = np.flatnonzero((y[1:-1] >= y[:-2]) & (y[1:-1] >= y[2:])) + 1
+    before, peak, after = y[k - 1], y[k], y[k + 1]
+    t_max, y_max = times[k], peak.astype(float)
+    curv = before - 2.0 * peak + after
+    bent = curv < 0
+    k, drop = k[bent], before[bent] - after[bent]
+    shift = 0.5 * drop / curv[bent]
+    t_max[bent] = times[k] + shift * (times[k + 1] - times[k])
+    y_max[bent] = peak[bent] - 0.25 * drop * shift
+    found = list(zip(t_max.tolist(), y_max.tolist()))
     if y[0] >= y[1]:
-        found.append((float(times[0]), float(y[0])))
-    for k in range(1, y.size - 1):
-        if y[k] >= y[k - 1] and y[k] >= y[k + 1]:
-            curv = y[k - 1] - 2.0 * y[k] + y[k + 1]
-            if curv < 0:
-                h = times[k + 1] - times[k]
-                shift = 0.5 * (y[k - 1] - y[k + 1]) / curv
-                t_ref = float(times[k] + shift * h)
-                y_ref = float(y[k] - 0.25 * (y[k - 1] - y[k + 1]) * shift)
-                found.append((t_ref, y_ref))
-            else:
-                found.append((float(times[k]), float(y[k])))
+        found.insert(0, (float(times[0]), float(y[0])))
     if y[-1] >= y[-2]:
         found.append((float(times[-1]), float(y[-1])))
     return sorted(found, key=lambda pair: (-pair[1], pair[0]))

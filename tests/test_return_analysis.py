@@ -318,3 +318,48 @@ def test_scan_on_true_amplitude_of_random_chain(rng):
     maxima = return_probability_scan(series)
     assert maxima[0][1] < 1.0 - 1e-6
     assert len(maxima) > 10
+
+
+def scan_by_loop(series) -> list[tuple[float, float]]:
+    """return_probability_scan as a loop over the samples: the reference
+    the array version must reproduce exactly."""
+    times = np.atleast_1d(np.asarray(series.times, dtype=float))
+    y = np.abs(np.atleast_1d(np.asarray(series.values)))
+    if y.size == 1:
+        return [(float(times[0]), float(y[0]))]
+    found: list[tuple[float, float]] = []
+    if y[0] >= y[1]:
+        found.append((float(times[0]), float(y[0])))
+    for k in range(1, y.size - 1):
+        if y[k] >= y[k - 1] and y[k] >= y[k + 1]:
+            curv = y[k - 1] - 2.0 * y[k] + y[k + 1]
+            if curv < 0:
+                h = times[k + 1] - times[k]
+                shift = 0.5 * (y[k - 1] - y[k + 1]) / curv
+                t_ref = float(times[k] + shift * h)
+                y_ref = float(y[k] - 0.25 * (y[k - 1] - y[k + 1]) * shift)
+                found.append((t_ref, y_ref))
+            else:
+                found.append((float(times[k]), float(y[k])))
+    if y[-1] >= y[-2]:
+        found.append((float(times[-1]), float(y[-1])))
+    return sorted(found, key=lambda pair: (-pair[1], pair[0]))
+
+
+@given(levels=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0),
+                       min_size=1, max_size=60),
+       phases=st.lists(st.floats(-4.0, 4.0), min_size=60, max_size=60),
+       mirror=st.booleans(), start=st.floats(-50.0, 50.0), step=st.floats(1e-3, 2.0))
+@example(levels=[1.0] * 5, phases=[0.0] * 60, mirror=False, start=0.0, step=0.5)
+@example(levels=[0.0, 1.0, 0.5, 1.0, 0.0], phases=[0.0] * 60, mirror=True, start=0.0,
+         step=0.25)
+def test_scan_equals_the_loop_over_samples(levels, phases, mirror, start, step):
+    # plateaus (repeated levels), ties in |f| at other times (a mirrored
+    # series) and complex values of any phase: the same list, bit for bit
+    from spectral_walk.dynamics import AmplitudeSeries
+    y = np.array(levels + levels[::-1] if mirror else levels)
+    values = y * np.exp(1j * np.array(phases * 2)[:y.size])
+    t = start + step * np.arange(y.size)
+    series = AmplitudeSeries(i=0, j=0, times=t, values=values)
+    # repr tells -0.0 from 0.0
+    assert repr(return_probability_scan(series)) == repr(scan_by_loop(series))
