@@ -81,7 +81,7 @@ import scipy.linalg
 
 from .jacobi_core import (BOUNDARIES, BirthDeathRates, GeneratorMatrix, JacobiOperator,
                           PiCoefficients, _gather, _pi_of, symmetrize)
-from .errors import DomainError, NumericError, UsageError, _integer
+from .errors import DomainError, NumericError, UsageError, _check_sites, _integer
 from .spectral import (SpectralMeasure, _carries_eigenvectors, _lanczos_rows,
                        _weighted_rows)
 
@@ -175,14 +175,6 @@ def _series(kind, i: int, j: int, times: np.ndarray, values: np.ndarray):
     fields["times"] = times
     fields["values"] = values
     return series
-
-
-def _check_sites(size: int, *sites: int) -> None:
-    """A site below 0, then one at or beyond size, raise UsageError."""
-    if min(sites) < 0:
-        raise UsageError(f"site index {min(sites)} must be nonnegative")
-    if max(sites) >= size:
-        raise UsageError(f"site index {max(sites)} beyond operator size {size}")
 
 
 def _check_times(times: np.ndarray, classical: bool) -> None:
@@ -492,7 +484,7 @@ def _bind(measure: SpectralMeasure, rates: BirthDeathRates) -> tuple[PiCoefficie
     j_op = measure.jacobi
     n = j_op.size - 1
     try:
-        lam, mu = _gather(rates, rates.truncation_order(n), "absorbing-tail")
+        lam, mu = _gather(rates, n, "absorbing-tail")
     except (UsageError, DomainError) as exc:
         raise UsageError(
             f"rates do not extend to the measure's {n + 1}-site operator: {exc}") from exc

@@ -1,5 +1,5 @@
 """Exception hierarchy shared by all modules, and the integer conversion
-of their site and count arguments."""
+and range check of their site and count arguments."""
 
 from operator import index
 
@@ -39,3 +39,11 @@ def _integer(name: str, value) -> int:
         return index(value)
     except TypeError:
         raise UsageError(f"{name} is {value!r}, expected an integer") from None
+
+
+def _check_sites(size: int, *sites: int) -> None:
+    """A site below 0, then one at or beyond size, raise UsageError."""
+    if min(sites) < 0:
+        raise UsageError(f"site index {min(sites)} must be nonnegative")
+    if max(sites) >= size:
+        raise UsageError(f"site index {max(sites)} beyond operator size {size}")

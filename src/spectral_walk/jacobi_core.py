@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UsageError, _integer
+from .errors import DomainError, UsageError, _check_sites, _integer
 
 __all__ = [
     "BirthDeathRates",
@@ -58,8 +58,14 @@ class BirthDeathRates:
     Notes
     -----
     Validity (checked by :meth:`validate`): lam(i) > 0 for every
-    represented i except the last site of a finite chain, mu(i) > 0 for
-    i >= 1, mu(0) >= 0, and every rate finite.
+    represented i except the last site of a finite chain, where it is 0,
+    mu(i) > 0 for i >= 1, mu(0) >= 0, and every rate finite.
+
+    Every read of the rates (validate, symmetrize, generator,
+    pi_coefficients and the provenance check of the dynamics) calls each
+    closure once per site, in site order, lam(i) before mu(i), and stops
+    at the first invalid rate, so no closure is called past it.  The
+    closures should be pure: a read does not cache their values.
     """
 
     lam: Callable[[int], float]
@@ -81,59 +87,38 @@ class BirthDeathRates:
         if n == 0:
             raise DomainError("empty rate arrays")
         if len(lambdas) == n - 1:
-            lambdas = lambdas + [0.0]
-        elif len(lambdas) == n:
-            if lambdas[-1] != 0.0:
-                raise DomainError(
-                    f"lambda[{n - 1}] = {lambdas[-1]} but the last site of a "
-                    "finite chain must have birth rate 0"
-                )
-        else:
+            lambdas.append(0.0)
+        elif len(lambdas) != n:
             raise DomainError(
                 f"lambdas has length {len(lambdas)}, expected {n} or {n - 1} "
                 f"to match {n} sites"
             )
-        lam_arr = tuple(lambdas)
-        mu_arr = tuple(mus)
-        rates = cls(lam=lambda i: lam_arr[i], mu=lambda i: mu_arr[i], n_sites=n)
+        rates = cls(lam=lambda i: lambdas[i], mu=lambda i: mus[i], n_sites=n)
         rates.validate(n - 1)
         return rates
 
     def validate(self, n: int) -> None:
-        """Check rate positivity for sites 0..n; raise DomainError naming
-        the first offending index (UsageError if n is not a site)."""
-        n = _integer("n", n)
-        if n < 0:
-            raise UsageError(f"truncation order {n} is negative")
-        last = self.n_sites - 1 if self.n_sites is not None else None
-        if last is not None and n > last:
-            raise UsageError(f"site index {n} beyond finite chain of {self.n_sites} sites")
-        for i in range(n + 1):
-            lam_i = float(self.lam(i))
-            if i == last:
-                if lam_i != 0.0:
-                    raise DomainError(f"lambda[{i}] = {lam_i}, expected 0 at the last site")
-            elif not 0.0 < lam_i < math.inf:
-                raise DomainError(f"lambda[{i}] = {lam_i} is not positive and finite")
-            mu_i = float(self.mu(i))
-            if i == 0:
-                if not 0.0 <= mu_i < math.inf:
-                    raise DomainError(f"mu[0] = {mu_i} is negative or not finite")
-            elif not 0.0 < mu_i < math.inf:
-                raise DomainError(f"mu[{i}] = {mu_i} is not positive and finite")
+        """Check the rates of sites 0..n; raise DomainError naming the
+        first invalid rate (UsageError if n is not a site).  One read of
+        the rates, as described in the class notes."""
+        _gather(self, n, "absorbing-tail")
 
     def truncation_order(self, n: int | None) -> int:
-        """Resolve a requested truncation order against the chain length;
-        an order that is not an integer raises UsageError."""
+        """Resolve a requested truncation order against the chain length.
+
+        None means the last site of a finite chain.  This is the one
+        place an order is checked: one that is not an integer, is
+        negative or is not a site of a finite chain raises UsageError.
+        """
         if n is None:
             if self.n_sites is None:
                 raise UsageError("semi-infinite chain needs an explicit truncation order")
             return self.n_sites - 1
         n = _integer("n", n)
-        if self.n_sites is not None and n > self.n_sites - 1:
-            raise UsageError(
-                f"truncation order {n} exceeds finite chain order {self.n_sites - 1}"
-            )
+        if n < 0:
+            raise UsageError(f"truncation order {n} is negative")
+        if self.n_sites is not None and n >= self.n_sites:
+            raise UsageError(f"site index {n} beyond finite chain of {self.n_sites} sites")
         return n
 
 
@@ -220,17 +205,42 @@ class PiCoefficients:
         self.log_values.setflags(write=False)
 
     def value(self, i: int) -> float:
+        """pi_i (inf past the double range); an i that is not a site
+        (2.7, "1", None, -1, n + 1) raises UsageError naming it."""
+        i = _integer("i", i)
+        _check_sites(self.log_values.size, i)
         with np.errstate(over="ignore"):
             return float(np.exp(self.log_values[i]))
 
 
-def _gather(rates: BirthDeathRates, n: int, boundary: str):
-    """Validated (lambda, mu) arrays for sites 0..n under a truncation rule."""
+def _gather(rates: BirthDeathRates, n: int | None, boundary: str):
+    """Validated (lambda, mu) arrays for sites 0..n under a truncation rule.
+
+    The one reader of a chain's rates: n is resolved by
+    BirthDeathRates.truncation_order, then lam(i) and mu(i) are each
+    called once per site, in site order, and checked as they are read;
+    the first invalid rate raises DomainError naming it, and no closure
+    is called past it.  "reflecting" then sets lambda_n to 0.
+    """
+    n = rates.truncation_order(n)
     if boundary not in BOUNDARIES:
         raise UsageError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
-    rates.validate(n)
-    lam = np.array([rates.lam(i) for i in range(n + 1)], dtype=float)
-    mu = np.array([rates.mu(i) for i in range(n + 1)], dtype=float)
+    lam, mu = [0.0] * (n + 1), [0.0] * (n + 1)
+    lam_of, mu_of, size = rates.lam, rates.mu, rates.n_sites
+    for i in range(n + 1):
+        lam[i] = lam_i = float(lam_of(i))
+        if i + 1 == size:
+            if lam_i != 0.0:
+                raise DomainError(f"lambda[{i}] = {lam_i}, expected 0 at the last site")
+        elif not 0.0 < lam_i < math.inf:
+            raise DomainError(f"lambda[{i}] = {lam_i} is not positive and finite")
+        mu[i] = mu_i = float(mu_of(i))
+        if i == 0:
+            if not 0.0 <= mu_i < math.inf:
+                raise DomainError(f"mu[0] = {mu_i} is negative or not finite")
+        elif not 0.0 < mu_i < math.inf:
+            raise DomainError(f"mu[{i}] = {mu_i} is not positive and finite")
+    lam, mu = np.array(lam), np.array(mu)
     if boundary == "reflecting":
         lam[n] = 0.0
     return lam, mu
@@ -263,7 +273,6 @@ def symmetrize(rates: BirthDeathRates, n: int | None = None,
     decays on the (nonnegative) spectrum of J while the quantum evolution
     uses exp(-i J t).
     """
-    n = rates.truncation_order(n)
     lam, mu = _gather(rates, n, boundary)
     b = lam + mu
     j = np.sqrt(lam[:-1] * mu[1:])
@@ -277,7 +286,7 @@ def pi_coefficients(rates: BirthDeathRates, n: int | None = None) -> PiCoefficie
     accumulated in log space so the object stays usable far beyond the
     range where the raw products overflow.
     """
-    return _pi_of(*_gather(rates, rates.truncation_order(n), "absorbing-tail"))
+    return _pi_of(*_gather(rates, n, "absorbing-tail"))
 
 
 def _pi_of(lam: np.ndarray, mu: np.ndarray) -> PiCoefficients:
@@ -295,7 +304,6 @@ def generator(rates: BirthDeathRates, n: int | None = None,
     (lambda_n treated as 0), so rows sum to zero and probability is
     conserved on the truncated state space whenever mu_0 = 0.
     """
-    n = rates.truncation_order(n)
     lam, mu = _gather(rates, n, boundary)
     return GeneratorMatrix(
         diag=-(lam + mu),

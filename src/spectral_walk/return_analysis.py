@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import _check_sites, _check_times, _spectral_sum
-from .errors import UsageError, _integer
+from .dynamics import _check_times, _spectral_sum
+from .errors import UsageError, _check_sites, _integer
 from .jacobi_core import JacobiOperator
 from .spectral import SpectralMeasure, _check_finite, _weighted_rows
 

@@ -79,6 +79,7 @@ SITE_CALLS = {
     "quantum i": lambda rates, measure, s: quantum_amplitude(measure, s, 0, TIMES),
     "quantum j": lambda rates, measure, s: quantum_amplitude(measure, 1, s, TIMES),
     "modified i": lambda rates, measure, s: modified_measure(measure, measure.jacobi, s),
+    "pi i": lambda rates, measure, s: pi_coefficients(rates).value(s),
     "series i": lambda rates, measure, s: ProbabilitySeries(i=s, j=0, times=TIMES,
                                                             values=0 * TIMES),
     "series j": lambda rates, measure, s: AmplitudeSeries(i=1, j=s, times=TIMES, values=TIMES),

@@ -7,18 +7,26 @@ Core claims:
       (mu_0 = 0), to -mu_0 in row 0 otherwise.
     - J = -U A U^{-1} holds entrywise (dense similarity oracle).
     - pi ratio recurrence pi_{i+1}/pi_i = lambda_i / mu_{i+1} is exact.
+    - Every read of the rates calls each closure once per site, in site
+      order, and stops at the first invalid rate.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spectral_walk import (
     BirthDeathRates,
     DomainError,
     JacobiOperator,
     UsageError,
+    classical_transition,
+    eigendecompose,
     generator,
     pi_coefficients,
     symmetrize,
@@ -103,6 +111,92 @@ def test_truncation_order_defaults_and_caps():
     semi = BirthDeathRates(lam=lambda i: 1.0, mu=lambda i: float(i))
     with pytest.raises(UsageError):
         semi.truncation_order(None)
+    for chain in (rates, semi):
+        with pytest.raises(UsageError, match="^truncation order -1 is negative$"):
+            chain.truncation_order(-1)
+
+
+# -- one read of the rates ----------------------------------------------------
+
+def _logged(lams, mus, n_sites, log, stop=math.inf):
+    """Rates over the arrays whose closures append ("lambda" | "mu", i)
+    to log on every call and fail on a call past site stop."""
+    def reader(name, values):
+        def rate(i):
+            assert i <= stop, f"{name}({i}) called past site {stop}"
+            log.append((name, i))
+            return values[i]
+        return rate
+    return BirthDeathRates(lam=reader("lambda", lams), mu=reader("mu", mus), n_sites=n_sites)
+
+
+READS = {
+    "symmetrize": symmetrize,
+    "generator": generator,
+    "pi_coefficients": pi_coefficients,
+    "validate": BirthDeathRates.validate,
+}
+
+
+@pytest.mark.parametrize("read", list(READS) + ["classical_transition"])
+def test_each_read_calls_each_rate_once_per_site(read):
+    plain = random_rates(np.random.default_rng(5), sites=8)
+    lams, mus = [plain.lam(i) for i in range(8)], [plain.mu(i) for i in range(8)]
+    log = []
+    rates = _logged(lams, mus, 8, log)
+    if read == "classical_transition":
+        # a fresh measure binds to the rates on its first call
+        measure = eigendecompose(symmetrize(plain))
+        classical_transition(measure, rates, 0, 1, np.array([0.5, 2.0]))
+    else:
+        READS[read](rates, 7)
+    assert log == [(name, i) for i in range(8) for name in ("lambda", "mu")]
+
+
+def _first_invalid_rate(lams, mus, finite):
+    """Reference rule: (name, site) of the first invalid rate, lambda_i
+    checked before mu_i, or None when every rate is valid."""
+    for i, (lam, mu) in enumerate(zip(lams, mus)):
+        last = finite and i == len(lams) - 1
+        if not (lam == 0.0 if last else 0.0 < lam < math.inf):
+            return "lambda", i
+        if not (0.0 <= mu if i == 0 else 0.0 < mu) or not mu < math.inf:
+            return "mu", i
+    return None
+
+
+BAD_RATES = [math.nan, math.inf, -math.inf, 0.0, -0.5, 1.5]
+
+
+@given(sites=st.integers(1, 9), finite=st.booleans(), read=st.sampled_from(list(READS)),
+       field=st.sampled_from(["lambda", "mu"]), where=st.integers(0, 8),
+       bad=st.sampled_from(BAD_RATES), seed=st.integers(0, 2**16))
+@example(sites=4, finite=True, read="symmetrize", field="lambda", where=3, bad=1.5, seed=0)
+@example(sites=4, finite=False, read="validate", field="mu", where=0, bad=-0.5, seed=0)
+def test_a_bad_rate_is_named_at_its_site_and_nothing_past_it_is_read(
+        sites, finite, read, field, where, bad, seed):
+    rng = np.random.default_rng(seed)
+    lams, mus = list(rng.uniform(0.1, 2.0, sites)), list(rng.uniform(0.1, 2.0, sites))
+    mus[0] = 0.0
+    if finite:
+        lams[-1] = 0.0
+    site = where % sites
+    (lams if field == "lambda" else mus)[site] = bad
+    expected = _first_invalid_rate(lams, mus, finite)
+    log = []
+    rates = _logged(lams, mus, sites if finite else None, log,
+                    stop=sites - 1 if expected is None else expected[1])
+    if expected is None:
+        READS[read](rates, sites - 1)
+        reads = [(name, i) for i in range(sites) for name in ("lambda", "mu")]
+    else:
+        name, i = expected
+        with pytest.raises(DomainError) as info:
+            READS[read](rates, sites - 1)
+        assert str(info.value).startswith(f"{name}[{i}] = ")
+        reads = [(n, k) for k in range(i + 1) for n in ("lambda", "mu")]
+        reads = reads[:-1] if name == "lambda" else reads
+    assert log == reads
 
 
 # -- generator ----------------------------------------------------------------
@@ -204,3 +298,13 @@ def test_pi_survives_extreme_products():
     assert np.isfinite(np.exp(0.5 * (lv[399] - lv[398])))
     assert np.exp(0.5 * (lv[399] - lv[398])) ** 2 == pytest.approx(10.0, rel=1e-12)
     assert np.exp(0.5 * (lv[10] - lv[12])) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_pi_value_keeps_its_bits_at_every_site():
+    semi = BirthDeathRates(lam=lambda i: 10.0 ** (i % 7), mu=lambda i: 0.5 + i)
+    pi = pi_coefficients(semi, 400)
+    with np.errstate(over="ignore"):
+        expected = np.exp(pi.log_values)
+    # past the double range pi_i reads inf, as np.exp gives
+    for i in [*range(401), np.int64(200), np.int32(400)]:
+        assert np.float64(pi.value(i)).tobytes() == expected[i].tobytes()
